@@ -463,7 +463,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
                     "n_samples": n},
         estimate=None if witness is None else c_est,
         bound=0.0,
-        passed=witness is not None and c_est > 0,
+        passed=bool(witness is not None and c_est > 0),
         witnesses=[witness] if witness else [],
     )
     if degenerate:

@@ -32,6 +32,14 @@ def _rng(params: dict, seed: int) -> np.random.Generator:
     return np.random.default_rng(int(params.get("seed", seed)))
 
 
+def _count(params: dict, key: str, default: int) -> int:
+    """A sample count from the config; it must be at least 1."""
+    n = int(params.get(key, default))
+    if n < 1:
+        raise ConfigError(f"'{key}' must be at least 1, got {n}")
+    return n
+
+
 def _curve(params: dict, key: str = "curve") -> SimpleCurve:
     if key not in params:
         raise ConfigError(f"missing required parameter '{key}'")
@@ -45,7 +53,7 @@ def _op_validate_monotone(params, seed):
 
 def _op_psi_lower_bound(params, seed):
     d = int(params["d"])
-    n = int(params.get("n_samples", 1000))
+    n = _count(params, "n_samples", 1000)
     rng = _rng(params, seed)
     samples = [(0.3, tuple(rng.uniform(0.05, 1.0, size=d - 1)))
                for _ in range(n)]
@@ -79,7 +87,7 @@ def _random_poly_curve(rng, d: int) -> SimpleCurve:
 
 def _op_jacobian_identity(params, seed):
     d = int(params["d"])
-    n = int(params.get("n_trials", 50))
+    n = _count(params, "n_trials", 50)
     rng = _rng(params, seed)
     worst = 0.0
     witness = None
@@ -114,7 +122,7 @@ def _op_monomial_closed_form(params, seed):
             g = GapVector.of(h)
             t = float(rng.uniform(0.0, 2.0))
             J = jacobian.jacobian_direct(curve, t, g)
-            pf = math.prod(math.factorial(j) for j in range(1, d))
+            pf = vandermonde.factorial_product(d)
             worst = max(worst, abs(J * pf - g.v) / g.v)
     tol = float(params.get("tolerance", 1e-10))
     return CheckReport(
@@ -130,21 +138,21 @@ def _unit_samples(rng, n: int, d: int):
 def _op_estimate_sigma(params, seed):
     curve = _curve(params)
     rng = _rng(params, seed)
-    us = _unit_samples(rng, int(params.get("n_samples", 200)), curve.d)
+    us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
     return jacobian.estimate_sigma(curve, us, A=params.get("A"))
 
 
 def _op_offspring_closure(params, seed):
     curve = _curve(params)
     rng = _rng(params, seed)
-    us = _unit_samples(rng, int(params.get("n_samples", 200)), curve.d)
+    us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
     return jacobian.check_offspring_closure(curve, params["h"], us)
 
 
 def _op_weight_product_bound(params, seed):
     curve = _curve(params)
     rng = _rng(params, seed)
-    us = _unit_samples(rng, int(params.get("n_samples", 100)), curve.d)
+    us = _unit_samples(rng, _count(params, "n_samples", 100), curve.d)
     return jacobian.weight_product_bound(curve, us)
 
 
@@ -201,7 +209,7 @@ def _op_exponent_identities(params, seed):
 def _op_lemma1_chain(params, seed):
     _, rep = geometry.lemma1_chain(
         _curve(params), float(params["t"]), float(params["h"]),
-        n_samples=int(params.get("n_samples", 1000)))
+        n_samples=_count(params, "n_samples", 1000))
     return rep
 
 
@@ -225,7 +233,7 @@ def _op_lemma1_conclusion(params, seed):
     alpha = float(params["alpha"])
     rng = _rng(params, seed)
     a, b = curve.domain
-    n = int(params.get("n_samples", 20))
+    n = _count(params, "n_samples", 20)
     samples = []
     while len(samples) < n:
         t, s = np.sort(rng.uniform(a + 0.05 * (b - a), b, size=2))
@@ -244,7 +252,7 @@ def _op_K_u_geometry(params, seed):
 def _op_sm_measure(params, seed):
     return geometry.sm_measure(
         int(params["d"]), float(params["alpha"]), int(params["m"]),
-        mc_samples=int(params.get("mc_samples", 4_000_000)),
+        mc_samples=_count(params, "mc_samples", 4_000_000),
         seed=int(params.get("seed", seed)),
         box_side=float(params.get("box_side", 10.0)))
 
@@ -285,7 +293,7 @@ def _op_check_J_geq_K(params, seed):
         sigma = est.constant
     rng = _rng(params, seed)
     a, b = curve.domain
-    n = int(params.get("n_samples", 200))
+    n = _count(params, "n_samples", 200)
     samples = []
     for _ in range(n):
         h = rng.uniform(1e-3, (b - a) / curve.d, size=curve.d - 1)
@@ -339,7 +347,7 @@ def _op_converse_scaling(params, seed):
     d = int(params["d"])
     f = probe.TestFunction.from_spec(params["f"])
     rng = _rng(params, seed)
-    n = int(params.get("n_random", 20))
+    n = _count(params, "n_random", 20)
     worst = 0.0
     for _ in range(n):
         E = geometry.Parallelepiped.of(
@@ -383,7 +391,7 @@ _register("lin-lemma",
           "restricted-box vs full-box ratio for factored integrands",
           _op_lin_lemma)
 _register("jacobian-identity",
-          "determinant Jacobian equals its iterated-integral form",
+          "determinant Jacobian equals its Hermite-Genocchi B-spline integral",
           _op_jacobian_identity)
 _register("monomial-closed-form",
           "J * prod(j!) = v(h) for the pure monomial phi = t^d/d!",

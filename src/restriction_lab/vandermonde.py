@@ -1,24 +1,21 @@
-"""Vandermonde determinants, gap vectors and the recursive Psi kernel.
+"""Vandermonde determinants, gap vectors and the Psi kernel.
 
-The kernel Psi_d represents the offspring Jacobian as an integral
-against phi^(d); see :mod:`restriction_lab.jacobian`.  Everything here
-is piecewise polynomial, so Gauss-Legendre rules split at the kink
-planes are exact up to roundoff.
+The kernel Psi_d is a scaled B-spline on the offsets kappa(h) and
+represents the offspring Jacobian as an integral against phi^(d); see
+:mod:`restriction_lab.jacobian`.  Everything here is piecewise
+polynomial, so Gauss-Legendre rules split at the knots are exact up to
+roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .quadrature import box_rule, gl_nodes
-from .report import CapabilityError, CheckReport, ConfigError
-
-MAX_PSI_D = 5
+from .report import CheckReport, ConfigError
 
 
 def vandermonde(x) -> float:
@@ -82,86 +79,44 @@ def kappa_v(h) -> tuple[np.ndarray, float]:
 # the Psi kernel
 
 
-def _psi3(t, h1: float, h2: float):
-    """Closed form: integrating the d=2 indicator over its box region
-    leaves min(h1, t) * (h1 + h2 - max(h1, t)) on [0, h1+h2]."""
-    t = np.asarray(t, dtype=float)
-    out = np.minimum(h1, t) * (h1 + h2 - np.maximum(h1, t))
-    out = np.where((t >= 0) & (t <= h1 + h2), out, 0.0)
-    return out
+def factorial_product(d: int) -> int:
+    """prod_{i<d} i! = 1! 2! ... (d-1)!."""
+    return math.prod(math.factorial(i) for i in range(1, d))
 
 
-def _psi_region_box(t: float, h: Sequence[float]):
-    """The box R_{d-1}(t, h) over which the recursion integrates."""
-    kappa = np.concatenate(([0.0], np.cumsum(h)))
-    dm1 = len(h)
-    lo = np.empty(dm1)
-    hi = np.empty(dm1)
-    lo[0], hi[0] = 0.0, min(h[0], t)
-    for j in range(1, dm1 - 1):
-        lo[j], hi[j] = kappa[j], kappa[j + 1]
-    lo[dm1 - 1] = max(kappa[dm1 - 1], t)
-    hi[dm1 - 1] = kappa[dm1]
-    return lo, hi
-
-
-@lru_cache(maxsize=4096)
-def _psi_scalar(d: int, t: float, h: tuple[float, ...]) -> float:
-    total = sum(h)
-    if t < 0.0 or t >= total:
-        return 0.0
-    if d == 2:
-        return 1.0
-    if d == 3:
-        return float(_psi3(t, h[0], h[1]))
-    lo, hi = _psi_region_box(t, h)
-    if np.any(hi < lo):
-        return 0.0
-    # the only kink planes inside the box are sigma_j = t: split there
-    segments = []
-    for j in range(len(lo)):
-        if lo[j] < t < hi[j]:
-            segments.append([(lo[j], t), (t, hi[j])])
-        else:
-            segments.append([(lo[j], hi[j])])
-    total_val = 0.0
-    order = 8  # exact for the piecewise polynomial pieces of Psi_{d-1}
-    from itertools import product as iproduct
-    for combo in iproduct(*segments):
-        lo_c = [c[0] for c in combo]
-        hi_c = [c[1] for c in combo]
-        pts, wts = box_rule(lo_c, hi_c, order)
-        gaps = np.diff(pts, axis=-1)
-        u = t - pts[:, 0]
-        if d - 1 == 3:
-            vals = _psi3(u, gaps[:, 0], gaps[:, 1])
-        else:
-            vals = np.array([
-                _psi_scalar(d - 1, float(ui), tuple(float(g) for g in gi))
-                for ui, gi in zip(u, gaps)])
-        total_val += float(np.sum(wts * vals))
-    return total_val
+def unit_bspline(kappa, u) -> np.ndarray:
+    """The unit-mass B-spline M(u; kappa) on knots kappa_1 <= ... <= kappa_d:
+    piecewise polynomial of degree d - 2 with integral 1, zero outside
+    [kappa_1, kappa_d].  Cox-de Boor recurrence from the interval
+    indicators, the last interval closed."""
+    kappa = np.asarray(kappa, dtype=float)
+    u = np.asarray(u, dtype=float)
+    x = u[..., None]
+    b = ((x >= kappa[:-1]) & (x < kappa[1:])).astype(float)
+    b[..., -1] += u == kappa[-1]
+    for k in range(1, kappa.size - 1):
+        span = kappa[k:] - kappa[:-k]
+        inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        b = ((x - kappa[:-k - 1]) * inv[:-1] * b[..., :-1]
+             + (kappa[k + 1:] - x) * inv[1:] * b[..., 1:])
+    return b[..., 0] * (kappa.size - 1) / (kappa[-1] - kappa[0])
 
 
 def psi(d: int, t, h) -> float | np.ndarray:
-    """The recursive kernel Psi_d(t; h), nonnegative, supported in
-    [0, h_1 + ... + h_{d-1}]."""
-    if not (2 <= d <= MAX_PSI_D):
-        raise CapabilityError(f"psi supports d in 2..{MAX_PSI_D}, got {d}")
+    """The kernel Psi_d(t; h) = v(h) / prod_{i<d} i! * M(t; kappa(h))
+    (Curry-Schoenberg), nonnegative, supported in [0, h_1 + ... + h_{d-1}]."""
+    if d < 2:
+        raise ConfigError(f"psi needs d >= 2, got {d}")
     g = GapVector.of(h)
     if g.d != d:
         raise ConfigError(f"gap vector has {g.d - 1} entries, need {d - 1}")
     t_arr = np.asarray(t, dtype=float)
-    if d == 2:
-        out = np.where((t_arr >= 0) & (t_arr <= g.h[0]), 1.0, 0.0)
-    elif d == 3:
-        out = _psi3(t_arr, g.h[0], g.h[1])
+    if g.v == 0.0:
+        out = np.zeros_like(t_arr)
     else:
-        out = np.array([_psi_scalar(d, float(ti), g.h)
-                        for ti in np.atleast_1d(t_arr).ravel()])
-        out = out.reshape(np.atleast_1d(t_arr).shape)
+        out = g.v / factorial_product(d) * unit_bspline(g.kappa, t_arr)
     if np.ndim(t) == 0:
-        return float(np.asarray(out).reshape(()))
+        return float(out)
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,30 @@ from restriction_lab.report import DomainError
 from restriction_lab.vandermonde import GapVector
 
 gaps = st.floats(0.02, 0.4)
+
+
+def _mp_node_determinant(coeffs, d, t, h):
+    """J and the sigma ratio from the node determinant, evaluated in
+    50-digit mpmath with the nodes t + kappa formed exactly."""
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(t)]
+        for hj in h:
+            s.append(s[-1] + mpmath.mpf(hj))
+        c = [mpmath.mpf(x) for x in coeffs]
+
+        def deriv(x, k):
+            return mpmath.fsum(c[j] * mpmath.ff(j, k) * x ** (j - k)
+                               for j in range(k, len(c)))
+
+        mat = mpmath.matrix(d, d)
+        for j, sj in enumerate(s):
+            for i in range(d - 1):
+                mat[i, j] = sj ** i / mpmath.factorial(i)
+            mat[d - 1, j] = deriv(sj, 1)
+        J = mpmath.det(mat)
+        v = mpmath.fprod(s[j] - s[i] for j in range(d) for i in range(j))
+        geo = mpmath.fprod(deriv(sj, d) for sj in s) ** (mpmath.mpf(1) / d)
+        return float(J), float(J / (v * geo))
 
 
 def test_jacobian_d2_closed_form():
@@ -46,6 +71,39 @@ def test_jacobian_routes_agree_nonpolynomial():
     J1 = jacobian_direct(c, 0.5, (0.2, 0.3))
     J2 = jacobian_integral(c, 0.5, (0.2, 0.3))
     assert J1 == pytest.approx(J2, rel=1e-8)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("scale", [1e-3, 1e-4])
+def test_kernel_route_small_gaps_large_t(d, scale):
+    # the float determinant of jacobian_direct loses from 2e-6 (d=4,
+    # gaps 1e-3) to all digits (d=5, gaps 1e-4) at these points
+    coeffs = [0.0] * d + [c / math.factorial(d + j)
+                          for j, c in enumerate((1.3, 0.7, 1.9))]
+    curve = SimpleCurve(d=d, phi=poly_oracle(coeffs, domain=(0.0, 14.0)),
+                        label="positive-poly")
+    t, h = 10.0, scale * np.array([1.0, 1.7, 0.6, 1.3])[: d - 1]
+    J_ref, sigma_ref = _mp_node_determinant(coeffs, d, t, h)
+    assert jacobian_integral(curve, t, h) == pytest.approx(J_ref, rel=1e-10)
+    assert sigma_ratio(curve, t, h) == pytest.approx(sigma_ref, rel=1e-10)
+
+
+def test_kernel_route_near_singular_domain_end():
+    # phi^(3) of t^3.5 is 13.1 t^0.5: near t = 0 the first Gauss-Legendre
+    # rule does not converge and the panels are bisected
+    c = SimpleCurve(d=3, phi=monomial_oracle(3.5, domain=(0.0, 1.0)),
+                    label="m")
+    for t, h in ((0.015, (0.02, 0.32)), (0.002, (0.05, 0.3))):
+        assert jacobian_integral(c, t, h) == pytest.approx(
+            jacobian_direct(c, t, h), rel=1e-10)
+
+
+def test_sigma_ratio_rejects_negative_top_derivative():
+    # phi^(3) of exp(-1/t) is negative on (0.21, 0.79)
+    c = SimpleCurve(d=3, phi=expflat_oracle(1.0, domain=(0.0, 1.0)),
+                    label="ef")
+    with pytest.raises(DomainError, match=r"phi\^\(3\) >= 0"):
+        sigma_ratio(c, 0.4, (0.1, 0.1))
 
 
 def test_monomial_closed_form_spot():

@@ -44,14 +44,20 @@ def test_run_psi_lower_bound_d2():
     assert reports[0].timing > 0
 
 
+# phi = exp(-1/t) has phi^(3) = phi (1 - 6t + 6t^2) / t^6 < 0 on
+# (0.21, 0.79), against the hypothesis phi^(d) >= 0 of the sigma ratio
+NEGATIVE_TOP_DERIVATIVE = {
+    "operation": "estimate-sigma",
+    "curve": {"kind": "exp-flat", "beta": 1.0, "d": 3, "domain": [0.0, 1.0]}}
+
+
 def test_failing_check_is_reported_not_raised():
-    cfg = _config([{"operation": "estimate-sigma",
-                    "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
-                              "domain": [0.0, 1.0]},
-                    "n_samples": -5}])
-    reports = run(cfg)
+    reports = run(_config([NEGATIVE_TOP_DERIVATIVE], seed=1))
     assert not reports[0].passed
-    assert reports[0].notes  # the exception text is carried along
+    # the exception text is carried along, naming the violated hypothesis
+    (note,) = reports[0].notes
+    assert note.startswith("DomainError: ")
+    assert "phi^(3) >= 0" in note
 
 
 def test_report_payload_reproducible():
@@ -143,13 +149,39 @@ def test_cli_unknown_operation_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_failing_check_exits_1(tmp_path, capsys):
+def _write_config(tmp_path, checks, seed=3):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "seed": 3, "output": str(tmp_path / "out"),
-        "checks": [{"operation": "estimate-sigma",
-                    "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
-                              "domain": [0.0, 1.0]},
-                    "n_samples": -5}]}), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
+        "seed": seed, "output": str(tmp_path / "out"),
+        "checks": checks}), encoding="utf-8")
+    return str(cfg_path)
+
+
+def test_cli_failing_check_exits_1(tmp_path, capsys):
+    assert main(["run", _write_config(tmp_path,
+                                      [NEGATIVE_TOP_DERIVATIVE])]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check", [
+    {"operation": "estimate-sigma",
+     "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
+               "domain": [0.0, 1.0]}},
+    {"operation": "psi-lower-bound", "d": 3}])
+def test_cli_nonpositive_sample_count_exits_2(tmp_path, capsys, check):
+    cfg = _write_config(tmp_path, [{**check, "n_samples": -5}])
+    assert main(["run", cfg]) == 2
+    assert "'n_samples' must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_check_J_geq_K_writes_complete_report(tmp_path, capsys):
+    cfg = _write_config(tmp_path, [{
+        "operation": "check-J-geq-K", "alpha": 0.1,
+        "curve": {"kind": "monomial", "beta": 5.0, "d": 4,
+                  "domain": [0.0, 1.0]}}], seed=1)
+    assert main(["run", cfg]) in (0, 1)
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    (rep,) = payload["reports"]
+    assert rep["check_id"] == "check_J_geq_K"
+    assert isinstance(rep["passed"], bool)

@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from restriction_lab.report import CapabilityError
+from restriction_lab.curves import SimpleCurve, poly_oracle
+from restriction_lab.jacobian import jacobian_direct, jacobian_integral
 from restriction_lab.vandermonde import (GapVector, check_lin_lemma,
                                          check_psi_lower_bound,
                                          check_tail_inequalities,
@@ -69,9 +71,47 @@ def test_psi_nonnegative_and_supported(d, t, h):
         assert val == 0.0
 
 
-def test_psi_dimension_cap():
-    with pytest.raises(CapabilityError):
-        psi(6, 0.5, (1, 1, 1, 1, 1))
+def _psi_divided_difference(d, u, h):
+    """Psi_d(u; h) from the Curry-Schoenberg definition of the unit-mass
+    B-spline, M(u) = (d-1) [kappa_1, ..., kappa_d] (. - u)_+^(d-2),
+    with the divided difference expanded over distinct knots in mpmath."""
+    with mpmath.workdps(50):
+        kappa = [mpmath.mpf(0)]
+        for hj in h:
+            kappa.append(kappa[-1] + mpmath.mpf(hj))
+        u = mpmath.mpf(u)
+        M = (d - 1) * mpmath.fsum(
+            max(kj - u, 0) ** (d - 2)
+            / mpmath.fprod(kj - ki for ki in kappa if ki != kj)
+            for kj in kappa)
+        v = mpmath.fprod(kappa[j] - kappa[i]
+                         for j in range(d) for i in range(j))
+        return float(v * M / math.prod(math.factorial(i)
+                                       for i in range(1, d)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_psi_matches_divided_difference_definition(d):
+    h = (0.5, 1.1, 0.3, 0.7, 0.9)[: d - 1]
+    for frac in (0.03, 0.2, 0.37, 0.5, 0.64, 0.81, 0.97):
+        u = frac * sum(h)
+        assert psi(d, u, h) == pytest.approx(
+            _psi_divided_difference(d, u, h), rel=1e-12)
+
+
+def test_psi_d6_mass_and_jacobian_routes():
+    d = 6
+    g = GapVector.of((0.4, 0.25, 0.6, 0.35, 0.5))
+    total, _ = quad(lambda u: psi(d, u, g), 0.0, g.kappa[-1],
+                    points=g.kappa[1:-1], epsabs=0.0, epsrel=1e-13)
+    assert total == pytest.approx(
+        g.v / math.prod(math.factorial(i) for i in range(1, d)), rel=1e-10)
+    coeffs = [0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.7, -0.3, 0.05]
+    curve = SimpleCurve(d=d, phi=poly_oracle(coeffs, domain=(-3.0, 3.0)),
+                        label="p6")
+    J1 = jacobian_direct(curve, -0.8, g)
+    J2 = jacobian_integral(curve, -0.8, g)
+    assert J2 == pytest.approx(J1, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
