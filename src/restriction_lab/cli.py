@@ -25,8 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON config")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for independent checks")
     p_run.add_argument("--output", default=None,
                        help="override the report path prefix")
 
@@ -55,7 +53,7 @@ def main(argv=None) -> int:
                 config.seed = args.seed
             if args.output is not None:
                 config.output = args.output
-            reports = run(config, jobs=args.jobs)
+            reports = run(config)
             path = write_report(config, reports)
             for rep in reports:
                 status = "PASS" if rep.passed else "FAIL"

@@ -17,8 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .curves import (DerivativeOracle, SimpleCurve, expflat_phi_derivative,
-                     validate_monotone)
+from .curves import DerivativeOracle, SimpleCurve, validate_monotone
 from .quadrature import integrate_refine
 from .report import ConfigError, DomainError
 
@@ -41,7 +40,7 @@ def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
     zeros are treated as underflow of a very flat (but positive) top
     derivative and the point is dropped from the simplex sweep.
     """
-    vals = np.asarray([curve.phi(float(t), curve.d) for t in grid])
+    vals = curve.phi(grid, curve.d)
     if np.any(vals < 0):
         bad = float(grid[int(np.argmin(vals))])
         raise DomainError(f"phi^(d) < 0 at t = {bad}; condition undefined")
@@ -53,7 +52,7 @@ def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
 
 def _ratio_at(curve: SimpleCurve, s: np.ndarray, variant: str) -> float:
     d = curve.d
-    vals = np.asarray([curve.phi(float(t), d) for t in s])
+    vals = curve.phi(s, d)
     if np.any(vals <= 0):
         raise DomainError("phi^(d) <= 0 inside the simplex sweep")
     gm = float(np.exp(np.mean(np.log(vals))))
@@ -157,7 +156,7 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     a, b = curve.domain
     inset = 1e-6 * (b - a)
     grid = np.linspace(a + inset, b - inset, grid_size)
-    vals = np.asarray([curve.phi(float(t), d - 1) for t in grid])
+    vals = curve.phi(grid, d - 1)
     tt, ss = np.meshgrid(grid, grid, indexing="ij")
     vt, vs = np.meshgrid(vals, vals, indexing="ij")
     mask = ss > tt
@@ -195,16 +194,14 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
     phi = base.phi
 
     probe = np.linspace(a + 1e-9 * (b - a), b, 33)
-    top = np.asarray([phi(float(t), d) for t in probe])
+    top = phi(probe, d)
     if variant == "log" and np.any(top <= math.e):
         raise ConfigError("log flattening requires phi^(d) > e on the domain")
     if variant == "exp" and np.any(top < 0):
         raise ConfigError("exp flattening requires phi^(d) >= 0 on the domain")
 
     def g(u):
-        u = np.asarray(u, dtype=float)
-        vals = phi.fn(u, d) if phi.vectorized else np.asarray(
-            [phi.fn(float(x), d) for x in np.atleast_1d(u)]).reshape(u.shape)
+        vals = phi.fn(u, d)
         if variant == "exp":
             # exp(-1/0+) -> 0; zeros of the top derivative are the flat
             # points the constructor exists for.
@@ -214,29 +211,15 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
         return np.log(vals)
 
     def fn(t, k):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if k == d:
-            out = fac * g(t_arr)
-        else:
-            m = d - 1 - k
-            scale = fac / math.factorial(m)
-            out = np.empty_like(t_arr)
-            for i, ti in enumerate(t_arr):
-                if ti <= a:
-                    out[i] = 0.0
-                    continue
-                out[i] = scale * integrate_refine(
-                    lambda u: (ti - u) ** m * g(u) if m else g(u),
-                    a, float(ti), rel_tol=1e-10)
-        return out if np.ndim(t) else float(out[0])
+            return fac * g(t)
+        m = d - 1 - k
+        return fac / math.factorial(m) * integrate_refine(
+            lambda u, s: (s - u) ** m * g(u) if m else g(u),
+            a, t, rel_tol=1e-10)
 
-    psi = DerivativeOracle(domain=(a, b), max_order=d, fn=fn, vectorized=True)
+    psi = DerivativeOracle(domain=(a, b), max_order=d, fn=fn)
     return SimpleCurve(d=d, phi=psi, label=base.label + f"-flat-{variant}")
-
-
-def expflat_derivatives(beta: float, d: int, t) -> float:
-    """phi^(d)(t) for phi = exp(-t^{-beta}), by the coefficient recursion."""
-    return expflat_phi_derivative(beta, d, t)
 
 
 def exponent_calculator(d: int, p: float | None = None,

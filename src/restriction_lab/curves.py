@@ -13,7 +13,7 @@ validation oracle only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -22,23 +22,23 @@ import numpy as np
 from .report import CapabilityError, CheckReport, ConfigError, DomainError
 
 DEFAULT_MAX_D = 5
+# oracles clamp evaluation points this far (relative to the domain
+# length) inside the domain ends
+CLAMP_EPS_REL = 1e-9
 
 
 @dataclass(frozen=True)
 class DerivativeOracle:
     """A real function on an open interval answering f^(k)(t), 0 <= k <= max_order.
 
-    ``fn(t, k)`` must accept numpy arrays for t when ``vectorized``;
-    otherwise it is looped over.  Evaluation clamps t to
-    [a + eps, b - eps] to keep away from endpoint singularities of
-    t^beta with non-integer beta.
+    ``fn(t, k)`` must accept a numpy array t of any shape and answer the
+    array of values.  Evaluation clamps t to [a + eps, b - eps] to keep
+    away from endpoint singularities of t^beta with non-integer beta.
     """
 
     domain: tuple[float, float]
     max_order: int
     fn: Callable
-    vectorized: bool = True
-    clamp_eps_rel: float = 1e-9
 
     def __call__(self, t, k: int):
         if k < 0 or k > self.max_order:
@@ -49,13 +49,9 @@ class DerivativeOracle:
         tol = 1e-12 * max(1.0, abs(a), abs(b))
         if np.any(t_arr < a - tol) or np.any(t_arr > b + tol):
             raise DomainError(f"t={t} outside domain ({a}, {b})")
-        eps = self.clamp_eps_rel * (b - a)
+        eps = CLAMP_EPS_REL * (b - a)
         t_arr = np.clip(t_arr, a + eps, b - eps)
-        if self.vectorized:
-            out = np.asarray(self.fn(t_arr, k), dtype=float)
-        else:
-            flat = np.array([self.fn(float(ti), k) for ti in t_arr.ravel()])
-            out = flat.reshape(t_arr.shape)
+        out = np.asarray(self.fn(t_arr, k), dtype=float)
         if np.ndim(t) == 0:
             return float(out)
         return out
@@ -137,8 +133,9 @@ def evaluate_curve(curve: SimpleCurve, t: float, k: int = 0) -> np.ndarray:
     return out
 
 
-def curve_derivative_matrix(curve, t: float) -> np.ndarray:
-    """Columns gamma'(t), ..., gamma^(d)(t)."""
+def curve_derivative_matrix(curve, t) -> np.ndarray:
+    """Columns gamma'(t), ..., gamma^(d)(t); for homogeneous curves t may
+    be an array, giving one matrix per point."""
     if isinstance(curve, HomogeneousCurve):
         return np.stack([curve.derivative(t, k) for k in range(1, curve.d + 1)],
                         axis=-1)
@@ -147,23 +144,18 @@ def curve_derivative_matrix(curve, t: float) -> np.ndarray:
 
 
 def affine_weight(curve, t):
-    """Affine arclength weight w(t).
+    """Affine arclength weight w(t), for a float or an array t.
 
-    For simple curves this is |phi^(d)(t)|^{2/(d(d+1))}; for other curve
-    models it falls back to the torsion determinant
+    For simple curves this is |phi^(d)(t)|^{2/(d(d+1))}; for homogeneous
+    curves it is the torsion determinant
     |det(gamma', ..., gamma^(d))|^{2/(d(d+1))} (which reduces to the same
     thing on simple curves).
     """
     d = curve.d
     expo = 2.0 / (d * (d + 1))
     if isinstance(curve, SimpleCurve):
-        val = curve.phi(t, d)
-        return np.abs(val) ** expo
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    dets = np.array([abs(np.linalg.det(curve_derivative_matrix(curve, ti)))
-                     for ti in t_arr])
-    out = dets ** expo
-    return float(out[0]) if np.ndim(t) == 0 else out
+        return np.abs(curve.phi(t, d)) ** expo
+    return np.abs(np.linalg.det(curve_derivative_matrix(curve, t))) ** expo
 
 
 def normalize_domain(curve: SimpleCurve) -> SimpleCurve:
@@ -179,8 +171,7 @@ def normalize_domain(curve: SimpleCurve) -> SimpleCurve:
         return b ** k * base.fn(np.asarray(t) * b, k)
 
     phi = DerivativeOracle(domain=(a / b, 1.0), max_order=base.max_order,
-                           fn=fn, vectorized=base.vectorized,
-                           clamp_eps_rel=base.clamp_eps_rel)
+                           fn=fn)
     return SimpleCurve(d=curve.d, phi=phi, label=curve.label + "-normalized")
 
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .conditions import _validate_alpha
 from .curves import HomogeneousCurve, SimpleCurve, validate_monotone
 from .jacobian import jacobian_at_nodes
 from .report import CheckReport, ConfigError, DomainError
@@ -89,9 +90,7 @@ def _curve_points(curve, ts: np.ndarray) -> np.ndarray:
         return ts[:, None] ** a
     d = curve.d
     cols = [ts ** j / math.factorial(j) for j in range(1, d)]
-    phi_vals = (curve.phi(ts, 0) if curve.phi.vectorized
-                else np.asarray([curve.phi(float(t), 0) for t in ts]))
-    cols.append(np.asarray(phi_vals, dtype=float))
+    cols.append(curve.phi(ts, 0))
     return np.stack(cols, axis=-1)
 
 
@@ -127,17 +126,7 @@ def lambda_measure(curve, E: Parallelepiped, tol: float = 1e-8,
         if state:
             total += hi - lo
         state = not state
-    return total
-
-
-def _check_alpha_range(d: int, alpha: float) -> None:
-    if d >= 3:
-        if not 0 < alpha <= 2.0 / (d * (d + 1)):
-            raise ConfigError(
-                f"alpha must lie in (0, 2/(d(d+1))] for d={d}, got {alpha}")
-    else:
-        if not 0 < alpha < 1.0 / 3.0:
-            raise ConfigError(f"alpha must lie in (0, 1/3) for d=2, got {alpha}")
+    return float(total)
 
 
 def estimate_alpha_B(curve, family, alpha: float,
@@ -146,7 +135,7 @@ def estimate_alpha_B(curve, family, alpha: float,
     family = list(family)
     if not family:
         raise ConfigError("parallelepiped family is empty")
-    _check_alpha_range(curve.d, alpha)
+    _validate_alpha(curve.d, alpha)
     best = -math.inf
     best_E = None
     series = []
@@ -200,9 +189,7 @@ def _derivative_tail(curve: SimpleCurve, s: np.ndarray, k: int) -> np.ndarray:
     """Last k coordinates of gamma^(d-k)(s): (s, ..., s^{k-1}/(k-1)!,
     phi^(d-k)(s))."""
     cols = [s ** j / math.factorial(j) for j in range(1, k)]
-    phi_vals = (curve.phi(s, curve.d - k) if curve.phi.vectorized
-                else np.asarray([curve.phi(float(x), curve.d - k) for x in s]))
-    cols.append(np.asarray(phi_vals, dtype=float))
+    cols.append(curve.phi(s, curve.d - k))
     return np.stack(cols, axis=-1)
 
 
@@ -293,7 +280,7 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
     phi^(d-1)(s) - phi^(d-1)(t) at every sampled pair, plus the
     occupation cross-check lambda(E_0) >= h on the sampled chains."""
     d = curve.d
-    _check_alpha_range(d, alpha)
+    _validate_alpha(d, alpha)
     expo = 1.0 / alpha + 1 - d * (d + 1) / 2.0
     worst = math.inf
     witnesses = []
@@ -372,7 +359,7 @@ def K_u_geometry(h, alpha: float,
     degree 1/alpha - d."""
     h = np.asarray(h, dtype=float)
     d = h.size + 1
-    _check_alpha_range(d, alpha)
+    _validate_alpha(d, alpha)
     u = u_of(h)
     K = K_of(h, alpha)
     deg = 1.0 / alpha - d
@@ -436,7 +423,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
     """Empirical constant in J(s, h) >= c * sigma^{-1/alpha} * K(h), with
     J evaluated at the nondecreasing rearrangement of {s} union {s+h_j}."""
     d = curve.d
-    _check_alpha_range(d, alpha)
+    _validate_alpha(d, alpha)
     if sigma_est <= 0:
         raise ConfigError("sigma_est must be positive")
     c_est = math.inf

@@ -160,8 +160,7 @@ def offspring_decomposition(curve: SimpleCurve, h) -> OffspringFrame:
 
     phi_tilde = DerivativeOracle(
         domain=(a + hbar, b - float(kappa[-1]) + hbar),
-        max_order=base.max_order, fn=fn, vectorized=base.vectorized,
-        clamp_eps_rel=base.clamp_eps_rel)
+        max_order=base.max_order, fn=fn)
     return OffspringFrame(d=d, hbar=hbar, shift=shift, matrix=mat,
                           phi_tilde=phi_tilde)
 
@@ -192,15 +191,23 @@ def sample_admissible(curve: SimpleCurve, unit: np.ndarray,
     return t, GapVector.of(h)
 
 
+class UnderflowError(DomainError):
+    """phi^(d) is exactly 0 at a node: a positive but very flat top
+    derivative that underflowed."""
+
+
 def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t,h) / [v(h) * (prod_i phi^(d)(t + kappa_i))^{1/d}], taken
     from the B-spline mean so that v(h) cancels analytically."""
     g = GapVector.of(h)
     d = curve.d
-    phid = np.asarray(curve.phi(t + g.kappa, d))
+    phid = curve.phi(t + g.kappa, d)
     if np.any(phid < 0):
         raise DomainError(f"sigma_ratio needs phi^({d}) >= 0, got "
                           f"{float(phid.min())!r} at t={t}, h={list(g.h)}")
+    if np.any(phid == 0):
+        raise UnderflowError(f"phi^({d}) underflows to 0 at a node (t={t}, "
+                             f"h={list(g.h)}); the sigma ratio is undefined")
     geo = float(np.prod(phid)) ** (1.0 / d)
     return _spline_mean(curve, t, g.kappa) / (factorial_product(d) * geo)
 
@@ -210,7 +217,9 @@ def estimate_sigma(curve: SimpleCurve, unit_samples,
                    A: float | None = None) -> CheckReport:
     """Empirical infimum of the Jacobian lower-bound ratio over samples.
 
-    Passes iff the infimum is strictly positive.  If the mean-value
+    Passes iff the infimum is strictly positive.  Samples with gaps of
+    Vandermonde volume below ``degenerate_floor``, or with phi^(d)
+    underflowing to exactly 0 at a node, are excluded.  If the mean-value
     constant ``A`` is supplied, the product sigma_est * A is reported
     alongside (the theory predicts it stays bounded below).
     """
@@ -224,7 +233,11 @@ def estimate_sigma(curve: SimpleCurve, unit_samples,
         if g.v < degenerate_floor:
             excluded += 1
             continue
-        r = sigma_ratio(curve, t, g)
+        try:
+            r = sigma_ratio(curve, t, g)
+        except UnderflowError:
+            excluded += 1
+            continue
         if r < best:
             best = r
             best_sample = {"t": t, "h": list(g.h), "ratio": r}

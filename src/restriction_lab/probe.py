@@ -168,7 +168,7 @@ def restrict(g: TestFunction, curve, t_grid,
     vals = g.fourier(pts)
     w = _trapezoid_weights(t_grid)
     if weighted:
-        w = w * np.asarray([affine_weight(curve, float(t)) for t in t_grid])
+        w = w * affine_weight(curve, t_grid)
     keep = w > 0
     return SampledFunction(grid=t_grid[keep], weights=w[keep],
                            values=vals[keep])
@@ -207,8 +207,7 @@ def extension(f, curve, weight: str, x, lam: float = 1.0,
     wts = wts.reshape(-1)
     integrand = np.asarray(fvals(nodes), dtype=complex)
     if weight == "on":
-        integrand = integrand * np.asarray(
-            [affine_weight(curve, float(t)) for t in nodes])
+        integrand = integrand * affine_weight(curve, nodes)
     integrand = integrand * np.exp(
         -1j * lam * (_curve_points(curve, nodes) @ x))
     return complex(np.sum(wts * integrand))

@@ -13,6 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 
+# integrand nodes per call of f in integrate_refine; bounds its memory
+NODES_PER_CALL = 4096
+
+
 class QuadratureError(RuntimeError):
     """Raised when successive refinements fail to agree."""
 
@@ -39,33 +43,57 @@ def gl_nodes(a, b, order: int):
     return nodes, weights
 
 
-def gl_integrate(f, a: float, b: float, order: int = 24) -> float:
-    """Single fixed-order Gauss-Legendre integral of a vectorized f."""
-    x, w = gl_nodes(a, b, order)
-    return float(np.sum(w * f(x)))
+def _panel_sums(f, a: float, upper: np.ndarray, panels: int,
+                order: int) -> np.ndarray:
+    """The ``panels``-panel Gauss-Legendre rule on [a, t] for every t in
+    ``upper``, evaluating f at no more than NODES_PER_CALL nodes a call."""
+    n = panels * order
+    rows = max(1, NODES_PER_CALL // n)
+    cols = min(n, NODES_PER_CALL)
+    sums = np.empty(upper.size)
+    for i in range(0, upper.size, rows):
+        t = upper[i:i + rows]
+        edges = np.linspace(a, t, panels + 1, axis=-1)
+        x, w = gl_nodes(edges[:, :-1], edges[:, 1:], order)
+        x = x.reshape(t.size, n)
+        vals = np.empty_like(x)
+        for j in range(0, n, cols):
+            vals[:, j:j + cols] = f(x[:, j:j + cols], t[:, None])
+        sums[i:i + rows] = np.sum(w.reshape(t.size, n) * vals, axis=-1)
+    return sums
 
 
-def integrate_refine(f, a: float, b: float, rel_tol: float = 1e-9,
-                     order: int = 16, max_panels: int = 512) -> float:
-    """Integrate f on [a, b] with panel bisection until two successive
-    refinements agree to ``rel_tol`` (relative to the running scale)."""
-    if b <= a:
-        return 0.0
-    panels = 1
+def integrate_refine(f, a: float, b, rel_tol: float = 1e-9,
+                     order: int = 16, max_panels: int = 512):
+    """int_a^t f(u, t) du for each upper limit t in ``b``, a float or an
+    array; limits t <= a give 0.
+
+    f is called with a 2-D array of nodes u, one row per limit, and the
+    column of the matching limits t.  Each limit bisects its panels until
+    its own two successive rules agree to ``rel_tol`` (relative to the
+    running scale).
+    """
+    shape = np.shape(b)
+    upper = np.ravel(np.asarray(b, dtype=float))
+    out = np.zeros(upper.size)
+    todo = np.flatnonzero(upper > a)
     prev = None
-    while panels <= max_panels:
-        edges = np.linspace(a, b, panels + 1)
-        x, w = gl_nodes(edges[:-1], edges[1:], order)
-        total = float(np.sum(w * f(x)))
+    panels = 1
+    while todo.size:
+        if panels > max_panels:
+            raise QuadratureError(
+                f"integral on [{a}, {upper[todo[0]]}] did not converge "
+                f"to rel tol {rel_tol} within {max_panels} panels")
+        total = _panel_sums(f, a, upper[todo], panels, order)
         if prev is not None:
-            scale = max(abs(total), abs(prev), 1e-300)
-            if abs(total - prev) <= rel_tol * scale + 1e-15:
-                return total
+            scale = np.maximum(np.maximum(np.abs(total), np.abs(prev)),
+                               1e-300)
+            done = np.abs(total - prev) <= rel_tol * scale + 1e-15
+            out[todo[done]] = total[done]
+            todo, total = todo[~done], total[~done]
         prev = total
         panels *= 2
-    raise QuadratureError(
-        f"integral on [{a}, {b}] did not converge to rel tol {rel_tol} "
-        f"within {max_panels} panels")
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def box_rule(lo, hi, order: int):

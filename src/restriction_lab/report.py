@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import Any, Optional
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Evaluation point outside the curve domain."""
@@ -82,7 +84,15 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _plain(obj: Any) -> Any:
+    """numpy scalars (numpy.bool, numpy.int64, ...) as Python values."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
 def dump_json(obj: Any, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from . import __version__
@@ -35,17 +34,11 @@ def _run_one(descriptor: dict, seed: int) -> CheckReport:
     return report
 
 
-def run(config: ExperimentConfig, jobs: int = 1) -> list[CheckReport]:
+def run(config: ExperimentConfig) -> list[CheckReport]:
     """Execute every check in the config, in config order."""
-    for i, desc in enumerate(config.checks):
+    for desc in config.checks:
         get_operation(desc["operation"])  # validate names up front
-        _ = i
-    if jobs <= 1:
-        return [_run_one(desc, config.seed) for desc in config.checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, desc, config.seed)
-                   for desc in config.checks]
-        return [f.result() for f in futures]
+    return [_run_one(desc, config.seed) for desc in config.checks]
 
 
 def report_payload(config: ExperimentConfig,

@@ -70,11 +70,6 @@ class GapVector:
         return vandermonde(self.kappa)
 
 
-def kappa_v(h) -> tuple[np.ndarray, float]:
-    g = GapVector.of(h)
-    return g.kappa, g.v
-
-
 # ---------------------------------------------------------------------------
 # the Psi kernel
 
@@ -206,17 +201,13 @@ def check_psi_lower_bound(d: int, samples, tolerance: float = 0.0) -> CheckRepor
 # integral identities and inequalities for Vandermonde determinants
 
 
-def _box_from_sorted(s: np.ndarray):
-    return s[:-1], s[1:]
-
-
 def check_vandermonde_integration(n: int, s, rel_tol: float = 1e-8) -> CheckReport:
     """V_n(s) = (n-1)! * iterated integral of V_{n-1} over prod [s_i, s_{i+1}]."""
     s = np.asarray(s, dtype=float)
     if s.shape != (n,) or np.any(np.diff(s) <= 0):
         raise ConfigError("s must be strictly increasing of length n")
     lhs = vandermonde(s)
-    lo, hi = _box_from_sorted(s)
+    lo, hi = s[:-1], s[1:]
     pts, wts = box_rule(lo, hi, max(4, n))  # integrand is a polynomial
     rhs = math.factorial(n - 1) * float(np.sum(wts * vandermonde_arr(pts)))
     rel_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
@@ -276,7 +267,7 @@ def check_tail_inequalities(n: int, t, delta: float,
     if n < 3:
         raise ConfigError("tail inequalities need n >= 3 "
                           "(the n=2 spread factor degenerates)")
-    lo, hi = _box_from_sorted(t)
+    lo, hi = t[:-1], t[1:]
 
     pts, wts = box_rule(lo, hi, 24)
     spread = pts[:, -1] - pts[:, 0]

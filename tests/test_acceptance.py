@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from restriction_lab.conditions import (build_flattened, estimate_A,
-                                        expflat_derivatives,
                                         exponent_calculator)
 from restriction_lab.curves import (HomogeneousCurve, SimpleCurve,
-                                    monomial_oracle, poly_oracle)
+                                    expflat_phi_derivative, monomial_oracle,
+                                    poly_oracle)
 from restriction_lab.geometry import (Parallelepiped, lemma1_chain,
                                       sm_measure)
 from restriction_lab.jacobian import (jacobian_direct, jacobian_integral,
@@ -124,10 +124,10 @@ def test_criterion_05_flat_derivative_recursion():
             for t in np.linspace(0.3, 1.0, 9):
                 env = beta ** d * math.exp(-t ** -beta) \
                     * t ** (-d * (beta + 1))
-                fd = (expflat_derivatives(beta, d - 1, t + step)
-                      - expflat_derivatives(beta, d - 1, t - step)) \
+                fd = (expflat_phi_derivative(beta, d - 1, t + step)
+                      - expflat_phi_derivative(beta, d - 1, t - step)) \
                     / (2 * step)
-                err = abs(expflat_derivatives(beta, d, t) - fd) / env
+                err = abs(expflat_phi_derivative(beta, d, t) - fd) / env
                 worst = max(worst, err)
     _status(5, "flat-curve derivative recursion", worst <= 1e-4,
             f"worst envelope-relative err {worst:.3g}")

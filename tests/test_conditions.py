@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restriction_lab.conditions import (build_flattened, check_phicond,
-                                        estimate_A, expflat_derivatives,
-                                        exponent_calculator)
+                                        estimate_A, exponent_calculator)
 from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
+                                    expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
                                     poly_oracle)
 from restriction_lab.report import ConfigError, DomainError
@@ -90,6 +91,41 @@ def test_flattened_lower_derivatives_consistent(quartic_curve):
         assert flat.phi(0.6, k) == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
+def _flattened_mp(steps, k, t, dps=30):
+    """psi^(k)(t), k < 3, of the ``steps``-fold exp flattening of t^4 at
+    d = 3 by the Cauchy formula (2/m!) int_0^t (t-u)^m exp(-1/f(u)) du,
+    m = 2 - k, f the previous member's top derivative, in mpmath."""
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        m = 2 - k
+
+        def integrand(u):
+            f = 24 * u
+            for _ in range(steps - 1):
+                f = 2 * mpmath.exp(-1 / f)
+            return (tt - u) ** m * mpmath.exp(-1 / f)
+
+        # below lo, f < 1/150 and the integrand is under exp(-150)
+        lo = 1 / mpmath.mpf(3600) if steps == 1 else 1 / (
+            24 * mpmath.log(300))
+        pieces = [lo + (tt - lo) * x for x in (0, 0.05, 0.15, 0.3, 0.5,
+                                               0.75, 1)]
+        return float(2 / mpmath.factorial(m) * mpmath.quad(integrand, pieces))
+
+
+def test_flattened_oracle_array_call_matches_points_and_mpmath(quartic_curve):
+    ts = np.linspace(0.3, 0.95, 5)
+    for steps in (1, 2):
+        flat = quartic_curve
+        for _ in range(steps):
+            flat = build_flattened(flat, "exp")
+        for k in range(3):
+            vals = flat.phi(ts, k)
+            assert np.array_equal(vals, [flat.phi(t, k) for t in ts])
+            ref = [_flattened_mp(steps, k, t) for t in ts]
+            assert vals == pytest.approx(ref, rel=1e-8, abs=0)
+
+
 def test_flattened_log_variant_validation(quartic_curve):
     # phi^(3) = 24 t dips below e near zero: rejected
     with pytest.raises(ConfigError):
@@ -108,7 +144,7 @@ def test_expflat_derivatives_match_finite_differences():
         for t in (0.4, 0.8):
             env = (2.0 ** d * math.exp(-t ** -2.0) * t ** (-d * 3.0))
             fd = finite_difference(orc, t, d)
-            assert abs(expflat_derivatives(2.0, d, t) - fd) <= 1e-5 * env
+            assert abs(expflat_phi_derivative(2.0, d, t) - fd) <= 1e-5 * env
 
 
 def test_exponent_calculator_known_values():

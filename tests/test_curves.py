@@ -31,6 +31,15 @@ def test_affine_weight_cubic_plane_curve():
         assert affine_weight(c, t) == pytest.approx((6 * t) ** (1 / 3))
 
 
+def test_affine_weight_homogeneous_arrays():
+    # (t, t^2, t^3) has torsion determinant 1 * 2 * 6 = 12 everywhere
+    c = HomogeneousCurve(exponents=(1.0, 2.0, 3.0))
+    ts = np.linspace(0.1, 0.9, 7)
+    w = affine_weight(c, ts)
+    assert w == pytest.approx(np.full(7, 12.0 ** (1 / 6)), rel=1e-12)
+    assert np.array_equal(w, [affine_weight(c, t) for t in ts])
+
+
 def test_homogeneous_curve_basics():
     c = HomogeneousCurve(exponents=(1.0, 2.0, 3.0))
     assert c.d == 3

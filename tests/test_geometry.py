@@ -54,6 +54,11 @@ def test_lambda_measure_examples(parabola):
     assert lambda_measure(parabola, cube([50.0, 50.0], 1.0)) == 0.0
 
 
+def test_lambda_measure_is_a_python_float(parabola):
+    lam = lambda_measure(parabola, cube([1.0, 0.5], 0.5))
+    assert type(lam) is float and lam > 0
+
+
 def test_lambda_measure_additive_and_monotone(parabola):
     left = Parallelepiped.of([0, -1], [[0.5, 0], [0, 4]])
     right = Parallelepiped.of([0.5, -1], [[0.5, 0], [0, 4]])

@@ -106,6 +106,15 @@ def test_sigma_ratio_rejects_negative_top_derivative():
         sigma_ratio(c, 0.4, (0.1, 0.1))
 
 
+def test_sigma_ratio_rejects_underflowed_top_derivative():
+    # phi'' = exp(-1/t)(1 - 2t)/t^4 of exp(-1/t) underflows to 0 at t = 1e-3
+    c = SimpleCurve(d=2, phi=expflat_oracle(1.0, domain=(0.0, 0.4)),
+                    label="ef")
+    assert c.phi(1e-3, 2) == 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        sigma_ratio(c, 1e-3, (0.05,))
+
+
 def test_monomial_closed_form_spot():
     d = 4
     c = SimpleCurve(d=d, phi=poly_oracle([0] * d + [1 / math.factorial(d)],

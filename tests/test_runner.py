@@ -1,12 +1,17 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from restriction_lab.cli import main
 from restriction_lab.registry import REGISTRY, get_operation
-from restriction_lab.report import ConfigError, ExperimentConfig
+from restriction_lab.report import ConfigError, ExperimentConfig, dump_json
 from restriction_lab.runner import (emit_plot_data, load_config, run,
                                     report_payload, write_report)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _config(checks, seed=7):
@@ -60,6 +65,21 @@ def test_failing_check_is_reported_not_raised():
     assert "phi^(3) >= 0" in note
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_estimate_sigma_excludes_underflowed_samples(seed):
+    # phi'' of exp(-1/t) underflows to 0 below t = 1.4e-3: those samples
+    # are excluded, not divided by
+    (rep,) = run(_config([{
+        "operation": "estimate-sigma", "n_samples": 1000,
+        "curve": {"kind": "exp-flat", "beta": 1.0, "d": 2,
+                  "domain": [0.0, 0.4]}}], seed=seed))
+    assert rep.passed, rep.notes
+    assert rep.estimate == pytest.approx(1.0, abs=1e-3)
+    (note,) = rep.notes
+    assert note.startswith("excluded ") and note.endswith(
+        " near-degenerate samples")
+
+
 def test_report_payload_reproducible():
     cfg = _config([PSI_CHECK, {"operation": "exponent-identities", "d": 3,
                                "n_p": 11}])
@@ -68,16 +88,6 @@ def test_report_payload_reproducible():
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
     assert p1["all_passed"]
     assert "timing" not in p1["reports"][0]
-
-
-def test_jobs_two_matches_sequential():
-    cfg = _config([PSI_CHECK,
-                   {"operation": "exponent-identities", "d": 3, "n_p": 11},
-                   {"operation": "K-u-geometry", "h": [1.0, 2.0],
-                    "alpha": 1 / 6}])
-    seq = [r.to_dict() for r in run(cfg, jobs=1)]
-    par = [r.to_dict() for r in run(cfg, jobs=2)]
-    assert seq == par
 
 
 def test_write_report_and_emit_plots(tmp_path):
@@ -185,3 +195,44 @@ def test_cli_check_J_geq_K_writes_complete_report(tmp_path, capsys):
     (rep,) = payload["reports"]
     assert rep["check_id"] == "check_J_geq_K"
     assert isinstance(rep["passed"], bool)
+
+
+def test_dump_json_writes_numpy_scalars_as_python_values(tmp_path):
+    path = tmp_path / "r.json"
+    dump_json({"passed": np.bool_(True), "n": np.int64(3),
+               "x": np.float32(0.5), "y": np.float64(0.1)}, str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "passed": True, "n": 3, "x": 0.5, "y": 0.1}
+    with pytest.raises(TypeError):
+        dump_json({"s": {1, 2}}, str(path))
+
+
+def test_cli_dilation_invariance_writes_complete_report(tmp_path, capsys):
+    cfg = _write_config(tmp_path, [{
+        "operation": "dilation-invariance", "d": 3, "P": 1.125, "Q": 1.5,
+        "octaves": 2,
+        "g": {"kind": "Gaussian", "center": [0.1, 0.0, -0.2],
+              "sigma": 1.0}}])
+    assert main(["run", cfg]) == 0
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        (rep,) = json.load(fh)["reports"]
+    assert rep["passed"] is True
+
+
+def test_cli_all_ops_config_passes(tmp_path, capsys):
+    assert main(["run", str(CONFIGS / "all_ops.json"),
+                 "--output", str(tmp_path / "all")]) == 0
+    with open(tmp_path / "all.json", encoding="utf-8") as fh:
+        reports = json.load(fh)["reports"]
+    assert len(reports) == 11
+    assert all(rep["passed"] for rep in reports)
+    # report notes carry plain Python reprs, not numpy ones
+    assert "np." not in json.dumps(reports)
+
+
+def test_shipped_configs_cover_every_operation():
+    named = set()
+    for name in ("default.json", "all_ops.json"):
+        named |= {c["operation"] for c in load_config(
+            str(CONFIGS / name)).checks}
+    assert named == set(REGISTRY)

@@ -13,7 +13,7 @@ from restriction_lab.vandermonde import (GapVector, check_lin_lemma,
                                          check_psi_lower_bound,
                                          check_tail_inequalities,
                                          check_vandermonde_integration,
-                                         kappa_v, psi, psi_mean_tail_ratio,
+                                         psi, psi_mean_tail_ratio,
                                          psi_mean_tail_ratio_quad,
                                          vandermonde, vandermonde_arr)
 
@@ -41,8 +41,7 @@ def test_vandermonde_array_route_agrees(xs):
 def test_gap_vector_prefix_sums():
     g = GapVector.of((0.5, 1.1, 0.3))
     assert np.allclose(g.kappa, [0.0, 0.5, 1.6, 1.9])
-    kappa, v = kappa_v((0.5, 1.1, 0.3))
-    assert v == pytest.approx(vandermonde(kappa))
+    assert g.v == pytest.approx(vandermonde(g.kappa))
 
 
 def test_psi_d2_is_indicator():
