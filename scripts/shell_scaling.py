@@ -5,7 +5,7 @@ Consecutive shells should shrink by 2^{-(d-1) alpha / (1 - d alpha)}.
 
 import argparse
 
-from restriction_lab.geometry import sm_measure
+from restriction_lab.geometry import sm_shells
 
 
 def main():
@@ -19,15 +19,15 @@ def main():
 
     target = 2.0 ** (-(args.d - 1) * args.alpha / (1 - args.d * args.alpha))
     print(f"target consecutive ratio: {target:.6f}")
+    measures, _ = sm_shells(args.d, args.alpha, args.m_max,
+                            mc_samples=args.samples, seed=args.seed)
     prev = None
-    for m in range(args.m_max + 1):
-        rep = sm_measure(args.d, args.alpha, m, mc_samples=args.samples,
-                         seed=args.seed)
-        line = f"  m={m}: measure {rep.estimate:.5f}"
+    for m, est in enumerate(measures):
+        line = f"  m={m}: measure {est:.5f}"
         if prev:
-            line += f"  ratio {rep.estimate / prev:.4f}"
+            line += f"  ratio {est / prev:.4f}"
         print(line)
-        prev = rep.estimate
+        prev = est
 
 
 if __name__ == "__main__":

@@ -233,10 +233,11 @@ def poly_oracle(coeffs: Sequence[float], domain=(0.0, 1.0),
     if max_order is None:
         max_order = max(DEFAULT_MAX_D, len(coeffs))
     poly = np.polynomial.Polynomial(list(coeffs))
+    # each derivative is built on first use and kept by the oracle
+    deriv = lru_cache(maxsize=None)(poly.deriv)
 
     def fn(t, k):
-        return poly.deriv(k)(np.asarray(t, dtype=float)) if k else poly(
-            np.asarray(t, dtype=float))
+        return (deriv(k) if k else poly)(np.asarray(t, dtype=float))
 
     return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -94,18 +95,35 @@ def _curve_points(curve, ts: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+# points of the coarse membership scan in lambda_measure
+_COARSE = 4096
+
+
 def lambda_measure(curve, E: Parallelepiped, tol: float = 1e-8,
-                   coarse: int = 4096) -> float:
+                   coarse: int = _COARSE) -> float:
     """Lebesgue measure of {t in (a,b): gamma(t) in E}.
 
     Membership is scanned on a coarse grid; each transition is then
     bracketed by bisection to width tol / (number of crossings).
     """
+    return _lambda_measures(curve, [E], tol, coarse)[0]
+
+
+def _lambda_measures(curve, family, tol: float,
+                     coarse: int) -> list[float]:
+    """lambda_measure of each box of ``family``, with the curve evaluated
+    on the coarse grid once for all of them."""
     a, b = curve.domain
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ConfigError("lambda_measure needs a bounded domain")
     ts = np.linspace(a, b, coarse + 1)
-    inside = np.asarray(E.contains(_curve_points(curve, ts)))
+    pts = _curve_points(curve, ts)
+    return [_occupation(curve, E, tol, ts, pts) for E in family]
+
+
+def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
+                pts: np.ndarray) -> float:
+    inside = np.asarray(E.contains(pts))
     flips = np.nonzero(inside[:-1] != inside[1:])[0]
     width_target = tol / max(1, len(flips))
 
@@ -119,7 +137,7 @@ def lambda_measure(curve, E: Parallelepiped, tol: float = 1e-8,
         return 0.5 * (lo + hi)
 
     crossings = [bisect(ts[i], ts[i + 1], inside[i]) for i in flips]
-    edges = [a] + crossings + [b]
+    edges = [ts[0]] + crossings + [ts[-1]]
     total = 0.0
     state = bool(inside[0])
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -139,8 +157,7 @@ def estimate_alpha_B(curve, family, alpha: float,
     best = -math.inf
     best_E = None
     series = []
-    for E in family:
-        lam = lambda_measure(curve, E, tol=tol)
+    for E, lam in zip(family, _lambda_measures(curve, family, tol, _COARSE)):
         md = E.volume
         ratio = lam / md ** alpha
         series.append({"m_d": md, "lambda": lam, "ratio": ratio})
@@ -340,13 +357,17 @@ def K_of(h, alpha: float) -> float:
 
 
 def _K_many(hs: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized K over sample rows (gap vectors, h_d = 0 appended)."""
-    hh = np.concatenate([hs, np.zeros((hs.shape[0], 1))], axis=1)
-    d = hh.shape[1]
+    """Vectorized K over sample rows (gap vectors, h_d = 0 appended).
+
+    Works column by column: numpy reduces slowly along rows of d <= 5
+    entries, and running maxima, minima and products over the columns
+    give the same values."""
+    cols = list(hs.T) + [np.zeros(hs.shape[0])]
+    d = len(cols)
     u = np.ones(hs.shape[0])
     for i, j in combinations(range(d), 2):
-        u *= np.abs(hh[:, i] - hh[:, j])
-    spread = hh.max(axis=1) - hh.min(axis=1)
+        u *= np.abs(cols[i] - cols[j])
+    spread = reduce(np.maximum, cols) - reduce(np.minimum, cols)
     expo = 1.0 / alpha - d * (d + 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(spread > 0, u * spread ** expo, 0.0)
@@ -384,27 +405,46 @@ def K_u_geometry(h, alpha: float,
     return u, K, rep
 
 
+# samples are drawn in chunks of this many rows; the chunking fixes the
+# order of the generator's calls, so it is part of every estimate
+_SM_CHUNK = 500_000
+
+
+def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
+              seed: int = 7,
+              box_side: float = 10.0) -> tuple[list[float], list[int]]:
+    """Monte Carlo measures and hit counts of the shells
+    {h >= 0: 2^{-m-1} < K(h) <= 2^{-m}}, m = 0..m_max, inside
+    [0, box_side]^{d-1}, all from one seeded draw of ``mc_samples`` gap
+    vectors.
+
+    Each sample is counted against the shell edges 2^{-m} by exact
+    comparison, so every count equals that of the shell's own mask."""
+    if not 0 < alpha < 1.0 / d:
+        raise ConfigError(f"alpha must lie in (0, 1/d), got {alpha}")
+    if m_max < 0 or mc_samples < 1:
+        raise ConfigError("m >= 0 and mc_samples >= 1 required")
+    rng = np.random.default_rng(seed)
+    edges = [2.0 ** -m for m in range(m_max + 2)]
+    at_most = np.zeros(len(edges), dtype=np.int64)
+    remaining = mc_samples
+    while remaining > 0:
+        n = min(_SM_CHUNK, remaining)
+        K = _K_many(rng.uniform(0.0, box_side, size=(n, d - 1)), alpha)
+        at_most += [np.count_nonzero(K <= e) for e in edges]
+        remaining -= n
+    hits = (at_most[:-1] - at_most[1:]).tolist()
+    vol = box_side ** (d - 1)
+    return [vol * h / mc_samples for h in hits], hits
+
+
 def sm_measure(d: int, alpha: float, m: int, mc_samples: int = 4_000_000,
                seed: int = 7, box_side: float = 10.0) -> CheckReport:
     """Monte Carlo measure of the shell {h >= 0: 2^{-m-1} < K(h) <= 2^{-m}}
     inside [0, box_side]^{d-1}."""
-    if not 0 < alpha < 1.0 / d:
-        raise ConfigError(f"alpha must lie in (0, 1/d), got {alpha}")
-    if m < 0 or mc_samples < 1:
-        raise ConfigError("m >= 0 and mc_samples >= 1 required")
-    rng = np.random.default_rng(seed)
-    vol = box_side ** (d - 1)
-    hits = 0
-    chunk = 500_000
-    remaining = mc_samples
-    lo, hi = 2.0 ** (-m - 1), 2.0 ** (-m)
-    while remaining > 0:
-        n = min(chunk, remaining)
-        hs = rng.uniform(0.0, box_side, size=(n, d - 1))
-        K = _K_many(hs, alpha)
-        hits += int(np.count_nonzero((K > lo) & (K <= hi)))
-        remaining -= n
-    est = vol * hits / mc_samples
+    measures, shell_hits = sm_shells(d, alpha, m, mc_samples=mc_samples,
+                                     seed=seed, box_side=box_side)
+    est, hits = measures[m], shell_hits[m]
     rep = CheckReport(
         check_id="sm_measure",
         parameters={"d": d, "alpha": alpha, "m": m, "mc_samples": mc_samples,

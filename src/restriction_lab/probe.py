@@ -378,12 +378,16 @@ def converse_scaling_check(E: Parallelepiped, f: TestFunction, P: float,
     step = np.prod([ax[1] - ax[0] for ax in axes])
     Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     norm_fhat = float(np.sum(f_hat(Z) ** P) * step) ** (1.0 / P)
-    # |g(y)| = m_d(E) |f_hat(-T^T y)|, integrated on an axis-aligned
-    # y-lattice covering the preimage of the xi-box
-    y_half = np.abs(np.linalg.inv(T.T)) @ half
-    y_axes = [np.linspace(-hw, hw, lattice) for hw in y_half]
-    y_step = np.prod([ax[1] - ax[0] for ax in y_axes])
-    Y = np.stack(np.meshgrid(*y_axes, indexing="ij"), axis=-1).reshape(-1, d)
+    # |g(y)| = m_d(E) |f_hat(-T^T y)|, integrated on a y-lattice laid on
+    # the right singular axes of T^T = U S V^T: in z = V^T y (a rotation)
+    # the preimage of the xi-box is a box of half-widths (|U^T| half) / S,
+    # while an axis-aligned y-box undersamples it when T is ill-conditioned
+    U, S, Vt = np.linalg.svd(T.T)
+    z_half = (np.abs(U.T) @ half) / S
+    z_axes = [np.linspace(-hw, hw, lattice) for hw in z_half]
+    y_step = np.prod([ax[1] - ax[0] for ax in z_axes])
+    Z = np.stack(np.meshgrid(*z_axes, indexing="ij"), axis=-1).reshape(-1, d)
+    Y = Z @ Vt
     g_vals = det_T * f_hat(-(Y @ T))
     norm_g = float(np.sum(np.abs(g_vals) ** P) * y_step) ** (1.0 / P)
     target = det_T ** (1.0 / Pp) * norm_fhat

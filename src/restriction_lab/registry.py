@@ -261,13 +261,13 @@ def _op_sm_scaling(params, seed):
     d = int(params["d"])
     alpha = float(params["alpha"])
     m_max = int(params.get("m_max", 4))
+    ests, _ = geometry.sm_shells(
+        d, alpha, m_max,
+        mc_samples=_count(params, "mc_samples", 4_000_000),
+        seed=int(params.get("seed", seed)),
+        box_side=float(params.get("box_side", 10.0)))
     target = 2.0 ** (-(d - 1) * alpha / (1 - d * alpha))
-    ests = []
-    series = []
-    for m in range(m_max + 1):
-        rep = _op_sm_measure({**params, "m": m}, seed)
-        ests.append(rep.estimate)
-        series.append({"m": m, "measure": rep.estimate})
+    series = [{"m": m, "measure": est} for m, est in enumerate(ests)]
     worst = 0.0
     for lo, hi in zip(ests[1:], ests[:-1]):
         worst = max(worst, abs(lo / hi - target) / target)

@@ -95,6 +95,17 @@ def test_poly_oracle_matches_finite_differences(coeffs, k, t):
     assert orc(t, k) == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
+def test_poly_oracle_repeated_calls_match_fresh_derivatives():
+    coeffs = [0.3, -1.0, 2.0, 0.5, -0.25, 0.125]
+    orc = poly_oracle(coeffs, domain=(-1.0, 1.0))
+    poly = np.polynomial.Polynomial(coeffs)
+    t = np.linspace(-0.9, 0.9, 7)
+    for _ in range(2):
+        for k in range(orc.max_order + 1):
+            assert np.array_equal(orc(t, k), poly.deriv(k)(t))
+            assert orc(0.25, k) == float(poly.deriv(k)(0.25))
+
+
 def test_expflat_first_derivative_closed_form():
     # phi'(t) = beta exp(-t^{-beta}) t^{-(beta+1)}
     for beta in (1.0, 2.0):

@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,15 @@ from hypothesis import strategies as st
 
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.geometry import (K_of, K_u_geometry, Parallelepiped,
-                                      check_J_geq_K, cube, estimate_alpha_B,
-                                      lambda_measure, lemma1_chain,
-                                      lemma1_conclusion, shrink_family,
-                                      sm_measure, u_of)
+                                      _K_many, check_J_geq_K, cube,
+                                      estimate_alpha_B, lambda_measure,
+                                      lemma1_chain, lemma1_conclusion,
+                                      shrink_family, sm_measure, sm_shells,
+                                      u_of)
+from restriction_lab.registry import get_operation
 from restriction_lab.report import ConfigError
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
@@ -76,6 +83,13 @@ def test_estimate_alpha_B_trivial(parabola):
     assert rep.estimate == pytest.approx(2.0 / big.volume ** 0.25)
     with pytest.raises(ConfigError):
         estimate_alpha_B(parabola, [], 0.25)
+
+
+def test_estimate_alpha_B_series_equals_lambda_measure(quartic_curve):
+    fam = shrink_family(np.array([0.5, 0.125, 0.0625]), 1.0, 5)
+    rep = estimate_alpha_B(quartic_curve, fam, 1 / 6)
+    assert [s["lambda"] for s in rep.series] == [
+        lambda_measure(quartic_curve, E) for E in fam]
 
 
 def test_lemma1_chain_quartic(quartic_curve):
@@ -143,6 +157,74 @@ def test_sm_measure_d2_analytic():
 def test_sm_measure_validation():
     with pytest.raises(ConfigError):
         sm_measure(3, 0.5, 0)
+    with pytest.raises(ConfigError):
+        sm_shells(3, 1 / 6, -1)
+    with pytest.raises(ConfigError):
+        get_operation("sm-scaling").fn(
+            {"d": 3, "alpha": 1 / 3, "mc_samples": 10}, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_K_many_matches_K_of_row_by_row(rng, d):
+    hs = rng.uniform(0.0, 10.0, size=(400, d - 1))
+    hs[:10] = 0.0                        # zero spread
+    hs[10:20] = hs[10:20, :1]            # every gap repeated
+    hs[20:30, -1] = hs[20:30, 0]         # first and last gap repeated
+    hs[30:40] *= -1.0                    # negative rows
+    for alpha in (2.0 / (d * (d + 1)), 0.5 / d, 0.9 / d):
+        K = _K_many(hs, alpha)
+        ref = np.array([K_of(h, alpha) for h in hs])
+        assert np.array_equal(K == 0.0, ref == 0.0)
+        if 1 / alpha == d * (d + 1) / 2:
+            # the spread's exponent is 0, so K = u and no power rounds
+            assert np.array_equal(K, ref)
+        else:
+            # the array power and the scalar one may round apart by an ulp
+            np.testing.assert_allclose(K, ref, rtol=4 * np.finfo(float).eps,
+                                       atol=0.0)
+
+
+def _mask_hits(d, alpha, m_max, mc_samples, seed, box_side=10.0):
+    """Per-shell hit counts by the mask of each shell, on the seeded
+    chunks that sm_shells draws."""
+    rng = np.random.default_rng(seed)
+    hits = [0] * (m_max + 1)
+    remaining = mc_samples
+    while remaining > 0:
+        n = min(500_000, remaining)
+        K = _K_many(rng.uniform(0.0, box_side, size=(n, d - 1)), alpha)
+        for m in range(m_max + 1):
+            hits[m] += int(np.count_nonzero((K > 2.0 ** (-m - 1))
+                                            & (K <= 2.0 ** -m)))
+        remaining -= n
+    return hits
+
+
+@pytest.mark.parametrize("d,alpha", [(3, 1 / 6), (4, 0.08)])
+def test_sm_scaling_series_equals_separate_shells(d, alpha):
+    n, seed, m_max = 600_001, 5, 4
+    rep = get_operation("sm-scaling").fn(
+        {"d": d, "alpha": alpha, "m_max": m_max, "mc_samples": n}, seed)
+    series = [s["measure"] for s in rep.series]
+    singles = [sm_measure(d, alpha, m, mc_samples=n, seed=seed)
+               for m in range(m_max + 1)]
+    assert series == [r.estimate for r in singles]
+    hits = [r.witnesses[0]["hits"] for r in singles]
+    assert sm_shells(d, alpha, m_max, mc_samples=n, seed=seed)[1] == hits
+    assert hits == _mask_hits(d, alpha, m_max, n, seed)
+
+
+def test_shell_scaling_script_prints_every_shell(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [
+        "shell_scaling.py", "--m-max", "3", "--samples", "20000",
+        "--seed", "2"])
+    runpy.run_path(str(SCRIPTS / "shell_scaling.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("target consecutive ratio")
+    assert len(lines) == 5
+    for m, line in enumerate(lines[1:]):
+        est = sm_measure(3, 1 / 6, m, mc_samples=20000, seed=2).estimate
+        assert line.startswith(f"  m={m}: measure {est:.5f}")
 
 
 def test_check_J_geq_K(rng, quartic_curve):

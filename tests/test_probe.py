@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from restriction_lab.probe import (SampledFunction, TestFunction,
                                    extension, homogeneous_rescale_check,
                                    lorentz_norm, restrict)
 from restriction_lab.quadrature import QuadratureError
+from restriction_lab.registry import get_operation
 from restriction_lab.report import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -234,6 +239,18 @@ def test_converse_scaling_skewed_box():
     f = TestFunction.gaussian([0.0, 0.0], [0.8, 1.1])
     rep = converse_scaling_check(E, f, 6 / 5, 2.0, 1 / 3)
     assert rep.passed, rep.estimate
+
+
+def test_converse_scaling_ill_conditioned_edges():
+    # at this seed the default config draws an edge matrix of condition
+    # number ~1.1e3; an axis-aligned y-lattice missed its thin preimage
+    # strip (residual 45 against the 1e-6 tolerance)
+    with open(CONFIGS / "default.json", encoding="utf-8") as fh:
+        checks = json.load(fh)["checks"]
+    (params,) = [c for c in checks if c["operation"] == "converse-scaling"]
+    rep = get_operation("converse-scaling").fn(params, 2678705976)
+    assert rep.passed, rep.estimate
+    assert rep.estimate <= 1e-12
 
 
 def test_converse_scaling_preconditions():
