@@ -45,7 +45,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "list-checks":
             for name in sorted(REGISTRY):
-                print(f"{name:26s} {REGISTRY[name].summary}")
+                op = REGISTRY[name]
+                print(f"{name:26s} {op.summary}")
+                print(f"{'':26s} keys: {', '.join(op.keys)}")
             return 0
         if args.command == "run":
             config = load_config(args.config)

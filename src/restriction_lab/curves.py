@@ -133,16 +133,6 @@ def evaluate_curve(curve: SimpleCurve, t: float, k: int = 0) -> np.ndarray:
     return out
 
 
-def curve_derivative_matrix(curve, t) -> np.ndarray:
-    """Columns gamma'(t), ..., gamma^(d)(t); for homogeneous curves t may
-    be an array, giving one matrix per point."""
-    if isinstance(curve, HomogeneousCurve):
-        return np.stack([curve.derivative(t, k) for k in range(1, curve.d + 1)],
-                        axis=-1)
-    return np.stack([evaluate_curve(curve, t, k) for k in range(1, curve.d + 1)],
-                    axis=-1)
-
-
 def affine_weight(curve, t):
     """Affine arclength weight w(t), for a float or an array t.
 
@@ -155,7 +145,10 @@ def affine_weight(curve, t):
     expo = 2.0 / (d * (d + 1))
     if isinstance(curve, SimpleCurve):
         return np.abs(curve.phi(t, d)) ** expo
-    return np.abs(np.linalg.det(curve_derivative_matrix(curve, t))) ** expo
+    # columns gamma'(t), ..., gamma^(d)(t), one matrix per point
+    frame = np.stack([curve.derivative(t, k) for k in range(1, d + 1)],
+                     axis=-1)
+    return np.abs(np.linalg.det(frame)) ** expo
 
 
 def normalize_domain(curve: SimpleCurve) -> SimpleCurve:
@@ -313,18 +306,16 @@ def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
         return HomogeneousCurve(exponents=tuple(spec["exponents"]),
                                 domain=domain, label="homogeneous")
     d = int(spec.get("d", 3))
-    if not (2 <= d <= DEFAULT_MAX_D) and not spec.get("allow_large_d", False):
-        raise ConfigError(f"d={d} outside 2..{DEFAULT_MAX_D}; "
-                          "set allow_large_d to override")
-    max_order = max(d, DEFAULT_MAX_D)
+    if not 2 <= d <= DEFAULT_MAX_D:
+        raise ConfigError(f"d={d} outside 2..{DEFAULT_MAX_D}")
     if kind == "monomial":
-        phi = monomial_oracle(float(spec["beta"]), domain, max_order)
+        phi = monomial_oracle(float(spec["beta"]), domain)
         label = f"monomial(beta={spec['beta']})"
     elif kind == "exp-flat":
-        phi = expflat_oracle(float(spec["beta"]), domain, max_order)
+        phi = expflat_oracle(float(spec["beta"]), domain)
         label = f"exp-flat(beta={spec['beta']})"
     elif kind == "poly-phi":
-        phi = poly_oracle(list(spec["coeffs"]), domain, max_order)
+        phi = poly_oracle(list(spec["coeffs"]), domain, DEFAULT_MAX_D)
         label = "poly-phi"
     elif kind == "flatten":
         from .conditions import build_flattened

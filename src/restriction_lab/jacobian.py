@@ -213,15 +213,12 @@ def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
 
 
 def estimate_sigma(curve: SimpleCurve, unit_samples,
-                   degenerate_floor: float = 1e-12,
-                   A: float | None = None) -> CheckReport:
+                   degenerate_floor: float = 1e-12) -> CheckReport:
     """Empirical infimum of the Jacobian lower-bound ratio over samples.
 
     Passes iff the infimum is strictly positive.  Samples with gaps of
     Vandermonde volume below ``degenerate_floor``, or with phi^(d)
-    underflowing to exactly 0 at a node, are excluded.  If the mean-value
-    constant ``A`` is supplied, the product sigma_est * A is reported
-    alongside (the theory predicts it stays bounded below).
+    underflowing to exactly 0 at a node, are excluded.
     """
     best = math.inf
     best_sample = None
@@ -255,8 +252,6 @@ def estimate_sigma(curve: SimpleCurve, unit_samples,
     if best_sample is None:
         rep.notes.append("all samples degenerate; inconclusive")
         rep.passed = False
-    elif A is not None:
-        rep.notes.append(f"sigma_est * A = {best * A!r}")
     return rep
 
 

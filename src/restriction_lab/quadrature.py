@@ -115,23 +115,3 @@ def box_rule(lo, hi, order: int):
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     wts = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
     return pts, wts
-
-
-def box_integrate(f, lo, hi, rel_tol: float = 1e-7, order: int = 8,
-                  max_order: int = 48) -> float:
-    """Integrate a vectorized f(points) over an axis-aligned box, doubling
-    the per-axis order until two successive rules agree to ``rel_tol``."""
-    prev = None
-    cur_order = order
-    while cur_order <= max_order:
-        pts, wts = box_rule(lo, hi, cur_order)
-        total = float(np.sum(wts * f(pts)))
-        if prev is not None:
-            scale = max(abs(total), abs(prev), 1e-300)
-            if abs(total - prev) <= rel_tol * scale + 1e-15:
-                return total
-        prev = total
-        cur_order = 2 * cur_order
-    raise QuadratureError(
-        f"box integral did not converge to rel tol {rel_tol} "
-        f"at order {max_order}")

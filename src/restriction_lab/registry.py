@@ -3,7 +3,9 @@
 Each adapter takes the raw parameter dict from a config file plus the
 run seed and returns a CheckReport.  Adapters are thin: they build
 curves/test functions from their JSON specs, draw any random samples
-from a seeded generator, and delegate to the library.
+from a generator seeded with the run seed, and delegate to the library.
+Every operation declares the descriptor keys its adapter reads;
+``check_descriptor`` rejects any other key before a check runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import conditions, geometry, jacobian, probe, vandermonde
 from .curves import (SimpleCurve, curve_from_spec, poly_oracle,
                      validate_monotone)
-from .report import CheckReport, ConfigError
+from .report import CheckReport, ConfigError, reject_unknown_keys
 from .vandermonde import GapVector
 
 
@@ -27,9 +29,10 @@ class OpEntry:
     summary: str
     fn: Callable[[dict, int], CheckReport]
 
-
-def _rng(params: dict, seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(params.get("seed", seed)))
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The descriptor keys the adapter reads, besides 'operation'."""
+        return KEYS[self.name]
 
 
 def _count(params: dict, key: str, default: int) -> int:
@@ -54,7 +57,7 @@ def _op_validate_monotone(params, seed):
 def _op_psi_lower_bound(params, seed):
     d = int(params["d"])
     n = _count(params, "n_samples", 1000)
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     samples = [(0.3, tuple(rng.uniform(0.05, 1.0, size=d - 1)))
                for _ in range(n)]
     return vandermonde.check_psi_lower_bound(d, samples)
@@ -62,7 +65,7 @@ def _op_psi_lower_bound(params, seed):
 
 def _op_vandermonde_integration(params, seed):
     n = int(params["n"])
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0.0, 1.0, size=n))
     return vandermonde.check_vandermonde_integration(n, s)
 
@@ -70,13 +73,11 @@ def _op_vandermonde_integration(params, seed):
 def _op_tail_inequalities(params, seed):
     t = np.asarray(params["t"], dtype=float)
     return vandermonde.check_tail_inequalities(
-        int(params["n"]), t, float(params.get("delta", 0.5)),
-        floor=float(params.get("floor", 1e-6)))
+        int(params["n"]), t, float(params.get("delta", 0.5)))
 
 
 def _op_lin_lemma(params, seed):
-    return vandermonde.check_lin_lemma(params["instance"],
-                                       floor=float(params.get("floor", 0.0)))
+    return vandermonde.check_lin_lemma(params["instance"])
 
 
 def _random_poly_curve(rng, d: int) -> SimpleCurve:
@@ -88,7 +89,7 @@ def _random_poly_curve(rng, d: int) -> SimpleCurve:
 def _op_jacobian_identity(params, seed):
     d = int(params["d"])
     n = _count(params, "n_trials", 50)
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
     for _ in range(n):
@@ -101,7 +102,7 @@ def _op_jacobian_identity(params, seed):
         if err > worst:
             worst = err
             witness = {"t": t, "h": h.tolist(), "direct": J1, "integral": J2}
-    tol = float(params.get("tolerance", 1e-8))
+    tol = 1e-8
     return CheckReport(
         check_id="jacobian_identity",
         parameters={"d": d, "n_trials": n},
@@ -111,7 +112,7 @@ def _op_jacobian_identity(params, seed):
 
 def _op_monomial_closed_form(params, seed):
     d_max = int(params.get("d_max", 5))
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d in range(2, d_max + 1):
         coeffs = [0.0] * d + [1.0 / math.factorial(d)]
@@ -124,7 +125,7 @@ def _op_monomial_closed_form(params, seed):
             J = jacobian.jacobian_direct(curve, t, g)
             pf = vandermonde.factorial_product(d)
             worst = max(worst, abs(J * pf - g.v) / g.v)
-    tol = float(params.get("tolerance", 1e-10))
+    tol = 1e-10
     return CheckReport(
         check_id="monomial_closed_form",
         parameters={"d_max": d_max},
@@ -137,21 +138,21 @@ def _unit_samples(rng, n: int, d: int):
 
 def _op_estimate_sigma(params, seed):
     curve = _curve(params)
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
-    return jacobian.estimate_sigma(curve, us, A=params.get("A"))
+    return jacobian.estimate_sigma(curve, us)
 
 
 def _op_offspring_closure(params, seed):
     curve = _curve(params)
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
     return jacobian.check_offspring_closure(curve, params["h"], us)
 
 
 def _op_weight_product_bound(params, seed):
     curve = _curve(params)
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     us = _unit_samples(rng, _count(params, "n_samples", 100), curve.d)
     return jacobian.weight_product_bound(curve, us)
 
@@ -182,7 +183,7 @@ def _op_check_phicond(params, seed):
 
 def _op_exponent_identities(params, seed):
     d = int(params["d"])
-    n_p = int(params.get("n_p", 40))
+    n_p = 40
     p_d = (d * d + d + 2) / (d * d + d)
     worst = 0.0
     theta_ok = True
@@ -197,7 +198,7 @@ def _op_exponent_identities(params, seed):
     for alpha in np.linspace(amax / 20, amax, 20):
         rec = conditions.exponent_calculator(d, alpha=float(alpha))
         delta_ok = delta_ok and 0 < rec["delta"] < 1
-    tol = float(params.get("tolerance", 1e-14))
+    tol = 1e-14
     return CheckReport(
         check_id="exponent_identities",
         parameters={"d": d, "n_p": n_p},
@@ -208,8 +209,7 @@ def _op_exponent_identities(params, seed):
 
 def _op_lemma1_chain(params, seed):
     _, rep = geometry.lemma1_chain(
-        _curve(params), float(params["t"]), float(params["h"]),
-        n_samples=_count(params, "n_samples", 1000))
+        _curve(params), float(params["t"]), float(params["h"]))
     return rep
 
 
@@ -217,21 +217,19 @@ def _shrink_family_from(params, curve):
     t0 = float(params.get("center_t", 0.5 * sum(curve.domain)))
     center = geometry._curve_points(curve, np.array([t0]))[0]
     return geometry.shrink_family(center, float(params.get("side0", 1.0)),
-                                  int(params.get("count", 6)),
-                                  float(params.get("ratio", 0.5)))
+                                  int(params.get("count", 6)))
 
 
 def _op_estimate_alpha_B(params, seed):
     curve = _curve(params)
-    family = ([geometry.Parallelepiped.from_dict(e) for e in params["family"]]
-              if "family" in params else _shrink_family_from(params, curve))
-    return geometry.estimate_alpha_B(curve, family, float(params["alpha"]))
+    return geometry.estimate_alpha_B(curve, _shrink_family_from(params, curve),
+                                     float(params["alpha"]))
 
 
 def _op_lemma1_conclusion(params, seed):
     curve = _curve(params)
     alpha = float(params["alpha"])
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     a, b = curve.domain
     n = _count(params, "n_samples", 20)
     samples = []
@@ -252,26 +250,25 @@ def _op_K_u_geometry(params, seed):
 def _op_sm_measure(params, seed):
     return geometry.sm_measure(
         int(params["d"]), float(params["alpha"]), int(params["m"]),
-        mc_samples=_count(params, "mc_samples", 4_000_000),
-        seed=int(params.get("seed", seed)),
-        box_side=float(params.get("box_side", 10.0)))
+        mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
 
 
 def _op_sm_scaling(params, seed):
     d = int(params["d"])
     alpha = float(params["alpha"])
     m_max = int(params.get("m_max", 4))
+    if m_max < 1:
+        raise ConfigError(f"'m_max' must be at least 1 (two shells give the "
+                          f"first ratio), got {m_max}")
     ests, _ = geometry.sm_shells(
         d, alpha, m_max,
-        mc_samples=_count(params, "mc_samples", 4_000_000),
-        seed=int(params.get("seed", seed)),
-        box_side=float(params.get("box_side", 10.0)))
+        mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
     target = 2.0 ** (-(d - 1) * alpha / (1 - d * alpha))
     series = [{"m": m, "measure": est} for m, est in enumerate(ests)]
     worst = 0.0
     for lo, hi in zip(ests[1:], ests[:-1]):
         worst = max(worst, abs(lo / hi - target) / target)
-    tol = float(params.get("tolerance", 0.2))
+    tol = 0.2
     return CheckReport(
         check_id="sm_scaling",
         parameters={"d": d, "alpha": alpha, "m_max": m_max,
@@ -283,15 +280,11 @@ def _op_sm_scaling(params, seed):
 def _op_check_J_geq_K(params, seed):
     curve = _curve(params)
     alpha = float(params["alpha"])
-    if "sigma_est" in params:
-        sigma = float(params["sigma_est"])
-    else:
-        est = conditions.check_phicond(curve, alpha,
-                                       int(params.get("grid_size", 64)))
-        if not est.passed:
-            raise ConfigError("check_phicond failed; no sigma available")
-        sigma = est.constant
-    rng = _rng(params, seed)
+    est = conditions.check_phicond(curve, alpha)
+    if not est.passed:
+        raise ConfigError("check_phicond failed; no sigma available")
+    sigma = est.constant
+    rng = np.random.default_rng(seed)
     a, b = curve.domain
     n = _count(params, "n_samples", 200)
     samples = []
@@ -315,11 +308,8 @@ def _grid_from(params):
 def _op_empirical_ratio(params, seed):
     curves = [curve_from_spec(s) for s in params["curves"]]
     P = float(params["P"])
-    if "Q" in params:
-        Q = float(params["Q"])
-    else:
-        d = curves[0].d
-        Q = 2.0 / (d * (d + 1) * (1 - 1.0 / P))
+    d = curves[0].d
+    Q = 2.0 / (d * (d + 1) * (1 - 1.0 / P))
     return probe.empirical_ratio(curves, P, Q,
                                  bool(params.get("weighted", True)),
                                  _tests_from(params), _grid_from(params))
@@ -346,19 +336,23 @@ def _op_converse_scaling(params, seed):
     P = 1.0 / (1.0 - alpha / Q)
     d = int(params["d"])
     f = probe.TestFunction.from_spec(params["f"])
-    rng = _rng(params, seed)
+    rng = np.random.default_rng(seed)
     n = _count(params, "n_random", 20)
     worst = 0.0
+    witness = None
     for _ in range(n):
         E = geometry.Parallelepiped.of(
             rng.normal(size=d), np.eye(d) + 0.3 * rng.normal(size=(d, d)))
         rep = probe.converse_scaling_check(E, f, P, Q, alpha)
-        worst = max(worst, rep.estimate)
-    tol = float(params.get("tolerance", 1e-6))
+        if witness is None or rep.estimate > worst:
+            worst = rep.estimate
+            witness = {**E.to_dict(), "residual": worst}
+    tol = 1e-6
     return CheckReport(
         check_id="converse_scaling",
         parameters={"d": d, "P": P, "Q": Q, "alpha": alpha, "n_random": n},
-        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol)
+        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol,
+        witnesses=[witness])
 
 
 def _op_dilation_invariance(params, seed):
@@ -369,84 +363,89 @@ def _op_dilation_invariance(params, seed):
 
 
 REGISTRY: dict[str, OpEntry] = {}
+# accepted keys by operation name, apart from the entries so that an entry
+# rebuilt around a wrapped adapter (as the benchmark's tracer does) keeps them
+KEYS: dict[str, tuple[str, ...]] = {}
 
 
-def _register(name: str, summary: str, fn) -> None:
+def _register(name: str, summary: str, fn, keys: str) -> None:
+    """Register an adapter with the space-separated keys it reads."""
     REGISTRY[name] = OpEntry(name=name, summary=summary, fn=fn)
+    KEYS[name] = tuple(keys.split())
 
 
 _register("validate-monotone",
           "derivative stack nonnegative and nondecreasing on a grid",
-          _op_validate_monotone)
+          _op_validate_monotone, "curve grid_size")
 _register("psi-lower-bound",
           "positivity of the kernel mean-tail ratio (exactly 1/2 for d=2)",
-          _op_psi_lower_bound)
+          _op_psi_lower_bound, "d n_samples")
 _register("vandermonde-integration",
           "iterated-integral identity for the Vandermonde determinant",
-          _op_vandermonde_integration)
+          _op_vandermonde_integration, "n")
 _register("tail-inequalities",
           "spread-weighted and mean-restricted Vandermonde integral bounds",
-          _op_tail_inequalities)
+          _op_tail_inequalities, "n t delta")
 _register("lin-lemma",
           "restricted-box vs full-box ratio for factored integrands",
-          _op_lin_lemma)
+          _op_lin_lemma, "instance")
 _register("jacobian-identity",
           "determinant Jacobian equals its Hermite-Genocchi B-spline integral",
-          _op_jacobian_identity)
+          _op_jacobian_identity, "d n_trials")
 _register("monomial-closed-form",
           "J * prod(j!) = v(h) for the pure monomial phi = t^d/d!",
-          _op_monomial_closed_form)
+          _op_monomial_closed_form, "d_max")
 _register("estimate-sigma",
           "empirical infimum of the Jacobian lower-bound ratio",
-          _op_estimate_sigma)
+          _op_estimate_sigma, "curve n_samples")
 _register("offspring-closure",
           "offspring curve keeps at least 1/d of the parent's sigma",
-          _op_offspring_closure)
+          _op_offspring_closure, "curve h n_samples")
 _register("weight-product-bound",
           "weight-product identity and the Jacobian lower bound",
-          _op_weight_product_bound)
+          _op_weight_product_bound, "curve n_samples")
 _register("estimate-A",
           "grid supremum of the mean-value condition ratio",
-          _op_estimate_A)
+          _op_estimate_A, "curve variant grid_size bound tolerance")
 _register("check-phicond",
           "derivative-gap condition infimum and sigma estimate",
-          _op_check_phicond)
+          _op_check_phicond, "curve alpha grid_size")
 _register("exponent-identities",
           "exponent bookkeeping identities on a p-grid",
-          _op_exponent_identities)
+          _op_exponent_identities, "d")
 _register("lemma1-chain",
           "trapping parallelepiped chain with exact measure recursion",
-          _op_lemma1_chain)
+          _op_lemma1_chain, "curve t h")
 _register("estimate-alpha-B",
           "sup of occupation measure over parallelepiped volume^alpha",
-          _op_estimate_alpha_B)
+          _op_estimate_alpha_B, "curve alpha center_t side0 count")
 _register("lemma1-conclusion",
           "derivative-gap lower bound from the measure condition",
-          _op_lemma1_conclusion)
+          _op_lemma1_conclusion, "curve alpha n_samples center_t side0 count")
 _register("K-u-geometry",
           "gap polynomial u, the kernel K, and its homogeneity",
-          _op_K_u_geometry)
+          _op_K_u_geometry, "h alpha")
 _register("sm-measure",
           "Monte Carlo measure of one dyadic K-shell",
-          _op_sm_measure)
+          _op_sm_measure, "d alpha m mc_samples")
 _register("sm-scaling",
           "consecutive K-shell measures follow the dilation ratio",
-          _op_sm_scaling)
+          _op_sm_scaling, "d alpha m_max mc_samples")
 _register("check-J-geq-K",
           "Jacobian dominates the gap kernel K up to a constant",
-          _op_check_J_geq_K)
+          _op_check_J_geq_K, "curve alpha n_samples")
 _register("empirical-ratio",
           "exploratory restriction-ratio sweep over a curve family",
-          _op_empirical_ratio)
+          _op_empirical_ratio, "curves P weighted tests t_grid")
 _register("homogeneous-rescale",
           "dyadic rescaling identity for homogeneous curves",
-          _op_homogeneous_rescale)
+          _op_homogeneous_rescale, "exponents g p k_list")
 _register("converse-scaling",
           "norm identity behind the converse scaling computation",
-          _op_converse_scaling)
+          _op_converse_scaling, "d Q alpha n_random f")
 _register("dilation-invariance",
           "ratio invariance under curve-adapted dilations",
-          _op_dilation_invariance)
+          _op_dilation_invariance, "d P Q g octaves")
 
 
 def get_operation(name: str) -> OpEntry:
@@ -455,7 +454,15 @@ def get_operation(name: str) -> OpEntry:
     return REGISTRY[name]
 
 
-def run_check(descriptor: dict[str, Any], seed: int) -> CheckReport:
+def check_descriptor(descriptor: dict[str, Any]) -> OpEntry:
+    """The descriptor's operation; ConfigError if it names an unknown
+    operation or a key the operation does not read."""
     op = get_operation(descriptor["operation"])
+    reject_unknown_keys(op.name, descriptor.keys() - {"operation"}, op.keys)
+    return op
+
+
+def run_check(descriptor: dict[str, Any], seed: int) -> CheckReport:
+    op = check_descriptor(descriptor)
     params = {k: v for k, v in descriptor.items() if k != "operation"}
     return op.fn(params, seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -19,6 +19,15 @@ class CapabilityError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
+
+
+def reject_unknown_keys(where: str, given, accepted) -> None:
+    """Raise ConfigError naming every key in ``given`` not in ``accepted``."""
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}; it accepts "
+                          f"{', '.join(accepted)}")
 
 
 @dataclass
@@ -54,29 +63,23 @@ class CheckReport:
 @dataclass
 class ExperimentConfig:
     checks: list[dict[str, Any]]
-    curves: list[dict[str, Any]] = field(default_factory=list)
     seed: int = 0
-    tolerances: dict[str, float] = field(default_factory=dict)
     output: str = "report"
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        reject_unknown_keys("config", raw, [f.name for f in fields(cls)])
         checks = raw.get("checks")
         if checks is None or not isinstance(checks, list):
             raise ConfigError("config.checks: required list of check descriptors")
         for i, c in enumerate(checks):
             if not isinstance(c, dict) or "operation" not in c:
                 raise ConfigError(f"config.checks[{i}]: missing 'operation'")
-        curves = raw.get("curves", [])
-        if not isinstance(curves, list):
-            raise ConfigError("config.curves: must be a list")
         return cls(
             checks=checks,
-            curves=curves,
             seed=int(raw.get("seed", 0)),
-            tolerances=dict(raw.get("tolerances", {})),
             output=str(raw.get("output", "report")),
         )
 

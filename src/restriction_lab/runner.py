@@ -13,7 +13,7 @@ import time
 from typing import Any
 
 from . import __version__
-from .registry import get_operation, run_check
+from .registry import check_descriptor, run_check
 from .report import CheckReport, ConfigError, ExperimentConfig, dump_json
 
 
@@ -37,7 +37,7 @@ def _run_one(descriptor: dict, seed: int) -> CheckReport:
 def run(config: ExperimentConfig) -> list[CheckReport]:
     """Execute every check in the config, in config order."""
     for desc in config.checks:
-        get_operation(desc["operation"])  # validate names up front
+        check_descriptor(desc)  # validate names and keys up front
     return [_run_one(desc, config.seed) for desc in config.checks]
 
 

@@ -149,7 +149,3 @@ def test_curve_from_spec_validation():
         curve_from_spec({"kind": "nope"})
     with pytest.raises(ConfigError):
         curve_from_spec({"kind": "monomial", "beta": 3.0, "d": 7})
-    # explicit override admits larger d
-    big = curve_from_spec({"kind": "monomial", "beta": 8.0, "d": 7,
-                           "allow_large_d": True})
-    assert big.d == 7

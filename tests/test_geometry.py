@@ -162,6 +162,10 @@ def test_sm_measure_validation():
     with pytest.raises(ConfigError):
         get_operation("sm-scaling").fn(
             {"d": 3, "alpha": 1 / 3, "mc_samples": 10}, 1)
+    # one shell gives no consecutive ratio to compare
+    with pytest.raises(ConfigError, match="'m_max' must be at least 1"):
+        get_operation("sm-scaling").fn(
+            {"d": 3, "alpha": 1 / 6, "m_max": 0, "mc_samples": 1000}, 1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

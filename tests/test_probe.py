@@ -253,6 +253,23 @@ def test_converse_scaling_ill_conditioned_edges():
     assert rep.estimate <= 1e-12
 
 
+def test_converse_scaling_witness_reproduces_residual():
+    # the worst parallelepiped written to the report, fed back through
+    # the check, gives the residual the report states
+    with open(CONFIGS / "default.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    (params,) = [c for c in cfg["checks"]
+                 if c["operation"] == "converse-scaling"]
+    rep = get_operation("converse-scaling").fn(params, cfg["seed"])
+    (witness,) = json.loads(json.dumps(rep.witnesses))
+    assert witness["residual"] == rep.estimate
+    again = converse_scaling_check(
+        Parallelepiped.from_dict(witness),
+        TestFunction.from_spec(params["f"]), rep.parameters["P"],
+        params["Q"], params["alpha"])
+    assert again.estimate == witness["residual"]
+
+
 def test_converse_scaling_preconditions():
     E = cube([0.0, 0.0], 1.0)
     g = TestFunction.gaussian([0.0, 0.0], [1.0, 1.0])

@@ -81,8 +81,7 @@ def test_estimate_sigma_excludes_underflowed_samples(seed):
 
 
 def test_report_payload_reproducible():
-    cfg = _config([PSI_CHECK, {"operation": "exponent-identities", "d": 3,
-                               "n_p": 11}])
+    cfg = _config([PSI_CHECK, {"operation": "exponent-identities", "d": 3}])
     p1 = report_payload(cfg, run(cfg))
     p2 = report_payload(cfg, run(cfg))
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
@@ -94,12 +93,14 @@ def test_write_report_and_emit_plots(tmp_path):
     cfg = _config([{"operation": "estimate-alpha-B",
                     "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
                               "domain": [0.0, 1.0]},
-                    "center": [0.5, 0.125, 0.026], "side": 1.0,
-                    "levels": 4, "alpha": 1 / 6}])
+                    "center_t": 0.5, "side0": 1.0, "count": 4,
+                    "alpha": 1 / 6}])
     cfg.output = str(tmp_path / "rep")
     path = write_report(cfg, run(cfg))
     payload = json.loads(open(path, encoding="utf-8").read())
     assert payload["config"]["seed"] == 7
+    # one series row per box of the 4-box family
+    assert len(payload["reports"][0]["series"]) == 4
     written = emit_plot_data(payload["reports"], "measure-vs-scale",
                              prefix=str(tmp_path / "plot"))
     assert len(written) == 1
