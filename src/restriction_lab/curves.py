@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .report import CapabilityError, CheckReport, ConfigError, DomainError
+from .report import (CapabilityError, CheckReport, ConfigError, DomainError,
+                     reject_unknown_keys)
 
 DEFAULT_MAX_D = 5
 # oracles clamp evaluation points this far (relative to the domain
@@ -293,6 +294,16 @@ def finite_difference(oracle: DerivativeOracle, t: float, k: int,
     return (oracle(t + step, k - 1) - oracle(t - step, k - 1)) / (2 * step)
 
 
+# the keys each curve kind reads besides 'kind' and 'domain'
+_CURVE_KEYS = {
+    "monomial": ("d", "beta"),
+    "exp-flat": ("d", "beta"),
+    "poly-phi": ("d", "coeffs"),
+    "flatten": ("d", "base", "steps", "variant"),
+    "homogeneous": ("exponents",),
+}
+
+
 def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
     """Build a curve from its JSON specification.
 
@@ -301,6 +312,10 @@ def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("curve spec must be an object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _CURVE_KEYS:
+        raise ConfigError(f"unknown curve kind {kind!r}")
+    reject_unknown_keys(f"curve spec {kind!r}", spec,
+                        ("kind", "domain") + _CURVE_KEYS[kind])
     domain = tuple(spec.get("domain", (0.0, 1.0)))
     if kind == "homogeneous":
         return HomogeneousCurve(exponents=tuple(spec["exponents"]),
@@ -324,6 +339,4 @@ def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
         for _ in range(int(spec.get("steps", 1))):
             cur = build_flattened(cur, variant=spec.get("variant", "exp"))
         return cur
-    else:
-        raise ConfigError(f"unknown curve kind {kind!r}")
     return SimpleCurve(d=d, phi=phi, label=label)

@@ -126,23 +126,23 @@ def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
     inside = np.asarray(E.contains(pts))
     flips = np.nonzero(inside[:-1] != inside[1:])[0]
     width_target = tol / max(1, len(flips))
-
-    def bisect(lo, hi, lo_in):
-        while hi - lo > width_target:
-            mid = 0.5 * (lo + hi)
-            if bool(E.contains(_curve_points(curve, np.array([mid]))[0])) == lo_in:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    crossings = [bisect(ts[i], ts[i + 1], inside[i]) for i in flips]
+    # every crossing is bisected at once; each stops at its own width,
+    # so it takes the same steps as a bisection of that crossing alone
+    lo, hi, lo_in = ts[flips], ts[flips + 1], inside[flips]
+    active = np.flatnonzero(hi - lo > width_target)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        to_lo = E.contains(_curve_points(curve, mid)) == lo_in[active]
+        lo[active[to_lo]] = mid[to_lo]
+        hi[active[~to_lo]] = mid[~to_lo]
+        active = active[hi[active] - lo[active] > width_target]
+    crossings = list(0.5 * (lo + hi))
     edges = [ts[0]] + crossings + [ts[-1]]
     total = 0.0
     state = bool(inside[0])
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for start, end in zip(edges[:-1], edges[1:]):
         if state:
-            total += hi - lo
+            total += end - start
         state = not state
     return float(total)
 

@@ -18,7 +18,15 @@ import numpy as np
 from .curves import HomogeneousCurve, affine_weight
 from .geometry import Parallelepiped, _curve_points, lambda_measure
 from .quadrature import QuadratureError, gl_nodes
-from .report import CheckReport, ConfigError
+from .report import CheckReport, ConfigError, reject_unknown_keys
+
+
+# the keys each test-function kind reads besides 'kind', 'center', 'amp'
+_TEST_KEYS = {
+    "Gaussian": ("sigma",),
+    "BoxBump": ("sides",),
+    "ModulatedGaussian": ("sigma", "freq"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,16 +74,18 @@ class TestFunction:
     @classmethod
     def from_spec(cls, spec: dict) -> "TestFunction":
         kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in _TEST_KEYS:
+            raise ConfigError(f"unknown test-function kind {kind!r}")
+        reject_unknown_keys(f"test function {kind!r}", spec,
+                            ("kind", "center", "amp") + _TEST_KEYS[kind])
         if kind == "Gaussian":
             return cls.gaussian(spec["center"], spec["sigma"],
                                 spec.get("amp", 1.0))
         if kind == "BoxBump":
             return cls.box_bump(spec["center"], spec["sides"],
                                 spec.get("amp", 1.0))
-        if kind == "ModulatedGaussian":
-            return cls.modulated(spec["center"], spec["sigma"], spec["freq"],
-                                 spec.get("amp", 1.0))
-        raise ConfigError(f"unknown test-function kind {kind!r}")
+        return cls.modulated(spec["center"], spec["sigma"], spec["freq"],
+                             spec.get("amp", 1.0))
 
     @property
     def dim(self) -> int:
@@ -156,22 +166,26 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def restrict(g: TestFunction, curve, t_grid,
-             weighted: bool = False) -> SampledFunction:
-    """Evaluate g_hat along the curve (closed forms, no quadrature).
+def restrict(tests, curve, t_grid,
+             weighted: bool = False) -> list[SampledFunction]:
+    """Evaluate each test function's g_hat along the curve (closed forms,
+    no quadrature), one SampledFunction per test, in order.
 
-    The stored measure is the trapezoid measure of the grid, times the
-    affine arclength weight when ``weighted``.
+    The curve is swept once for the whole family: its points on the grid
+    and the stored measure (the trapezoid measure of the grid, times the
+    affine arclength weight when ``weighted``) are computed once and
+    shared, so each test costs only its own transform.  Grid points of
+    zero measure are dropped.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _curve_points(curve, t_grid)
-    vals = g.fourier(pts)
     w = _trapezoid_weights(t_grid)
     if weighted:
         w = w * affine_weight(curve, t_grid)
     keep = w > 0
-    return SampledFunction(grid=t_grid[keep], weights=w[keep],
-                           values=vals[keep])
+    grid, weights = t_grid[keep], w[keep]
+    return [SampledFunction(grid=grid, weights=weights,
+                            values=g.fourier(pts)[keep]) for g in tests]
 
 
 def extension(f, curve, weight: str, x, lam: float = 1.0,
@@ -236,7 +250,10 @@ def empirical_ratio(curves, P: float, Q: float, weighted: bool,
                     test_family, t_grid) -> CheckReport:
     """Exploratory sweep of ||g_hat o gamma||_{L^Q} / ||g||_{L^P} across
     curves and test functions.  Reports per-curve maxima and the spread;
-    never a bound on the operator norm."""
+    never a bound on the operator norm.
+
+    Each curve is restricted once for the whole test family, so a curve's
+    points and weights are evaluated once however many tests there are."""
     curves = list(curves)
     test_family = list(test_family)
     if not curves or not test_family:
@@ -245,8 +262,8 @@ def empirical_ratio(curves, P: float, Q: float, weighted: bool,
     per_curve_max = []
     for ci, curve in enumerate(curves):
         best = 0.0
-        for gi, g in enumerate(test_family):
-            rs = restrict(g, curve, t_grid, weighted=weighted)
+        restricted = restrict(test_family, curve, t_grid, weighted=weighted)
+        for gi, (g, rs) in enumerate(zip(test_family, restricted)):
             ratio = rs.lp(Q) / g.lp_norm(P)
             series.append({"curve_index": ci, "test_index": gi,
                            "ratio": ratio})

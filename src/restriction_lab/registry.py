@@ -301,6 +301,7 @@ def _tests_from(params):
 
 def _grid_from(params):
     g = params.get("t_grid", {})
+    reject_unknown_keys("t_grid", g, ("a", "b", "n"))
     return np.linspace(float(g.get("a", 1e-4)), float(g.get("b", 1.0)),
                        int(g.get("n", 2001)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import box_rule, gl_nodes
-from .report import CheckReport, ConfigError
+from .report import CheckReport, ConfigError, reject_unknown_keys
 
 
 def vandermonde(x) -> float:
@@ -299,6 +299,10 @@ def check_tail_inequalities(n: int, t, delta: float,
     )
 
 
+# the keys each lin-lemma factor type reads besides 'type' and 'j'
+_FACTOR_KEYS = {"diff": ("k",), "upper": ("d",), "lower": ("c",)}
+
+
 def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
     """Restricted-box versus full-box integrals of products of linear factors.
 
@@ -310,6 +314,8 @@ def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
     positive: the restriction keeps only the top lambda_j fraction of
     each axis.
     """
+    reject_unknown_keys("lin-lemma instance", instance,
+                        ("intervals", "lambdas", "factors"))
     intervals = [tuple(map(float, iv)) for iv in instance["intervals"]]
     lambdas = [float(x) for x in instance.get("lambdas", [])]
     factors = instance.get("factors", [])
@@ -327,17 +333,18 @@ def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
             raise ConfigError("lambdas must lie in (0, 1)")
     for f in factors:
         kind = f.get("type")
+        if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
+            raise ConfigError(f"unknown factor type {kind!r}")
+        reject_unknown_keys(f"lin-lemma factor {kind!r}", f,
+                            ("type", "j") + _FACTOR_KEYS[kind])
         if kind == "diff":
             if not 0 <= f["j"] < f["k"] < N:
                 raise ConfigError("diff factor needs 0 <= j < k < N")
         elif kind == "upper":
             if f["d"] < intervals[f["j"]][1]:
                 raise ConfigError("upper factor needs d >= b_j")
-        elif kind == "lower":
-            if f["c"] > intervals[f["j"]][0]:
-                raise ConfigError("lower factor needs c <= a_j")
-        else:
-            raise ConfigError(f"unknown factor type {kind!r}")
+        elif f["c"] > intervals[f["j"]][0]:
+            raise ConfigError("lower factor needs c <= a_j")
 
     def integrand(pts):
         out = np.ones(pts.shape[0])

@@ -69,6 +69,87 @@ def test_extra_key_exits_2_without_report(tmp_path, capsys, op):
     assert f"{op}: unknown key(s) 'n_sample'" in err
 
 
+_MONOMIAL = {"kind": "monomial", "beta": 4.0, "d": 3, "domain": [0.0, 1.0]}
+_CENTER = [0.1, 0.0, -0.2]
+
+
+def _with_curve(spec):
+    return {**_first_shipped("validate-monotone"), "curve": spec}
+
+
+def _with_test(spec):
+    return {**_first_shipped("empirical-ratio"), "tests": [spec]}
+
+
+def _lin_lemma(instance=None, factor=None):
+    check = json.loads(json.dumps(_first_shipped("lin-lemma")))
+    check["instance"].update(instance or {})
+    if factor is not None:
+        check["instance"]["factors"] = [factor]
+    return check
+
+
+# (check with one misspelled key in a nested spec, the spec as named in
+# the error, the misspelled key)
+NESTED = {
+    "curve-monomial": (_with_curve({**_MONOMIAL, "domian": [0.0, 0.5]}),
+                       "curve spec 'monomial'", "domian"),
+    "curve-exp-flat": (_with_curve({"kind": "exp-flat", "beta": 1.0, "d": 2,
+                                    "domain": [0.0, 0.4], "bta": 2.0}),
+                       "curve spec 'exp-flat'", "bta"),
+    "curve-poly-phi": (_with_curve({"kind": "poly-phi", "d": 3,
+                                    "coeffs": [0, 0, 0, 0, 1.0],
+                                    "coefs": [0, 1.0]}),
+                       "curve spec 'poly-phi'", "coefs"),
+    "curve-flatten": (_with_curve({"kind": "flatten", "base": _MONOMIAL,
+                                   "step": 2}),
+                      "curve spec 'flatten'", "step"),
+    "curve-flatten-base": (_with_curve({"kind": "flatten", "steps": 1,
+                                        "base": {**_MONOMIAL, "beat": 5.0}}),
+                           "curve spec 'monomial'", "beat"),
+    "curve-homogeneous": (_with_curve({"kind": "homogeneous",
+                                       "exponents": [1.0, 2.0, 3.0],
+                                       "d": 3}),
+                          "curve spec 'homogeneous'", "d"),
+    "test-Gaussian": (_with_test({"kind": "Gaussian", "center": _CENTER,
+                                  "sigam": 1.0, "sigma": 1.0}),
+                      "test function 'Gaussian'", "sigam"),
+    "test-BoxBump": (_with_test({"kind": "BoxBump", "center": _CENTER,
+                                 "sides": 1.0, "side": 2.0}),
+                     "test function 'BoxBump'", "side"),
+    "test-ModulatedGaussian": (_with_test({"kind": "ModulatedGaussian",
+                                           "center": _CENTER, "sigma": 1.2,
+                                           "freq": [2.0, 0.0, 0.0],
+                                           "frequency": 3.0}),
+                               "test function 'ModulatedGaussian'",
+                               "frequency"),
+    "t_grid": ({**_first_shipped("empirical-ratio"),
+                "t_grid": {"a": 1e-4, "b": 1.0, "num": 11}},
+               "t_grid", "num"),
+    "lin-lemma-instance": (_lin_lemma({"lambda": [0.5, 0.5]}),
+                           "lin-lemma instance", "lambda"),
+    "lin-lemma-diff": (_lin_lemma(factor={"type": "diff", "j": 0, "k": 1,
+                                          "kk": 1}),
+                       "lin-lemma factor 'diff'", "kk"),
+    "lin-lemma-upper": (_lin_lemma(factor={"type": "upper", "j": 0, "d": 4.0,
+                                           "D": 5.0}),
+                        "lin-lemma factor 'upper'", "D"),
+    "lin-lemma-lower": (_lin_lemma(factor={"type": "lower", "j": 1, "c": 1.0,
+                                           "cc": 0.0}),
+                        "lin-lemma factor 'lower'", "cc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_nested_misspelled_key_exits_2_without_report(tmp_path, capsys,
+                                                      case):
+    check, where, key = NESTED[case]
+    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [check]})
+    assert code == 2
+    assert not Path(str(out) + ".json").exists()
+    assert f"{where}: unknown key(s) '{key}'" in capsys.readouterr().err
+
+
 def test_top_level_tolerances_exits_2(tmp_path, capsys):
     code, out = _run_cli(tmp_path, {
         "seed": 1, "tolerances": {"psi-lower-bound": 1e-9},

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
-from restriction_lab.geometry import (K_of, K_u_geometry, Parallelepiped,
-                                      _K_many, check_J_geq_K, cube,
+from restriction_lab.geometry import (_COARSE, K_of, K_u_geometry,
+                                      Parallelepiped, _curve_points, _K_many,
+                                      _occupation, check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
                                       shrink_family, sm_measure, sm_shells,
@@ -75,6 +77,71 @@ def test_lambda_measure_additive_and_monotone(parabola):
     lam_b = lambda_measure(parabola, both)
     assert lam_l + lam_r == pytest.approx(lam_b, abs=1e-6)
     assert lam_l <= lam_b + 1e-12
+
+
+def _occupation_one_at_a_time(curve, E, tol, ts, pts):
+    """The occupation measure with each crossing bisected on its own,
+    one curve point per step."""
+    inside = np.asarray(E.contains(pts))
+    flips = np.nonzero(inside[:-1] != inside[1:])[0]
+    width_target = tol / max(1, len(flips))
+
+    def bisect(lo, hi, lo_in):
+        while hi - lo > width_target:
+            mid = 0.5 * (lo + hi)
+            point = _curve_points(curve, np.array([mid]))[0]
+            if bool(E.contains(point)) == lo_in:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    crossings = [bisect(ts[i], ts[i + 1], inside[i]) for i in flips]
+    edges = [ts[0]] + crossings + [ts[-1]]
+    total = 0.0
+    state = bool(inside[0])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if state:
+            total += hi - lo
+        state = not state
+    return float(total)
+
+
+def _chord_strip(t0, t1, half_width, d):
+    """A box around the chord of (t, t^2/2) from t0 to t1, thin in the
+    second coordinate and tall in the others: every simple curve dips
+    through it between t0 and t1, so it crosses the box four times."""
+    slope = (t1 + t0) / 2.0
+    offset = t0 * t0 / 2.0 - slope * t0
+    edges = 10.0 * np.eye(d)
+    edges[0, :2] = [2.0 * t1, 2.0 * t1 * slope]
+    edges[1, :2] = [0.0, 2.0 * half_width]
+    base = np.full(d, -5.0)
+    base[:2] = [0.0, offset - half_width]
+    return Parallelepiped.of(base, edges)
+
+
+@pytest.mark.parametrize("name", ["parabola", "quartic", "flat-quartic"])
+def test_batched_bisection_equals_one_at_a_time(name, parabola,
+                                                quartic_curve):
+    if name == "flat-quartic":
+        curve = build_flattened(quartic_curve, "exp")
+    else:
+        curve = {"parabola": parabola, "quartic": quartic_curve}[name]
+    a, b = curve.domain
+    d = curve.d
+    ts = np.linspace(a, b, _COARSE + 1)
+    pts = _curve_points(curve, ts)
+    boxes = {0: [cube(np.full(d, 50.0), 1.0), cube(np.zeros(d), 100.0)],
+             1: [cube(np.zeros(d), b)],
+             4: [_chord_strip(0.25 * b, 0.75 * b, 0.01 * b * b, d)]}
+    for crossings, family in boxes.items():
+        for E in family:
+            inside = np.asarray(E.contains(pts))
+            assert np.count_nonzero(inside[:-1] != inside[1:]) == crossings
+            for tol in (1e-8, 1e-13):
+                assert _occupation(curve, E, tol, ts, pts) == (
+                    _occupation_one_at_a_time(curve, E, tol, ts, pts))
 
 
 def test_estimate_alpha_B_trivial(parabola):

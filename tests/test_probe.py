@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import runpy
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restriction_lab.curves import HomogeneousCurve, SimpleCurve, poly_oracle
-from restriction_lab.geometry import Parallelepiped, cube
+from restriction_lab.conditions import build_flattened, exponent_calculator
+from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
+                                    SimpleCurve, affine_weight, poly_oracle)
+from restriction_lab.geometry import Parallelepiped, _curve_points, cube
 from restriction_lab.probe import (SampledFunction, TestFunction,
+                                   _trapezoid_weights,
                                    check_dilation_invariance,
                                    converse_scaling_check, empirical_ratio,
                                    extension, homogeneous_rescale_check,
@@ -18,7 +25,8 @@ from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import get_operation
 from restriction_lab.report import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture
@@ -98,11 +106,11 @@ def test_restrict_evaluates_fourier_on_curve():
                         label="cubic")
     g = TestFunction.gaussian([0.0, 0.0], [1.0, 1.0])
     ts = np.linspace(0.1, 1.0, 33)
-    rs = restrict(g, cubic, ts)
+    (rs,) = restrict([g], cubic, ts)
     pts = np.stack([ts, ts ** 3], axis=-1)
     assert np.allclose(rs.values, g.fourier(pts))
     # weighted measure carries w(t) = (6t)^{1/3}
-    rw = restrict(g, cubic, ts, weighted=True)
+    (rw,) = restrict([g], cubic, ts, weighted=True)
     mid = len(rs.grid) // 2
     t_mid = rs.grid[mid]
     assert rw.weights[mid] == pytest.approx(
@@ -204,6 +212,93 @@ def test_empirical_ratio_is_finite_and_annotated(moment_curve_3,
     assert any("exploratory" in n for n in rep.notes)
     with pytest.raises(ConfigError):
         empirical_ratio([], 9 / 8, 1.5, True, fam, np.linspace(0, 1, 5))
+
+
+def _flat_family(quartic_curve):
+    """t^4 and its one- and two-step exp flattenings (d = 3)."""
+    family = [quartic_curve]
+    for _ in range(2):
+        family.append(build_flattened(family[-1], "exp"))
+    return family
+
+
+# the test functions of scripts/flat_family_sweep.py at d = 3
+SWEEP_TESTS = [
+    TestFunction.gaussian([0.1, 0.0, -0.2], 1.0),
+    TestFunction.gaussian([0.5, 0.0, 0.0], 0.7),
+    TestFunction.modulated([0.0, 0.0, 0.0], 1.2, [2.0, 0.0, 0.0]),
+]
+
+
+def _restrict_alone(g, curve, ts, weighted):
+    """One test function's samples, the curve swept for it alone."""
+    pts = _curve_points(curve, ts)
+    vals = g.fourier(pts)
+    w = _trapezoid_weights(ts)
+    if weighted:
+        w = w * affine_weight(curve, ts)
+    keep = w > 0
+    return SampledFunction(grid=ts[keep], weights=w[keep], values=vals[keep])
+
+
+def _counting(curve, calls):
+    """The curve with an oracle that counts its calls by order in
+    ``calls``."""
+    phi = curve.phi
+
+    def fn(t, k):
+        calls[k] += 1
+        return phi.fn(t, k)
+
+    return SimpleCurve(d=curve.d, phi=DerivativeOracle(
+        domain=phi.domain, max_order=phi.max_order, fn=fn), label=curve.label)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_empirical_ratio_equals_per_test_restriction(quartic_curve,
+                                                     weighted):
+    family = _flat_family(quartic_curve)
+    ts = np.linspace(1e-4, 1.0, 301)
+    P, Q = 9 / 8, 1.5
+    rep = empirical_ratio(family, P, Q, weighted, SWEEP_TESTS, ts)
+    ratios = [_restrict_alone(g, curve, ts, weighted).lp(Q) / g.lp_norm(P)
+              for curve in family for g in SWEEP_TESTS]
+    assert [row["ratio"] for row in rep.series] == ratios
+    assert rep.witnesses[0]["per_curve_max"] == [
+        max(ratios[i:i + 3]) for i in (0, 3, 6)]
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_empirical_ratio_sweeps_each_curve_once(quartic_curve, weighted):
+    calls = [Counter() for _ in range(3)]
+    family = [_counting(c, n)
+              for c, n in zip(_flat_family(quartic_curve), calls)]
+    empirical_ratio(family, 9 / 8, 1.5, weighted, SWEEP_TESTS,
+                    np.linspace(1e-4, 1.0, 301))
+    # one order-0 call for the points and, when weighted, one order-d
+    # call for the affine weight, however many test functions there are
+    want = {0: 1, 3: 1} if weighted else {0: 1}
+    assert [dict(c) for c in calls] == [want] * 3
+
+
+def test_flat_family_sweep_script_writes_the_maxima(tmp_path, monkeypatch,
+                                                    capsys, quartic_curve):
+    out = tmp_path / "ratios.csv"
+    monkeypatch.setattr(sys, "argv", ["flat_family_sweep.py",
+                                      "--out", str(out)])
+    runpy.run_path(str(ROOT / "scripts" / "flat_family_sweep.py"),
+                   run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["family_index", "max_ratio"]
+    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
+    P = 9 / 8
+    Q = exponent_calculator(3, p=P)["Q_paired"]
+    rep = empirical_ratio(_flat_family(quartic_curve), P, Q, True,
+                          SWEEP_TESTS, np.linspace(1e-4, 1.0, 1500))
+    assert [float(r[1]) for r in rows[1:]] == (
+        rep.witnesses[0]["per_curve_max"])
 
 
 def test_dilation_invariance_at_pairing_exponents():
