@@ -304,11 +304,10 @@ _CURVE_KEYS = {
 }
 
 
-def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
-    """Build a curve from its JSON specification.
-
-    Kinds: monomial | exp-flat | poly-phi | flatten | homogeneous.
-    """
+def check_curve_keys(spec) -> str:
+    """The kind of a curve spec; ConfigError unless ``spec`` is an object
+    with a known 'kind' and only the keys that kind reads (a flatten
+    spec's base included).  Builds no curve."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("curve spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -316,6 +315,17 @@ def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
         raise ConfigError(f"unknown curve kind {kind!r}")
     reject_unknown_keys(f"curve spec {kind!r}", spec,
                         ("kind", "domain") + _CURVE_KEYS[kind])
+    if kind == "flatten" and "base" in spec:
+        check_curve_keys(spec["base"])
+    return kind
+
+
+def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
+    """Build a curve from its JSON specification.
+
+    Kinds: monomial | exp-flat | poly-phi | flatten | homogeneous.
+    """
+    kind = check_curve_keys(spec)
     domain = tuple(spec.get("domain", (0.0, 1.0)))
     if kind == "homogeneous":
         return HomogeneousCurve(exponents=tuple(spec["exponents"]),

@@ -29,6 +29,17 @@ _TEST_KEYS = {
 }
 
 
+def check_test_keys(spec) -> str:
+    """The kind of a test-function spec; ConfigError unless it is known
+    and the spec holds only the keys that kind reads."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _TEST_KEYS:
+        raise ConfigError(f"unknown test-function kind {kind!r}")
+    reject_unknown_keys(f"test function {kind!r}", spec,
+                        ("kind", "center", "amp") + _TEST_KEYS[kind])
+    return kind
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Test bump with a closed-form Fourier transform.
@@ -73,11 +84,7 @@ class TestFunction:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "TestFunction":
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _TEST_KEYS:
-            raise ConfigError(f"unknown test-function kind {kind!r}")
-        reject_unknown_keys(f"test function {kind!r}", spec,
-                            ("kind", "center", "amp") + _TEST_KEYS[kind])
+        kind = check_test_keys(spec)
         if kind == "Gaussian":
             return cls.gaussian(spec["center"], spec["sigma"],
                                 spec.get("amp", 1.0))

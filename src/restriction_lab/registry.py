@@ -17,8 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import conditions, geometry, jacobian, probe, vandermonde
-from .curves import (SimpleCurve, curve_from_spec, poly_oracle,
-                     validate_monotone)
+from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
+                     poly_oracle, validate_monotone)
 from .report import CheckReport, ConfigError, reject_unknown_keys
 from .vandermonde import GapVector
 
@@ -301,7 +301,6 @@ def _tests_from(params):
 
 def _grid_from(params):
     g = params.get("t_grid", {})
-    reject_unknown_keys("t_grid", g, ("a", "b", "n"))
     return np.linspace(float(g.get("a", 1e-4)), float(g.get("b", 1.0)),
                        int(g.get("n", 2001)))
 
@@ -449,6 +448,26 @@ _register("dilation-invariance",
           _op_dilation_invariance, "d P Q g octaves")
 
 
+def _each(check):
+    def check_all(specs):
+        for spec in specs:
+            check(spec)
+    return check_all
+
+
+# the key check of each nested spec, by the descriptor key that holds it
+# (a key names the same kind of spec in every operation that reads it)
+_NESTED = {
+    "curve": check_curve_keys,
+    "curves": _each(check_curve_keys),
+    "tests": _each(probe.check_test_keys),
+    "g": probe.check_test_keys,
+    "f": probe.check_test_keys,
+    "t_grid": lambda g: reject_unknown_keys("t_grid", g, ("a", "b", "n")),
+    "instance": vandermonde.check_lin_lemma_keys,
+}
+
+
 def get_operation(name: str) -> OpEntry:
     if name not in REGISTRY:
         raise ConfigError(f"unknown operation {name!r}; see list-checks")
@@ -457,9 +476,13 @@ def get_operation(name: str) -> OpEntry:
 
 def check_descriptor(descriptor: dict[str, Any]) -> OpEntry:
     """The descriptor's operation; ConfigError if it names an unknown
-    operation or a key the operation does not read."""
+    operation or a key the operation does not read, at the top level or
+    in a nested spec.  Builds no curve and runs nothing."""
     op = get_operation(descriptor["operation"])
     reject_unknown_keys(op.name, descriptor.keys() - {"operation"}, op.keys)
+    for key in op.keys:
+        if key in descriptor and key in _NESTED:
+            _NESTED[key](descriptor[key])
     return op
 
 

@@ -303,6 +303,21 @@ def check_tail_inequalities(n: int, t, delta: float,
 _FACTOR_KEYS = {"diff": ("k",), "upper": ("d",), "lower": ("c",)}
 
 
+def check_lin_lemma_keys(instance) -> None:
+    """ConfigError unless the lin-lemma instance and each of its factors
+    hold only the keys they read, and every factor type is known."""
+    if not isinstance(instance, dict):
+        raise ConfigError("lin-lemma instance must be an object")
+    reject_unknown_keys("lin-lemma instance", instance,
+                        ("intervals", "lambdas", "factors"))
+    for f in instance.get("factors", []):
+        kind = f.get("type") if isinstance(f, dict) else None
+        if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
+            raise ConfigError(f"unknown factor type {kind!r}")
+        reject_unknown_keys(f"lin-lemma factor {kind!r}", f,
+                            ("type", "j") + _FACTOR_KEYS[kind])
+
+
 def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
     """Restricted-box versus full-box integrals of products of linear factors.
 
@@ -314,8 +329,7 @@ def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
     positive: the restriction keeps only the top lambda_j fraction of
     each axis.
     """
-    reject_unknown_keys("lin-lemma instance", instance,
-                        ("intervals", "lambdas", "factors"))
+    check_lin_lemma_keys(instance)
     intervals = [tuple(map(float, iv)) for iv in instance["intervals"]]
     lambdas = [float(x) for x in instance.get("lambdas", [])]
     factors = instance.get("factors", [])
@@ -332,11 +346,7 @@ def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
         if not 0.0 < lam < 1.0:
             raise ConfigError("lambdas must lie in (0, 1)")
     for f in factors:
-        kind = f.get("type")
-        if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
-            raise ConfigError(f"unknown factor type {kind!r}")
-        reject_unknown_keys(f"lin-lemma factor {kind!r}", f,
-                            ("type", "j") + _FACTOR_KEYS[kind])
+        kind = f["type"]
         if kind == "diff":
             if not 0 <= f["j"] < f["k"] < N:
                 raise ConfigError("diff factor needs 0 <= j < k < N")

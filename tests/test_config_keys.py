@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from restriction_lab.cli import main
-from restriction_lab.registry import REGISTRY, get_operation
+from restriction_lab.registry import REGISTRY, OpEntry, get_operation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -148,6 +148,28 @@ def test_nested_misspelled_key_exits_2_without_report(tmp_path, capsys,
     assert code == 2
     assert not Path(str(out) + ".json").exists()
     assert f"{where}: unknown key(s) '{key}'" in capsys.readouterr().err
+
+
+def test_nested_key_error_stops_before_any_check(tmp_path, capsys,
+                                                 monkeypatch):
+    with open(CONFIGS / "default.json", encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["checks"].append(
+        {"operation": "estimate-A",
+         "curve": {**_MONOMIAL, "domian": [0.0, 0.5]}})
+    calls = []
+    for name, op in list(REGISTRY.items()):
+        def counted(params, seed, fn=op.fn, name=name):
+            calls.append(name)
+            return fn(params, seed)
+        monkeypatch.setitem(REGISTRY, name,
+                            OpEntry(op.name, op.summary, counted))
+    code, out = _run_cli(tmp_path, config)
+    assert code == 2
+    assert calls == []
+    assert not Path(str(out) + ".json").exists()
+    assert "curve spec 'monomial': unknown key(s) 'domian'" in (
+        capsys.readouterr().err)
 
 
 def test_top_level_tolerances_exits_2(tmp_path, capsys):

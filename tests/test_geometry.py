@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
-from restriction_lab.geometry import (_COARSE, K_of, K_u_geometry,
-                                      Parallelepiped, _curve_points, _K_many,
+from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
+                                      K_u_geometry, Parallelepiped,
+                                      _curve_points, _K_many,
                                       _occupation, check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
@@ -226,6 +228,8 @@ def test_sm_measure_validation():
         sm_measure(3, 0.5, 0)
     with pytest.raises(ConfigError):
         sm_shells(3, 1 / 6, -1)
+    with pytest.raises(ConfigError, match="d >= 2"):
+        sm_shells(1, 0.5, 0)
     with pytest.raises(ConfigError):
         get_operation("sm-scaling").fn(
             {"d": 3, "alpha": 1 / 3, "mc_samples": 10}, 1)
@@ -257,7 +261,8 @@ def test_K_many_matches_K_of_row_by_row(rng, d):
 
 def _mask_hits(d, alpha, m_max, mc_samples, seed, box_side=10.0):
     """Per-shell hit counts by the mask of each shell, on the seeded
-    chunks that sm_shells draws."""
+    stream drawn by rng.uniform in chunks of 500,000 rows: neither the
+    block size nor the buffers of sm_shells."""
     rng = np.random.default_rng(seed)
     hits = [0] * (m_max + 1)
     remaining = mc_samples
@@ -283,6 +288,27 @@ def test_sm_scaling_series_equals_separate_shells(d, alpha):
     hits = [r.witnesses[0]["hits"] for r in singles]
     assert sm_shells(d, alpha, m_max, mc_samples=n, seed=seed)[1] == hits
     assert hits == _mask_hits(d, alpha, m_max, n, seed)
+
+
+# (d, alpha): the spread's exponent 1/alpha - d(d+1)/2 is 0 on the first
+# two, 2.5 on the last
+@pytest.mark.parametrize("d,alpha", [(3, 1 / 6), (4, 0.1), (4, 0.08)])
+@pytest.mark.parametrize("n", [_SM_BLOCK - 1, _SM_BLOCK, _SM_BLOCK + 1,
+                               600_001])
+def test_sm_shells_blocks_count_the_whole_draw(d, alpha, n):
+    assert sm_shells(d, alpha, 4, mc_samples=n, seed=3)[1] == _mask_hits(
+        d, alpha, 4, n, 3)
+
+
+def test_sm_shells_allocates_one_block_at_a_time():
+    tracemalloc.start()
+    try:
+        sm_shells(4, 0.1, 4, 2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 2M-row draw at d = 4 is 48 MB; a block's buffers are about 2 MB
+    assert peak < 4e6
 
 
 def test_shell_scaling_script_prints_every_shell(monkeypatch, capsys):
