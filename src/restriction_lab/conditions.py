@@ -50,15 +50,18 @@ def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
     return grid[keep]
 
 
-def _ratio_at(curve: SimpleCurve, s: np.ndarray, variant: str) -> float:
+def _ratio_at(curve: SimpleCurve, rows: np.ndarray,
+              variant: str) -> np.ndarray:
+    """The mean-value ratio of each row of ``rows`` (shape (m, d)), from
+    one oracle call on the nodes and their centres together."""
     d = curve.d
-    vals = curve.phi(s, d)
-    if np.any(vals <= 0):
+    center = np.mean(rows, axis=1) if variant == "AM" else np.exp(
+        np.mean(np.log(rows), axis=1))
+    vals = curve.phi(np.column_stack([rows, center]), d)
+    if np.any(vals[:, :d] <= 0):
         raise DomainError("phi^(d) <= 0 inside the simplex sweep")
-    gm = float(np.exp(np.mean(np.log(vals))))
-    center = float(np.mean(s)) if variant == "AM" else float(
-        np.exp(np.mean(np.log(s))))
-    return gm / curve.phi(center, d)
+    gm = np.exp(np.mean(np.log(vals[:, :d]), axis=1))
+    return gm / vals[:, d]
 
 
 def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
@@ -67,7 +70,7 @@ def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
     keeping the tuple ordered."""
     a_dom, b_dom = curve.domain
     s = s.copy()
-    best = _ratio_at(curve, s, variant)
+    best = float(_ratio_at(curve, s[None], variant)[0])
     for _ in range(sweeps):
         for i in range(len(s)):
             lo = max(a_dom, s[i] - width, s[i - 1] if i > 0 else a_dom)
@@ -81,7 +84,7 @@ def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
             def val(x):
                 t = s.copy()
                 t[i] = x
-                return _ratio_at(curve, t, variant)
+                return float(_ratio_at(curve, t[None], variant)[0])
 
             f1, f2 = val(x1), val(x2)
             for _ in range(iters):
@@ -116,14 +119,13 @@ def estimate_A(curve: SimpleCurve, variant: str = "GM",
     inset = 1e-6 * (b - a)
     grid = _usable_grid(curve, np.linspace(a + inset, b - inset, grid_size))
     d = curve.d
-    best = -math.inf
-    best_s = None
-    for combo in combinations_with_replacement(range(len(grid)), d):
-        s = grid[list(combo)]
-        r = _ratio_at(curve, s, variant)
-        if r > best:
-            best = r
-            best_s = s
+    rows = grid[np.array(list(
+        combinations_with_replacement(range(len(grid)), d)))]
+    ratios = _ratio_at(curve, rows, variant)
+    # the first strict maximum wins; a NaN ratio (the GM centre of a
+    # nonpositive node) never does
+    best_s = rows[int(np.argmax(np.where(np.isnan(ratios), -np.inf,
+                                         ratios)))]
     width = (b - a) / (grid_size - 1)
     best_s, best = _golden_refine(curve, best_s, variant, width)
     return ConditionEstimate(

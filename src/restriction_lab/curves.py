@@ -35,6 +35,10 @@ class DerivativeOracle:
     ``fn(t, k)`` must accept a numpy array t of any shape and answer the
     array of values.  Evaluation clamps t to [a + eps, b - eps] to keep
     away from endpoint singularities of t^beta with non-integer beta.
+
+    A float t gives a float, an array gives an array of its shape (an
+    empty one included).  A t beyond the domain by more than a relative
+    1e-12 raises DomainError; NaN entries pass through unchecked.
     """
 
     domain: tuple[float, float]
@@ -47,11 +51,15 @@ class DerivativeOracle:
                 f"derivative order {k} outside 0..{self.max_order}")
         a, b = self.domain
         t_arr = np.asarray(t, dtype=float)
-        tol = 1e-12 * max(1.0, abs(a), abs(b))
-        if np.any(t_arr < a - tol) or np.any(t_arr > b + tol):
-            raise DomainError(f"t={t} outside domain ({a}, {b})")
+        # fmin/fmax skip NaN, so a NaN entry hides no out-of-domain one
+        if t_arr.size:
+            tol = 1e-12 * max(1.0, abs(a), abs(b))
+            if (np.fmin.reduce(t_arr, axis=None) < a - tol
+                    or np.fmax.reduce(t_arr, axis=None) > b + tol):
+                raise DomainError(f"t={t} outside domain ({a}, {b})")
         eps = CLAMP_EPS_REL * (b - a)
-        t_arr = np.clip(t_arr, a + eps, b - eps)
+        # the values of np.clip, NaN kept, at a fraction of its cost
+        t_arr = np.minimum(np.maximum(t_arr, a + eps), b - eps)
         out = np.asarray(self.fn(t_arr, k), dtype=float)
         if np.ndim(t) == 0:
             return float(out)

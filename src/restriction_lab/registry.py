@@ -58,9 +58,9 @@ def _op_psi_lower_bound(params, seed):
     d = int(params["d"])
     n = _count(params, "n_samples", 1000)
     rng = np.random.default_rng(seed)
-    samples = [(0.3, tuple(rng.uniform(0.05, 1.0, size=d - 1)))
-               for _ in range(n)]
-    return vandermonde.check_psi_lower_bound(d, samples)
+    # the same numbers as n draws of d - 1 gaps each
+    return vandermonde.check_psi_lower_bound(
+        d, 0.3, rng.uniform(0.05, 1.0, size=(n, d - 1)))
 
 
 def _op_vandermonde_integration(params, seed):

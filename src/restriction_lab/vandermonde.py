@@ -115,34 +115,43 @@ def psi(d: int, t, h) -> float | np.ndarray:
     return out
 
 
-def psi_mean_tail_ratio(d: int, t: float, h) -> float:
-    """The ratio int_{g_d}^{t+kappa_d} Psi_d(u - t; h) du / v(h), with
-    g_d = t + mean(kappa).
+def _mean_tail_ratios(d: int, kappa: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """:func:`psi_mean_tail_ratio` of each row of offsets ``kappa`` (shape
+    (n, d)), given v = v(kappa) > 0 per row.
 
     Evaluated in closed form: the tail integral equals the offspring
     determinant for phi(u) = (u - c)_+^d / d! with c at the node mean,
     so it reduces to a d x d determinant.
     """
+    # the determinant is invariant under a common node translation, so
+    # center at the node mean; for d = 2 this makes the value exactly 1/2
+    s = kappa - np.mean(kappa, axis=1, keepdims=True)
+    # entries by Python's scalar power: numpy's array power differs from
+    # it in the last bit on some inputs
+    flat = s.ravel().tolist()
+    entries = [[x ** i / math.factorial(i) for x in flat]
+               for i in range(d - 1)]
+    entries.append([max(x, 0.0) ** (d - 1) / math.factorial(d - 1)
+                    for x in flat])
+    # mat[k, i, j]: entry i at node j of sample k
+    mat = np.array(entries).reshape(d, *s.shape).transpose(1, 0, 2)
+    if d == 2:
+        # cofactor formula; LAPACK's LU loses the exact 1/2 by an ulp
+        det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
+    else:
+        det = np.linalg.det(mat)
+    return det / v
+
+
+def psi_mean_tail_ratio(d: int, t: float, h) -> float:
+    """The ratio int_{g_d}^{t+kappa_d} Psi_d(u - t; h) du / v(h), with
+    g_d = t + mean(kappa); it does not depend on t."""
     g = GapVector.of(h)
-    kappa = g.kappa
     v = g.v
     if v == 0.0:
         raise ZeroDivisionError("degenerate gap vector (v(h) = 0)")
-    # the determinant is invariant under a common node translation, so
-    # center at the node mean; for d = 2 this makes the value exactly 1/2
-    s = kappa - float(np.mean(kappa))
-    cols = []
-    for sj in s:
-        col = [sj ** i / math.factorial(i) for i in range(d - 1)]
-        col.append(max(sj, 0.0) ** (d - 1) / math.factorial(d - 1))
-        cols.append(col)
-    mat = np.array(cols).T
-    if d == 2:
-        # cofactor formula; LAPACK's LU loses the exact 1/2 by an ulp
-        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-    else:
-        det = float(np.linalg.det(mat))
-    return det / v
+    return float(_mean_tail_ratios(d, g.kappa[None], np.array([v]))[0])
 
 
 def psi_mean_tail_ratio_quad(d: int, t: float, h, order: int = 12) -> float:
@@ -161,37 +170,46 @@ def psi_mean_tail_ratio_quad(d: int, t: float, h, order: int = 12) -> float:
     return total / g.v
 
 
-def check_psi_lower_bound(d: int, samples, tolerance: float = 0.0) -> CheckReport:
-    """Empirical infimum of the Psi tail-mass ratio over (t, h) samples.
+def check_psi_lower_bound(d: int, t, h,
+                          tolerance: float = 0.0) -> CheckReport:
+    """Empirical infimum of the Psi tail-mass ratio over the samples
+    (t_k, h_k): ``h`` holds one row of d - 1 gaps per sample and ``t`` is
+    one float for all of them or one per sample.
 
     For d = 2 the ratio is identically 1/2; for d >= 3 the check passes
     iff the sampled infimum is strictly positive.
     """
-    samples = list(samples)
-    best = math.inf
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[1] != d - 1:
+        raise ConfigError(f"need one row of {d - 1} gaps per sample, "
+                          f"got shape {h.shape}")
+    if np.any(h < 0):
+        raise ConfigError("gap entries must be nonnegative")
+    n = h.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    kappa = np.concatenate([np.zeros((n, 1)), np.cumsum(h, axis=1)], axis=1)
+    v = vandermonde_arr(kappa)
+    kept = np.flatnonzero(v > 0.0)
+    ratios = _mean_tail_ratios(d, kappa[kept], v[kept])
     best_sample = None
-    skipped = 0
-    for t, h in samples:
-        g = GapVector.of(h)
-        if g.v <= 0.0:
-            skipped += 1
-            continue
-        r = psi_mean_tail_ratio(d, float(t), g)
-        if r < best:
-            best = r
-            best_sample = {"t": float(t), "h": list(g.h), "ratio": r}
-    passed = best_sample is not None and best > tolerance
+    if kept.size:
+        i = int(np.argmin(ratios))  # the first strict minimum
+        k = kept[i]
+        best_sample = {"t": float(t[k]), "h": h[k].tolist(),
+                       "ratio": float(ratios[i])}
+    passed = best_sample is not None and best_sample["ratio"] > tolerance
     rep = CheckReport(
         check_id="check_psi_lower_bound",
-        parameters={"d": d, "n_samples": len(samples)},
-        estimate=best if best_sample is not None else None,
+        parameters={"d": d, "n_samples": n},
+        estimate=best_sample["ratio"] if best_sample else None,
         bound=0.0,
         tolerance=tolerance,
         passed=passed,
         witnesses=[best_sample] if best_sample else [],
     )
-    if skipped:
-        rep.notes.append(f"skipped {skipped} degenerate samples with v(h)=0")
+    if kept.size < n:
+        rep.notes.append(
+            f"skipped {n - kept.size} degenerate samples with v(h)=0")
     if best_sample is None:
         rep.notes.append("all samples degenerate; inconclusive")
     return rep
@@ -202,23 +220,37 @@ def check_psi_lower_bound(d: int, samples, tolerance: float = 0.0) -> CheckRepor
 
 
 def check_vandermonde_integration(n: int, s, rel_tol: float = 1e-8) -> CheckReport:
-    """V_n(s) = (n-1)! * iterated integral of V_{n-1} over prod [s_i, s_{i+1}]."""
+    """V_n(s) = (n-1)! * iterated integral of V_{n-1} over prod [s_i, s_{i+1}],
+    and the mass of the kernel,
+    int Psi_n(u; diff(s)) du = V_n(s) / prod_{i<n} i!.
+
+    The estimate is the larger relative error of the two identities.
+    """
     s = np.asarray(s, dtype=float)
-    if s.shape != (n,) or np.any(np.diff(s) <= 0):
-        raise ConfigError("s must be strictly increasing of length n")
+    if n < 2 or s.shape != (n,) or np.any(np.diff(s) <= 0):
+        raise ConfigError("s must be strictly increasing of length n >= 2")
     lhs = vandermonde(s)
     lo, hi = s[:-1], s[1:]
     pts, wts = box_rule(lo, hi, max(4, n))  # integrand is a polynomial
     rhs = math.factorial(n - 1) * float(np.sum(wts * vandermonde_arr(pts)))
     rel_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    # Psi_n is a polynomial of degree n - 2 between its knots, so a rule of
+    # this order on each knot interval is exact
+    g = GapVector.of(np.diff(s))
+    x, w = gl_nodes(g.kappa[:-1], g.kappa[1:], max(4, n))
+    mass = float(np.sum(w * psi(n, x, g)))
+    mass_ref = lhs / factorial_product(n)
+    mass_err = abs(mass - mass_ref) / max(abs(mass_ref), 1e-300)
+    err = max(rel_err, mass_err)
     return CheckReport(
         check_id="check_vandermonde_integration",
         parameters={"n": n, "s": list(map(float, s))},
-        estimate=rel_err,
+        estimate=err,
         bound=rel_tol,
         tolerance=rel_tol,
-        passed=rel_err <= rel_tol,
-        witnesses=[{"lhs": lhs, "rhs": rhs}],
+        passed=err <= rel_tol,
+        witnesses=[{"lhs": lhs, "rhs": rhs},
+                   {"psi_mass": mass, "v_over_factorials": mass_ref}],
     )
 
 

@@ -75,15 +75,15 @@ def test_criterion_02_monomial_closed_form():
 
 def test_criterion_03_psi_lower_bound():
     rng = np.random.default_rng(103)
-    rep2 = check_psi_lower_bound(
-        2, [(rng.uniform(0, 1), (rng.uniform(0.05, 1),)) for _ in range(50)])
+    t, h = zip(*[(rng.uniform(0, 1), (rng.uniform(0.05, 1),))
+                 for _ in range(50)])
+    rep2 = check_psi_lower_bound(2, t, h)
     exact_half = rep2.estimate == 0.5
     infs = {}
     for d in (3, 4):
-        samples = [(rng.uniform(0, 1),
-                    tuple(rng.uniform(0.02, 1.0, size=d - 1)))
-                   for _ in range(1000)]
-        infs[d] = check_psi_lower_bound(d, samples).estimate
+        t, h = zip(*[(rng.uniform(0, 1), rng.uniform(0.02, 1.0, size=d - 1))
+                     for _ in range(1000)])
+        infs[d] = check_psi_lower_bound(d, t, h).estimate
     ok = exact_half and all(v > 0 for v in infs.values())
     _status(3, "Psi tail-mass lower bound", ok,
             f"d=2 ratio {rep2.estimate}, inf d=3 {infs[3]:.3g}, "

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restriction_lab import conditions
 from restriction_lab.conditions import (build_flattened, check_phicond,
                                         estimate_A, exponent_calculator)
 from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
@@ -50,6 +52,90 @@ def test_estimate_A_at_least_one_and_scale_invariant(beta, scale):
     a2 = estimate_A(scaled, "AM", 6).constant
     assert a1 >= 1.0 - 1e-12
     assert a1 == pytest.approx(a2, rel=1e-9)
+
+
+def _ratio_per_tuple(curve, s, variant):
+    """The mean-value ratio of one tuple by scalar numpy reductions: the
+    reference the array route must match bit for bit."""
+    d = curve.d
+    vals = curve.phi(s, d)
+    if np.any(vals <= 0):
+        raise DomainError("phi^(d) <= 0 inside the simplex sweep")
+    gm = float(np.exp(np.mean(np.log(vals))))
+    center = float(np.mean(s)) if variant == "AM" else float(
+        np.exp(np.mean(np.log(s))))
+    return gm / curve.phi(center, d)
+
+
+def _estimate_A_per_tuple(curve, variant, grid_size):
+    """estimate_A as a loop over simplex tuples and golden-section points,
+    one ratio at a time."""
+    a, b = curve.domain
+    inset = 1e-6 * (b - a)
+    grid = conditions._usable_grid(
+        curve, np.linspace(a + inset, b - inset, grid_size))
+    best, best_s = -math.inf, None
+    for combo in combinations_with_replacement(range(len(grid)), curve.d):
+        s = grid[list(combo)]
+        r = _ratio_per_tuple(curve, s, variant)
+        if r > best:
+            best, best_s = r, s
+    width = (b - a) / (grid_size - 1)
+    s = best_s.copy()
+    best = _ratio_per_tuple(curve, s, variant)
+    golden = conditions._GOLDEN
+    for _ in range(2):
+        for i in range(len(s)):
+            lo = max(a, s[i] - width, s[i - 1] if i > 0 else a)
+            hi = min(b, s[i] + width, s[i + 1] if i + 1 < len(s) else b)
+            if hi - lo <= 0:
+                continue
+            x1 = hi - golden * (hi - lo)
+            x2 = lo + golden * (hi - lo)
+
+            def val(x):
+                t = s.copy()
+                t[i] = x
+                return _ratio_per_tuple(curve, t, variant)
+
+            f1, f2 = val(x1), val(x2)
+            for _ in range(40):
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + golden * (hi - lo)
+                    f2 = val(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - golden * (hi - lo)
+                    f1 = val(x1)
+            xstar = 0.5 * (lo + hi)
+            fstar = val(xstar)
+            if fstar > best:
+                best = fstar
+                s[i] = xstar
+    return best, [float(x) for x in s]
+
+
+# the GM centre of a tuple with a negative node is NaN
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log")
+@pytest.mark.parametrize("grid_size", [6, 10])
+@pytest.mark.parametrize("variant", ["AM", "GM"])
+def test_estimate_A_array_route_equals_per_tuple_loop(variant, grid_size):
+    quartic = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 1.0)),
+                          label="m4")
+    curves = [
+        quartic,
+        SimpleCurve(d=3, phi=poly_oracle([0, 0, 0, 0.5, 1.0, 0.3],
+                                         domain=(0.0, 1.0)), label="poly"),
+        build_flattened(quartic, "exp"),
+        SimpleCurve(d=3, phi=poly_oracle([0, 0, 0, 1.0, 0.1],
+                                         domain=(-1.0, 1.0)), label="signs"),
+    ]
+    for curve in curves:
+        est = estimate_A(curve, variant, grid_size)
+        best, s = _estimate_A_per_tuple(curve, variant, grid_size)
+        assert est.constant == best
+        assert est.attained_at["s"] == s
 
 
 def test_estimate_A_validation():

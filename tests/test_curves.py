@@ -57,6 +57,31 @@ def test_oracle_capability_and_domain_errors():
         orc(1.5, 1)
 
 
+def test_oracle_contract():
+    orc = monomial_oracle(4.5, domain=(0.0, 1.0))
+    assert type(orc(0.5, 2)) is float
+    assert type(orc(np.float64(0.5), 2)) is float
+    for bad in (1.5, np.array([0.2, 1.5]), np.array([np.nan, -0.5])):
+        with pytest.raises(DomainError) as err:
+            orc(bad, 1)
+        assert str(err.value) == f"t={bad} outside domain (0.0, 1.0)"
+    empty = orc(np.array([]), 1)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert math.isnan(orc(math.nan, 1))
+    vals = orc(np.array([[0.5, np.nan]]), 1)
+    assert vals.shape == (1, 2)
+    assert vals[0, 0] == orc(0.5, 1) and np.isnan(vals[0, 1])
+    # points within the 1e-12 tolerance of an end are clamped as np.clip
+    # clamps them; fn sees exactly the clamped points
+    ident = DerivativeOracle(domain=(0.0, 2.0), max_order=0,
+                             fn=lambda t, k: t)
+    eps = 2.0 * 1e-9
+    t = np.array([-1e-12, 0.0, 1e-12, 1.0, 2.0 - 1e-12, 2.0, 2.0 + 1e-12])
+    assert np.array_equal(ident(t, 0), np.clip(t, eps, 2.0 - eps))
+    for x in t:
+        assert ident(x, 0) == float(np.clip(x, eps, 2.0 - eps))
+
+
 def test_normalize_domain_rescales_derivatives():
     c = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 2.0)),
                     label="m4")

@@ -1,3 +1,4 @@
+import csv
 import math
 import runpy
 import sys
@@ -322,6 +323,25 @@ def test_shell_scaling_script_prints_every_shell(monkeypatch, capsys):
     for m, line in enumerate(lines[1:]):
         est = sm_measure(3, 1 / 6, m, mc_samples=20000, seed=2).estimate
         assert line.startswith(f"  m={m}: measure {est:.5f}")
+
+
+def test_shrinking_boxes_script_writes_the_table(tmp_path, monkeypatch,
+                                                 capsys):
+    out = tmp_path / "boxes.csv"
+    monkeypatch.setattr(sys, "argv", ["shrinking_boxes.py",
+                                      "--out", str(out)])
+    runpy.run_path(str(SCRIPTS / "shrinking_boxes.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"wrote {out}"
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["m_d", "lambda"]
+    lam = [float(r[1]) for r in rows[1:]]
+    assert len(lam) == 8
+    assert all(b < a for a, b in zip(lam, lam[1:]))
+    # the curve crosses each cube along one axis: lambda ~ m_d^(1/d)
+    slope_line = next(x for x in lines if x.startswith("log-log slope:"))
+    assert abs(float(slope_line.split()[2]) - 1 / 3) <= 0.02
 
 
 def test_check_J_geq_K(rng, quartic_curve):

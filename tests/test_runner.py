@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restriction_lab import vandermonde
 from restriction_lab.cli import main
+from restriction_lab.curves import DerivativeOracle
 from restriction_lab.registry import REGISTRY, get_operation
 from restriction_lab.report import ConfigError, ExperimentConfig, dump_json
 from restriction_lab.runner import (emit_plot_data, load_config, run,
@@ -237,3 +239,34 @@ def test_shipped_configs_cover_every_operation():
         named |= {c["operation"] for c in load_config(
             str(CONFIGS / name)).checks}
     assert named == set(REGISTRY)
+
+
+def test_default_config_oracle_calls_and_points(monkeypatch):
+    # estimate-A asks the oracle once per sweep or evaluation and
+    # psi-lower-bound never; the points asked for stay those of the
+    # per-tuple loop (1,207 calls for the same 13,524 points)
+    seen = {"calls": 0, "points": 0}
+    call = DerivativeOracle.__call__
+
+    def counting(self, t, k):
+        seen["calls"] += 1
+        seen["points"] += np.size(t)
+        return call(self, t, k)
+
+    monkeypatch.setattr(DerivativeOracle, "__call__", counting)
+    run(load_config(str(CONFIGS / "default.json")))
+    assert seen["calls"] <= 600
+    assert seen["points"] == 13524
+
+
+def test_vandermonde_integration_catches_a_scaled_psi(monkeypatch):
+    cfg = load_config(str(CONFIGS / "all_ops.json"))
+    cfg.checks = [c for c in cfg.checks
+                  if c["operation"] == "vandermonde-integration"]
+    assert run(cfg)[0].passed
+    psi = vandermonde.psi
+    monkeypatch.setattr(vandermonde, "psi",
+                        lambda d, t, h: 1.01 * psi(d, t, h))
+    rep = run(cfg)[0]
+    assert not rep.passed
+    assert rep.estimate == pytest.approx(0.01, rel=1e-9)

@@ -136,14 +136,46 @@ def test_tail_ratio_routes_agree(d, h):
 
 
 def test_psi_lower_bound_check(rng):
-    samples = [(0.3, tuple(rng.uniform(0.05, 1.0, size=2)))
-               for _ in range(100)]
-    rep = check_psi_lower_bound(3, samples)
+    rep = check_psi_lower_bound(3, 0.3, rng.uniform(0.05, 1.0, size=(100, 2)))
     assert rep.passed
     assert rep.estimate > 0
     # degenerate samples are excluded, not crashed on
-    rep2 = check_psi_lower_bound(3, [(0.1, (0.5, 0.5)), (0.0, (0.3, 0.3))])
+    rep2 = check_psi_lower_bound(3, [0.1, 0.0], [(0.5, 0.5), (0.0, 0.3)])
     assert rep2.passed
+    assert rep2.witnesses[0]["t"] == 0.1
+    assert rep2.notes == ["skipped 1 degenerate samples with v(h)=0"]
+
+
+def _tail_ratio_per_sample(d, h):
+    """The mean-tail ratio of one gap vector, matrix entries by numpy
+    scalar power: the reference the array route must match bit for bit."""
+    g = GapVector.of(h)
+    s = g.kappa - float(np.mean(g.kappa))
+    cols = []
+    for sj in s:
+        col = [sj ** i / math.factorial(i) for i in range(d - 1)]
+        col.append(max(sj, 0.0) ** (d - 1) / math.factorial(d - 1))
+        cols.append(col)
+    mat = np.array(cols).T
+    if d == 2:
+        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+    else:
+        det = float(np.linalg.det(mat))
+    return det / g.v
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_psi_lower_bound_array_route_equals_per_sample_formula(rng, d):
+    h = rng.uniform(0.05, 1.0, size=(300, d - 1))
+    h[:20] *= 10.0 ** rng.uniform(-2.0, 0.0, size=(20, 1))  # small gaps
+    ref = [_tail_ratio_per_sample(d, row) for row in h]
+    assert [psi_mean_tail_ratio(d, 0.3, row) for row in h] == ref
+    rep = check_psi_lower_bound(d, 0.3, h)
+    k = int(np.argmin(ref))
+    assert rep.estimate == ref[k]
+    assert rep.witnesses == [{"t": 0.3, "h": h[k].tolist(), "ratio": ref[k]}]
+    if d == 2:
+        assert set(ref) == {0.5}
 
 
 def test_vandermonde_integration_identity(rng):
