@@ -118,6 +118,9 @@ def estimate_A(curve: SimpleCurve, variant: str = "GM",
     a, b = curve.domain
     inset = 1e-6 * (b - a)
     grid = _usable_grid(curve, np.linspace(a + inset, b - inset, grid_size))
+    if variant == "GM" and grid[0] <= 0:
+        raise DomainError(f"the GM condition needs positive nodes; the grid "
+                          f"holds t = {float(grid[0])}")
     d = curve.d
     rows = grid[np.array(list(
         combinations_with_replacement(range(len(grid)), d)))]

@@ -83,18 +83,26 @@ def unit_bspline(kappa, u) -> np.ndarray:
     """The unit-mass B-spline M(u; kappa) on knots kappa_1 <= ... <= kappa_d:
     piecewise polynomial of degree d - 2 with integral 1, zero outside
     [kappa_1, kappa_d].  Cox-de Boor recurrence from the interval
-    indicators, the last interval closed."""
+    indicators, the last interval closed.
+
+    ``kappa`` is one knot vector of shape (d,), or knot rows of shape
+    (n, d) against ``u`` of shape (n, ...), row i of ``u`` on knots i.
+    Either way each value has the arithmetic of the one-vector case.
+    """
     kappa = np.asarray(kappa, dtype=float)
     u = np.asarray(u, dtype=float)
-    x = u[..., None]
-    b = ((x >= kappa[:-1]) & (x < kappa[1:])).astype(float)
-    b[..., -1] += u == kappa[-1]
-    for k in range(1, kappa.size - 1):
+    d = kappa.shape[-1]
+    # the knot index leads, and each knot row lines up with its u
+    kappa = kappa.T.reshape(
+        (d,) + kappa.shape[:-1] + (1,) * (u.ndim - kappa.ndim + 1))
+    b = ((u >= kappa[:-1]) & (u < kappa[1:])).astype(float)
+    b[-1] += u == kappa[-1]
+    for k in range(1, d - 1):
         span = kappa[k:] - kappa[:-k]
         inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
-        b = ((x - kappa[:-k - 1]) * inv[:-1] * b[..., :-1]
-             + (kappa[k + 1:] - x) * inv[1:] * b[..., 1:])
-    return b[..., 0] * (kappa.size - 1) / (kappa[-1] - kappa[0])
+        b = ((u - kappa[:-k - 1]) * inv[:-1] * b[:-1]
+             + (kappa[k + 1:] - u) * inv[1:] * b[1:])
+    return b[0] * (d - 1) / (kappa[-1] - kappa[0])
 
 
 def psi(d: int, t, h) -> float | np.ndarray:

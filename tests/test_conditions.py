@@ -116,8 +116,6 @@ def _estimate_A_per_tuple(curve, variant, grid_size):
     return best, [float(x) for x in s]
 
 
-# the GM centre of a tuple with a negative node is NaN
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log")
 @pytest.mark.parametrize("grid_size", [6, 10])
 @pytest.mark.parametrize("variant", ["AM", "GM"])
 def test_estimate_A_array_route_equals_per_tuple_loop(variant, grid_size):
@@ -128,14 +126,26 @@ def test_estimate_A_array_route_equals_per_tuple_loop(variant, grid_size):
         SimpleCurve(d=3, phi=poly_oracle([0, 0, 0, 0.5, 1.0, 0.3],
                                          domain=(0.0, 1.0)), label="poly"),
         build_flattened(quartic, "exp"),
-        SimpleCurve(d=3, phi=poly_oracle([0, 0, 0, 1.0, 0.1],
-                                         domain=(-1.0, 1.0)), label="signs"),
     ]
+    if variant == "AM":  # GM rejects a domain through 0 (test below)
+        curves.append(SimpleCurve(d=3, phi=poly_oracle(
+            [0, 0, 0, 1.0, 0.1], domain=(-1.0, 1.0)), label="signs"))
     for curve in curves:
         est = estimate_A(curve, variant, grid_size)
         best, s = _estimate_A_per_tuple(curve, variant, grid_size)
         assert est.constant == best
         assert est.attained_at["s"] == s
+
+
+def test_estimate_A_GM_rejects_nonpositive_nodes():
+    # the GM centre of a nonpositive node is undefined; the sup used to be
+    # taken silently over the positive nodes only (1.0649477893954908)
+    c = SimpleCurve(d=3, phi=poly_oracle([0, 0, 0, 1.0, 0.1],
+                                         domain=(-1.0, 1.0)), label="signs")
+    with pytest.raises(DomainError, match=r"GM condition needs positive "
+                       r"nodes; the grid holds t = -0\.99999"):
+        estimate_A(c, "GM", 10)
+    assert estimate_A(c, "AM", 10).constant > 1.0
 
 
 def test_estimate_A_validation():

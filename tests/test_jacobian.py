@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restriction_lab.curves import (SimpleCurve, expflat_oracle,
-                                    monomial_oracle, poly_oracle)
+from restriction_lab import jacobian
+from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
+                                    expflat_oracle, monomial_oracle,
+                                    poly_oracle)
 from restriction_lab.jacobian import (check_offspring_closure,
                                       estimate_sigma, jacobian_at_nodes,
                                       jacobian_direct, jacobian_integral,
@@ -15,8 +17,9 @@ from restriction_lab.jacobian import (check_offspring_closure,
                                       offspring_decomposition,
                                       offspring_point, sample_admissible,
                                       sigma_ratio, weight_product_bound)
+from restriction_lab.quadrature import QuadratureError, gl_nodes
 from restriction_lab.report import DomainError
-from restriction_lab.vandermonde import GapVector
+from restriction_lab.vandermonde import GapVector, unit_bspline
 
 gaps = st.floats(0.02, 0.4)
 
@@ -202,3 +205,243 @@ def test_weight_product_bound(rng, quartic_curve):
     rep = weight_product_bound(quartic_curve, us)
     assert rep.passed
     assert rep.estimate <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched sigma sweep against the per-sample loop it replaced
+
+
+def _ref_unit_bspline(kappa, u):
+    """unit_bspline on one knot vector, as written before knot rows."""
+    x = u[..., None]
+    b = ((x >= kappa[:-1]) & (x < kappa[1:])).astype(float)
+    b[..., -1] += u == kappa[-1]
+    for k in range(1, kappa.size - 1):
+        span = kappa[k:] - kappa[:-k]
+        inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        b = ((x - kappa[:-k - 1]) * inv[:-1] * b[..., :-1]
+             + (kappa[k + 1:] - x) * inv[1:] * b[..., 1:])
+    return b[..., 0] * (kappa.size - 1) / (kappa[-1] - kappa[0])
+
+
+def _ref_spline_mean(curve, t, kappa, rel_tol=1e-9):
+    """The B-spline mean of one sample, as the per-sample loop took it."""
+    lo, hi = kappa[:-1], kappa[1:]
+    total, density = 0.0, None
+    for _ in range(60):
+        x1, w1 = gl_nodes(lo, hi, 8)
+        x2, w2 = gl_nodes(lo, hi, 16)
+        x = np.concatenate((x1, x2), axis=-1)
+        f = _ref_unit_bspline(kappa, x) * curve.phi(t + x, curve.d)
+        coarse = np.sum(w1 * f[..., :8], axis=-1)
+        terms = w2 * f[..., 8:]
+        fine, mass = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+        if density is None:
+            density = float(np.sum(mass)) / float(kappa[-1] - kappa[0])
+        done = np.abs(fine - coarse) <= rel_tol * np.maximum(
+            mass, density * (hi - lo))
+        total += float(np.sum(fine[done]))
+        lo, hi = lo[~done], hi[~done]
+        if not lo.size:
+            return total
+        if lo.size > 512:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    raise QuadratureError(f"B-spline mean did not converge (d={curve.d}, "
+                          f"t={t}, kappa={kappa.tolist()})")
+
+
+def _ref_estimate_sigma(curve, unit_samples, floor=1e-12):
+    """The per-sample estimate_sigma loop: (estimate, witness, excluded).
+    A node product that underflows to 0 is excluded, as the sweep does
+    (the loop divided by it)."""
+    d = curve.d
+    a, b = curve.domain
+    best, best_sample, excluded = math.inf, None, 0
+    for u in unit_samples:
+        u = np.asarray(u, float)
+        h_max = (b - a) / d
+        h = 1e-3 + u[1:] * (h_max - 1e-3)
+        t = a + float(u[0]) * max(b - a - float(np.sum(h)), 0.0)
+        g = GapVector.of(h)
+        if g.v < floor:
+            excluded += 1
+            continue
+        phid = curve.phi(t + g.kappa, d)
+        if np.any(phid < 0):
+            raise DomainError(f"sigma_ratio needs phi^({d}) >= 0, got "
+                              f"{float(phid.min())!r} at t={t}, "
+                              f"h={list(g.h)}")
+        prod = float(np.prod(phid))
+        if np.any(phid == 0) or prod == 0.0:
+            excluded += 1
+            continue
+        r = _ref_spline_mean(curve, t, g.kappa) / (
+            math.prod(math.factorial(i) for i in range(1, d))
+            * prod ** (1.0 / d))
+        if r < best:
+            best, best_sample = r, {"t": t, "h": list(g.h), "ratio": r}
+    return (best if best_sample else None), best_sample, excluded
+
+
+def _sweep_result(rep):
+    excluded = 0
+    for note in rep.notes:
+        if note.startswith("excluded "):
+            excluded = int(note.split()[1])
+    return rep.estimate, (rep.witnesses or [None])[0], excluded
+
+
+def _positive_poly(d, scale=1.0):
+    return [0.0] * d + [c * scale / math.factorial(d + j)
+                        for j, c in enumerate((1.3, 0.7, 1.9))]
+
+
+SWEEP_CURVES = [
+    *(SimpleCurve(d=d, phi=poly_oracle(_positive_poly(d), domain=(0.0, 12.0)),
+                  label="poly") for d in (2, 3, 4, 5)),
+    *(SimpleCurve(d=d, phi=monomial_oracle(d + 1.5, domain=(0.0, 1.0)),
+                  label="monomial") for d in (2, 3, 4, 5)),
+    # phi^(d) underflows at nodes near 0, and at d = 5 its product too
+    SimpleCurve(d=2, phi=expflat_oracle(1.0, domain=(0.0, 0.4)), label="ef"),
+    SimpleCurve(d=5, phi=expflat_oracle(3.0, domain=(0.0, 0.4)), label="ef"),
+    offspring_curve(SimpleCurve(d=4, phi=poly_oracle(
+        _positive_poly(4), domain=(0.0, 12.0)), label="poly"),
+        (0.2, 0.1, 0.3)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 37, 200])
+@pytest.mark.parametrize("curve", SWEEP_CURVES,
+                         ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
+def test_estimate_sigma_sweep_equals_per_sample_loop(curve, n):
+    units = np.random.default_rng(100 + n).uniform(size=(n, curve.d))
+    assert _sweep_result(estimate_sigma(curve, units)) == (
+        _ref_estimate_sigma(curve, units))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_estimate_sigma_sweep_equals_loop_sample_by_sample(d):
+    # each one-sample sweep reports its own ratio, so every row's
+    # arithmetic shows (numpy's array power would differ in some)
+    curve = SimpleCurve(d=d, phi=monomial_oracle(d + 1.5, domain=(0.0, 1.0)),
+                        label="monomial")
+    for u in np.random.default_rng(d).uniform(size=(60, 1, d)):
+        assert _sweep_result(estimate_sigma(curve, u)) == (
+            _ref_estimate_sigma(curve, u))
+
+
+def test_estimate_sigma_sweep_skips_a_nan_ratio():
+    # phi'' is NaN at the clamped left end only: the first sample's ratio
+    # is NaN, and a NaN never wins the minimum
+    curve = SimpleCurve(d=2, phi=DerivativeOracle(
+        domain=(0.0, 1.0), max_order=5,
+        fn=lambda t, k: np.where(t < 1e-6, np.nan, 1.0 + t)), label="x")
+    units = np.array([[0.0, 0.5], [0.3, 0.5], [0.6, 0.2]])
+    est, witness, excluded = _sweep_result(estimate_sigma(curve, units))
+    assert est == est and witness["t"] > 0 and excluded == 0
+    assert (est, witness, excluded) == _ref_estimate_sigma(curve, units)
+
+
+def test_estimate_sigma_sweep_counts_underflowed_products():
+    curve = SimpleCurve(d=5, phi=expflat_oracle(3.0, domain=(0.0, 0.4)),
+                        label="ef")
+    units = np.random.default_rng(7).uniform(size=(200, 5))
+    t, h = sample_admissible(curve, units)
+    kappa = np.concatenate((np.zeros((200, 1)), np.cumsum(h, axis=1)), axis=1)
+    phid = curve.phi(t[:, None] + kappa, 5)
+    product_only = (np.prod(phid, axis=1) == 0) & np.all(phid > 0, axis=1)
+    assert product_only.any()  # each node positive, the product 0
+    est, _, excluded = _sweep_result(estimate_sigma(curve, units))
+    assert excluded >= product_only.sum() and est > 0
+
+
+def test_estimate_sigma_sweep_bisects_like_the_loop(monkeypatch):
+    # phi^(3) of t^3.5 is 13.1 t^0.5: rows with t near 0 bisect
+    curve = SimpleCurve(d=3, phi=monomial_oracle(3.5, domain=(0.0, 1.0)),
+                        label="m")
+    units = np.random.default_rng(3).uniform(size=(40, 3))
+    units[::7, 0] *= 1e-3
+    bisected = []
+    bisect = jacobian._bisect_mean
+    monkeypatch.setattr(jacobian, "_bisect_mean", lambda *a: bisected.append(
+        a[1]) or bisect(*a))
+    assert _sweep_result(estimate_sigma(curve, units)) == (
+        _ref_estimate_sigma(curve, units))
+    assert bisected
+
+
+def _messages(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _nan_then_negative(t, k):
+    # phi^(3) NaN on (0.245, 0.255), so a panel over it never converges,
+    # and negative beyond 0.9
+    t = np.asarray(t, float)
+    return np.where(np.abs(t - 0.25) < 0.005, np.nan,
+                    np.where(t > 0.9, -1.0, 1.0 + t))
+
+
+@pytest.mark.parametrize("rows", [(0, 1), (1, 0), (2, 1), (1, 2)])
+def test_estimate_sigma_sweep_raises_at_the_first_failing_sample(rows):
+    curve = SimpleCurve(d=3, phi=DerivativeOracle(
+        domain=(0.0, 1.0), max_order=5, fn=_nan_then_negative), label="x")
+    # t = 0.1: its first panel spans the NaNs (QuadratureError); t = 0.3:
+    # its last node is beyond 0.9 (DomainError); t beyond the domain
+    # (the oracle's DomainError)
+    kinds = np.array([[0.3, 1.0, 1.0], [0.9, 1.0, 1.0], [1.5, 0.5, 0.5]])
+    units = np.vstack([np.full((5, 3), 0.05), kinds[list(rows)]])
+    got = _messages(lambda: estimate_sigma(curve, units))
+    assert got is not None
+    assert got == _messages(lambda: _ref_estimate_sigma(curve, units))
+    assert got[0] is {0: QuadratureError, 1: DomainError,
+                      2: DomainError}[rows[0]]
+
+
+def test_unit_bspline_knot_rows_equal_one_row_calls():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4, 5):
+        kappa = np.concatenate((np.zeros((9, 1)), np.cumsum(
+            rng.uniform(0.0, 1.0, size=(9, d - 1)), axis=1)), axis=1)
+        kappa[0, 1:] = kappa[0, 1]  # coincident knots
+        u = rng.uniform(-0.1, 1.1, size=(9, 3, 7)) * kappa[:, -1, None, None]
+        u[1, 0, 0] = kappa[1, -1]  # the closed right end
+        rows = unit_bspline(kappa, u)
+        for i in range(9):
+            assert np.array_equal(rows[i], unit_bspline(kappa[i], u[i]),
+                                  equal_nan=True)
+            assert np.array_equal(rows[i], _ref_unit_bspline(kappa[i], u[i]),
+                                  equal_nan=True)
+
+
+def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
+    curve = SimpleCurve(d=5, phi=poly_oracle(_positive_poly(5),
+                                             domain=(0.0, 12.0)), label="p")
+    units = np.random.default_rng(11).uniform(size=(200, 5))
+    seen = {"calls": 0, "points": 0}
+    call = DerivativeOracle.__call__
+
+    def counting(self, t, k):
+        seen["calls"] += 1
+        seen["points"] += np.size(t)
+        return call(self, t, k)
+
+    monkeypatch.setattr(DerivativeOracle, "__call__", counting)
+    _ref_estimate_sigma(curve, units)
+    loop = dict(seen)
+    counts = []
+    for _ in range(2):
+        seen.update(calls=0, points=0)
+        estimate_sigma(curve, units)
+        counts.append(dict(seen))
+    assert counts[0] == counts[1]
+    # one call for the nodes, one per block; no row bisects here
+    assert counts[0]["calls"] <= math.ceil(200 / jacobian._MEAN_BLOCK) + 1
+    assert counts[0]["points"] == loop["points"] == 200 * 5 + 200 * 4 * 24
+    assert loop["calls"] == 400

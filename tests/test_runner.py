@@ -82,6 +82,38 @@ def test_estimate_sigma_excludes_underflowed_samples(seed):
         " near-degenerate samples")
 
 
+EXP_FLAT_5 = {"kind": "exp-flat", "beta": 3.0, "d": 5, "domain": [0.0, 0.4]}
+
+
+@pytest.mark.parametrize("check", [
+    {"operation": "estimate-sigma"},
+    {"operation": "offspring-closure", "h": [0.01, 0.01, 0.01, 0.01]}])
+def test_sigma_excludes_underflowed_node_products(check):
+    # phi^(5) of exp(-t^-3) can be positive at every node while its
+    # product over the nodes underflows to 0; such samples are excluded,
+    # where they once ended the check in a ZeroDivisionError
+    (rep,) = run(_config([{**check, "curve": EXP_FLAT_5}], seed=1))
+    assert rep.estimate is not None and rep.estimate > 0
+    assert not any("Error" in note for note in rep.notes), rep.notes
+    if check["operation"] == "estimate-sigma":
+        assert rep.passed
+        (note,) = rep.notes
+        assert note.startswith("excluded ") and note.endswith(
+            " near-degenerate samples")
+
+
+def test_weight_product_bound_without_admissible_sample_is_inconclusive():
+    # phi''' of 1 - t/2 - t^2/2 is 0: every sample is excluded, and the
+    # check once ended in a TypeError on the missing sigma estimate
+    (rep,) = run(_config([{
+        "operation": "weight-product-bound",
+        "curve": {"kind": "poly-phi", "coeffs": [1, -0.5, -0.5, 0, 0],
+                  "d": 3, "domain": [-1.0, 1.0]}}], seed=1))
+    assert not rep.passed
+    assert rep.estimate is None
+    assert rep.notes == ["inconclusive: no admissible sample"]
+
+
 def test_report_payload_reproducible():
     cfg = _config([PSI_CHECK, {"operation": "exponent-identities", "d": 3}])
     p1 = report_payload(cfg, run(cfg))
