@@ -13,7 +13,7 @@ import csv
 import numpy as np
 
 from restriction_lab.curves import curve_from_spec
-from restriction_lab.geometry import estimate_alpha_B, shrink_family, _curve_points
+from restriction_lab.geometry import estimate_alpha_B, shrink_family
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
 
     curve = curve_from_spec({"kind": "monomial", "beta": args.beta,
                              "d": args.d, "domain": [0.0, 1.0]})
-    center = _curve_points(curve, np.array([args.t0]))[0]
+    center = curve.jet(np.array([args.t0]))[0]
     family = shrink_family(center, 1.0, args.count)
     rep = estimate_alpha_B(curve, family, args.alpha)
 

@@ -65,13 +65,14 @@ def _ratio_at(curve: SimpleCurve, rows: np.ndarray,
 
 
 def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
-                   width: float, sweeps: int = 2, iters: int = 40):
+                   width: float):
     """Coordinate-wise golden-section ascent around the best grid sample,
-    keeping the tuple ordered."""
+    keeping the tuple ordered: 2 sweeps over the coordinates, 40 section
+    steps each."""
     a_dom, b_dom = curve.domain
     s = s.copy()
     best = float(_ratio_at(curve, s[None], variant)[0])
-    for _ in range(sweeps):
+    for _ in range(2):
         for i in range(len(s)):
             lo = max(a_dom, s[i] - width, s[i - 1] if i > 0 else a_dom)
             hi = min(b_dom, s[i] + width,
@@ -87,7 +88,7 @@ def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
                 return float(_ratio_at(curve, t[None], variant)[0])
 
             f1, f2 = val(x1), val(x2)
-            for _ in range(iters):
+            for _ in range(40):
                 if f1 < f2:
                     lo, x1, f1 = x1, x2, f2
                     x2 = lo + _GOLDEN * (hi - lo)

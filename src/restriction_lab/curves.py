@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .report import (CapabilityError, CheckReport, ConfigError, DomainError,
-                     reject_unknown_keys)
+                     reject_unknown_keys, worst_index)
 
 DEFAULT_MAX_D = 5
 # oracles clamp evaluation points this far (relative to the domain
@@ -85,6 +85,18 @@ class SimpleCurve:
     def domain(self) -> tuple[float, float]:
         return self.phi.domain
 
+    def jet(self, t, k: int = 0):
+        """gamma^(k)(t) on the last axis: t^(j-k)/(j-k)! for j = 1..d-1
+        (0 for j < k), then phi^(k)(t).
+
+        ``t`` is used as given: a float, a numpy scalar or an array each
+        keeps its own power arithmetic, and a scalar t gives shape (d,).
+        """
+        cols = [t ** (j - k) / math.factorial(j - k) if j >= k
+                else np.zeros(np.shape(t)) for j in range(1, self.d)]
+        cols.append(self.phi(t, k))
+        return np.stack(cols, axis=-1) if np.ndim(t) else np.array(cols)
+
 
 @dataclass(frozen=True)
 class HomogeneousCurve:
@@ -105,16 +117,13 @@ class HomogeneousCurve:
     def d(self) -> int:
         return len(self.exponents)
 
-    @property
-    def homogeneous_dimension(self) -> float:
-        return float(sum(self.exponents))
-
-    def point(self, t):
+    def jet(self, t, k: int = 0):
+        """gamma^(k)(t) on the last axis, t taken as a float array: the
+        powers t^a broadcast against all exponents for k = 0, and one
+        falling-factorial column c * t^(a-k) per exponent for k >= 1."""
         t = np.asarray(t, dtype=float)
-        return np.stack([t ** a for a in self.exponents], axis=-1)
-
-    def derivative(self, t, k: int):
-        t = np.asarray(t, dtype=float)
+        if k == 0:
+            return t[..., None] ** np.asarray(self.exponents, dtype=float)
         cols = []
         for a in self.exponents:
             c = 1.0
@@ -122,24 +131,6 @@ class HomogeneousCurve:
                 c *= (a - i)
             cols.append(c * t ** (a - k))
         return np.stack(cols, axis=-1)
-
-
-def evaluate_curve(curve: SimpleCurve, t: float, k: int = 0) -> np.ndarray:
-    """gamma^(k)(t) as a length-d vector.
-
-    The first d-1 components follow the polynomial pattern; the last is
-    phi^(k)(t).
-    """
-    d = curve.d
-    if k > d:
-        raise CapabilityError(f"k={k} > d={d}")
-    a, b = curve.domain
-    out = np.zeros(d)
-    for j in range(1, d):  # component j is t^j / j!
-        if j >= k:
-            out[j - 1] = float(t) ** (j - k) / math.factorial(j - k)
-    out[d - 1] = curve.phi(t, k)
-    return out
 
 
 def affine_weight(curve, t):
@@ -155,56 +146,46 @@ def affine_weight(curve, t):
     if isinstance(curve, SimpleCurve):
         return np.abs(curve.phi(t, d)) ** expo
     # columns gamma'(t), ..., gamma^(d)(t), one matrix per point
-    frame = np.stack([curve.derivative(t, k) for k in range(1, d + 1)],
-                     axis=-1)
+    frame = np.stack([curve.jet(t, k) for k in range(1, d + 1)], axis=-1)
     return np.abs(np.linalg.det(frame)) ** expo
 
 
-def normalize_domain(curve: SimpleCurve) -> SimpleCurve:
-    """Rescale so the domain right endpoint is 1: phi -> phi(b*t)."""
-    a, b = curve.domain
-    if not np.isfinite(b):
-        raise ConfigError("cannot normalize a curve with infinite right endpoint")
-    if b == 1.0:
-        return curve
-    base = curve.phi
-
-    def fn(t, k):
-        return b ** k * base.fn(np.asarray(t) * b, k)
-
-    phi = DerivativeOracle(domain=(a / b, 1.0), max_order=base.max_order,
-                           fn=fn)
-    return SimpleCurve(d=curve.d, phi=phi, label=curve.label + "-normalized")
-
-
-def validate_monotone(curve: SimpleCurve, grid_size: int = 64,
-                      tolerance: float = 1e-12) -> CheckReport:
-    """Check that phi', ..., phi^(d) are nonnegative and nondecreasing on a grid."""
+def validate_monotone(curve: SimpleCurve, grid_size: int = 64) -> CheckReport:
+    """Check that phi', ..., phi^(d) are nonnegative and nondecreasing on a
+    grid.  A NaN derivative on the grid fails the check, with a note naming
+    its order and first t."""
+    tolerance = 1e-12
     if grid_size < 2:
         raise ConfigError("grid_size must be >= 2")
     a, b = curve.domain
     grid = np.linspace(a, b, grid_size)
-    min_val = math.inf
-    min_diff = math.inf
+    values, increments = [], []
     witnesses = []
+    notes = []
     for k in range(1, curve.d + 1):
         vals = curve.phi(grid, k)
+        nan = np.flatnonzero(np.isnan(vals))
+        if nan.size:
+            notes.append(f"phi^({k}) is NaN at t = {float(grid[nan[0]])!r}")
+            continue
         mv = float(np.min(vals))
         md = float(np.min(np.diff(vals)))
-        if mv < min_val:
-            min_val = mv
-        if md < min_diff:
-            min_diff = md
+        values.append(mv)
+        increments.append(md)
         witnesses.append({"order": k, "min_value": mv, "min_increment": md})
-    passed = min_val >= -tolerance and min_diff >= -tolerance
+    # the lowest minimum, a value before an increment on a tie
+    lows = values + increments
+    i = worst_index([-x for x in lows])
+    lowest = None if i is None else lows[i]
     return CheckReport(
         check_id="validate_monotone",
         parameters={"d": curve.d, "grid_size": grid_size, "curve": curve.label},
-        estimate=min(min_val, min_diff),
+        estimate=lowest,
         bound=0.0,
         tolerance=tolerance,
-        passed=passed,
+        passed=not notes and lowest >= -tolerance,
         witnesses=witnesses,
+        notes=notes,
     )
 
 
@@ -281,16 +262,14 @@ def expflat_phi_derivative(beta: float, k: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def expflat_oracle(beta: float, domain=(0.0, 1.0),
-                   max_order: int | None = None) -> DerivativeOracle:
+def expflat_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
     """phi(t) = exp(-t^{-beta})."""
-    if max_order is None:
-        max_order = DEFAULT_MAX_D
 
     def fn(t, k):
         return expflat_phi_derivative(beta, k, t)
 
-    return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
+    return DerivativeOracle(domain=tuple(domain), max_order=DEFAULT_MAX_D,
+                            fn=fn)
 
 
 def finite_difference(oracle: DerivativeOracle, t: float, k: int,

@@ -16,9 +16,10 @@ from itertools import combinations
 import numpy as np
 
 from .conditions import _validate_alpha
-from .curves import HomogeneousCurve, SimpleCurve, validate_monotone
-from .jacobian import jacobian_at_nodes
-from .report import CheckReport, ConfigError, DomainError
+from .curves import SimpleCurve, validate_monotone
+from .jacobian import jacobian_integral
+from .report import CheckReport, ConfigError, DomainError, worst_index
+from .vandermonde import vandermonde
 
 
 @dataclass(frozen=True)
@@ -75,49 +76,37 @@ def cube(center, side: float) -> Parallelepiped:
     return Parallelepiped.of(center - side / 2.0, side * np.eye(d))
 
 
-def shrink_family(center, side0: float, count: int,
-                  ratio: float = 0.5) -> list[Parallelepiped]:
-    """Dyadic (by default) family of cubes shrinking onto ``center``."""
+def shrink_family(center, side0: float, count: int) -> list[Parallelepiped]:
+    """Dyadic family of cubes shrinking onto ``center``."""
     if count < 1:
         raise ConfigError("count must be >= 1")
-    return [cube(center, side0 * ratio ** i) for i in range(count)]
+    return [cube(center, side0 * 0.5 ** i) for i in range(count)]
 
 
-def _curve_points(curve, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(curve, HomogeneousCurve):
-        a = np.asarray(curve.exponents, dtype=float)
-        return ts[:, None] ** a
-    d = curve.d
-    cols = [ts ** j / math.factorial(j) for j in range(1, d)]
-    cols.append(curve.phi(ts, 0))
-    return np.stack(cols, axis=-1)
-
-
-# points of the coarse membership scan in lambda_measure
+# points of the coarse membership scan in lambda_measure, and the total
+# width to which its crossings are bisected
 _COARSE = 4096
+_TOL = 1e-8
 
 
-def lambda_measure(curve, E: Parallelepiped, tol: float = 1e-8,
-                   coarse: int = _COARSE) -> float:
+def lambda_measure(curve, E: Parallelepiped) -> float:
     """Lebesgue measure of {t in (a,b): gamma(t) in E}.
 
     Membership is scanned on a coarse grid; each transition is then
-    bracketed by bisection to width tol / (number of crossings).
+    bracketed by bisection to width _TOL / (number of crossings).
     """
-    return _lambda_measures(curve, [E], tol, coarse)[0]
+    return _lambda_measures(curve, [E])[0]
 
 
-def _lambda_measures(curve, family, tol: float,
-                     coarse: int) -> list[float]:
+def _lambda_measures(curve, family) -> list[float]:
     """lambda_measure of each box of ``family``, with the curve evaluated
     on the coarse grid once for all of them."""
     a, b = curve.domain
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ConfigError("lambda_measure needs a bounded domain")
-    ts = np.linspace(a, b, coarse + 1)
-    pts = _curve_points(curve, ts)
-    return [_occupation(curve, E, tol, ts, pts) for E in family]
+    ts = np.linspace(a, b, _COARSE + 1)
+    pts = curve.jet(ts)
+    return [_occupation(curve, E, _TOL, ts, pts) for E in family]
 
 
 def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
@@ -131,7 +120,7 @@ def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
     active = np.flatnonzero(hi - lo > width_target)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        to_lo = E.contains(_curve_points(curve, mid)) == lo_in[active]
+        to_lo = E.contains(curve.jet(mid)) == lo_in[active]
         lo[active[to_lo]] = mid[to_lo]
         hi[active[~to_lo]] = mid[~to_lo]
         active = active[hi[active] - lo[active] > width_target]
@@ -146,29 +135,24 @@ def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
     return float(total)
 
 
-def estimate_alpha_B(curve, family, alpha: float,
-                     tol: float = 1e-8) -> CheckReport:
+def estimate_alpha_B(curve, family, alpha: float) -> CheckReport:
     """B_est = sup over the family of lambda(E) / m_d(E)^alpha."""
     family = list(family)
     if not family:
         raise ConfigError("parallelepiped family is empty")
     _validate_alpha(curve.d, alpha)
-    best = -math.inf
-    best_E = None
     series = []
-    for E, lam in zip(family, _lambda_measures(curve, family, tol, _COARSE)):
+    for E, lam in zip(family, _lambda_measures(curve, family)):
         md = E.volume
-        ratio = lam / md ** alpha
-        series.append({"m_d": md, "lambda": lam, "ratio": ratio})
-        if ratio > best:
-            best = ratio
-            best_E = E
+        series.append({"m_d": md, "lambda": lam, "ratio": lam / md ** alpha})
+    i = worst_index([row["ratio"] for row in series])
+    best = series[i]["ratio"]
     return CheckReport(
         check_id="estimate_alpha_B",
         parameters={"d": curve.d, "alpha": alpha, "family_size": len(family)},
         estimate=best,
         passed=math.isfinite(best),
-        witnesses=[best_E.to_dict()],
+        witnesses=[family[i].to_dict()],
         series=series,
     )
 
@@ -201,17 +185,8 @@ def _chain_step(prev: Parallelepiped, anchor: np.ndarray,
     return Parallelepiped(base=anchor + h * base, edges=h * edges)
 
 
-def _derivative_tail(curve: SimpleCurve, s: np.ndarray, k: int) -> np.ndarray:
-    """Last k coordinates of gamma^(d-k)(s): (s, ..., s^{k-1}/(k-1)!,
-    phi^(d-k)(s))."""
-    cols = [s ** j / math.factorial(j) for j in range(1, k)]
-    cols.append(curve.phi(s, curve.d - k))
-    return np.stack(cols, axis=-1)
-
-
 def lemma1_chain(curve: SimpleCurve, t: float, h: float,
-                 n_samples: int = 1000,
-                 containment_tol: float = 1e-9) -> tuple[list, CheckReport]:
+                 n_samples: int = 1000) -> tuple[list, CheckReport]:
     """Build the nested trapping parallelepipeds E_{d-2}, ..., E_0 for the
     segment [t, t+h] and verify, in order: rho >= 0, sampled containment
     at every level, the exact measure recursion m_k = h^k * m_{k-1}, and
@@ -219,6 +194,7 @@ def lemma1_chain(curve: SimpleCurve, t: float, h: float,
     """
     d = curve.d
     a, b = curve.domain
+    containment_tol = 1e-9
     if h <= 0:
         raise ConfigError("h must be positive")
     if t < a or t + h > b:
@@ -250,15 +226,13 @@ def lemma1_chain(curve: SimpleCurve, t: float, h: float,
     recursion_err = 0.0
     for k in range(2, d + 1):
         if k > 2:
-            anchor = np.array(
-                [t ** j / math.factorial(j) for j in range(1, k)]
-                + [curve.phi(t, d - k)])
-            E = _chain_step(chain[-1], anchor, h)
+            # the last k coordinates of gamma^(d-k)(t)
+            E = _chain_step(chain[-1], curve.jet(t, d - k)[d - k:], h)
             chain.append(E)
             rec = abs(E.volume - h ** k * chain[-2].volume)
             recursion_err = max(
                 recursion_err, rec / max(E.volume, 1e-300))
-        pts = _derivative_tail(curve, s_grid, k)
+        pts = curve.jet(s_grid, d - k)[..., d - k:]
         ok = np.asarray(E.contains(pts, tol=containment_tol))
         if not np.all(ok):
             passed = False
@@ -291,27 +265,26 @@ def lemma1_chain(curve: SimpleCurve, t: float, h: float,
 
 
 def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
-                      B_est: float, tolerance: float = 1e-9) -> CheckReport:
+                      B_est: float) -> CheckReport:
     """B^{-1/alpha} (s-t)^{1/alpha + 1 - d(d+1)/2} <=
     phi^(d-1)(s) - phi^(d-1)(t) at every sampled pair, plus the
     occupation cross-check lambda(E_0) >= h on the sampled chains."""
     d = curve.d
     _validate_alpha(d, alpha)
+    tolerance = 1e-9
     expo = 1.0 / alpha + 1 - d * (d + 1) / 2.0
-    worst = math.inf
-    witnesses = []
-    passed = True
+    margins, pairs = [], []
     for t, s in samples:
         if not t < s:
             raise ConfigError("samples must satisfy t < s")
         lhs = B_est ** (-1.0 / alpha) * (s - t) ** expo
         rhs = curve.phi(s, d - 1) - curve.phi(t, d - 1)
-        margin = rhs - lhs
-        if margin < worst:
-            worst = margin
-            witnesses = [{"t": t, "s": s, "lhs": lhs, "rhs": rhs}]
-        if margin < -tolerance:
-            passed = False
+        margins.append(rhs - lhs)
+        pairs.append({"t": t, "s": s, "lhs": lhs, "rhs": rhs})
+    i = worst_index([-m for m in margins])
+    worst = margins[i]
+    witnesses = [pairs[i]]
+    passed = bool(worst >= -tolerance)
     # occupation cross-check on the first sample's chain
     t0, s0 = min(samples, key=lambda p: p[1] - p[0])
     chain, chain_rep = lemma1_chain(curve, t0, s0 - t0, n_samples=200)
@@ -339,11 +312,8 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
 
 def u_of(h) -> float:
     """prod over pairs of |h_i - h_j| with the h_d = 0 convention."""
-    hh = np.concatenate([np.asarray(h, dtype=float), [0.0]])
-    out = 1.0
-    for i, j in combinations(range(hh.size), 2):
-        out *= abs(hh[i] - hh[j])
-    return out
+    return abs(vandermonde(np.concatenate([np.asarray(h, dtype=float),
+                                           [0.0]])))
 
 
 def K_of(h, alpha: float) -> float:
@@ -404,14 +374,14 @@ def K_u_geometry(h, alpha: float,
     u = u_of(h)
     K = K_of(h, alpha)
     deg = 1.0 / alpha - d
-    worst = 0.0
+    errs = []
     for lam in scales:
         if K == 0:
-            err = abs(K_of(lam * h, alpha))
+            errs.append(abs(K_of(lam * h, alpha)))
         else:
-            err = abs(K_of(lam * h, alpha) - lam ** deg * K) / (
-                lam ** deg * K)
-        worst = max(worst, err)
+            errs.append(abs(K_of(lam * h, alpha) - lam ** deg * K) / (
+                lam ** deg * K))
+    worst = errs[worst_index(errs)]
     rep = CheckReport(
         check_id="K_u_geometry",
         parameters={"d": d, "alpha": alpha, "h": h.tolist(),
@@ -425,6 +395,8 @@ def K_u_geometry(h, alpha: float,
     return u, K, rep
 
 
+# side of the box [0, BOX_SIDE]^{d-1} that the K-shell sampler draws from
+BOX_SIDE = 10.0
 # rows per block of the K-shell sampler: a block's columns and kernel
 # scratch (1.3 MB at d = 4) fit in a 2 MB L2 cache.  The block size
 # changes no estimate: PCG64 spends one 64-bit word per double, so
@@ -434,11 +406,10 @@ _SM_BLOCK = 32_768
 
 
 def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
-              seed: int = 7,
-              box_side: float = 10.0) -> tuple[list[float], list[int]]:
+              seed: int = 7) -> tuple[list[float], list[int]]:
     """Monte Carlo measures and hit counts of the shells
     {h >= 0: 2^{-m-1} < K(h) <= 2^{-m}}, m = 0..m_max, inside
-    [0, box_side]^{d-1}, all from one seeded draw of ``mc_samples`` gap
+    [0, BOX_SIDE]^{d-1}, all from one seeded draw of ``mc_samples`` gap
     vectors.
 
     The draw is streamed through blocks of ``_SM_BLOCK`` rows: each block
@@ -461,29 +432,29 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
     below = np.empty(block, dtype=bool)
     for start in range(0, mc_samples, block):
         n = min(block, mc_samples - start)
-        # rng.uniform(0, box_side) is box_side * rng.random(), draw by draw
+        # rng.uniform(0, BOX_SIDE) is BOX_SIDE * rng.random(), draw by draw
         rng.random(out=rows[:n])
-        np.multiply(rows[:n].T, box_side, out=cols[:, :n])
+        np.multiply(rows[:n].T, BOX_SIDE, out=cols[:, :n])
         Kn = _K_cols(cols[:, :n], alpha, K[:n], tmp[:n])
         for i, e in enumerate(edges):
             np.less_equal(Kn, e, out=below[:n])
             at_most[i] += np.count_nonzero(below[:n])
     hits = (at_most[:-1] - at_most[1:]).tolist()
-    vol = box_side ** (d - 1)
+    vol = BOX_SIDE ** (d - 1)
     return [vol * h / mc_samples for h in hits], hits
 
 
 def sm_measure(d: int, alpha: float, m: int, mc_samples: int = 4_000_000,
-               seed: int = 7, box_side: float = 10.0) -> CheckReport:
+               seed: int = 7) -> CheckReport:
     """Monte Carlo measure of the shell {h >= 0: 2^{-m-1} < K(h) <= 2^{-m}}
-    inside [0, box_side]^{d-1}."""
+    inside [0, BOX_SIDE]^{d-1}."""
     measures, shell_hits = sm_shells(d, alpha, m, mc_samples=mc_samples,
-                                     seed=seed, box_side=box_side)
+                                     seed=seed)
     est, hits = measures[m], shell_hits[m]
     rep = CheckReport(
         check_id="sm_measure",
         parameters={"d": d, "alpha": alpha, "m": m, "mc_samples": mc_samples,
-                    "seed": seed, "box_side": box_side},
+                    "seed": seed, "box_side": BOX_SIDE},
         estimate=est,
         passed=hits > 0,
         witnesses=[{"hits": hits}],
@@ -501,8 +472,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
     _validate_alpha(d, alpha)
     if sigma_est <= 0:
         raise ConfigError("sigma_est must be positive")
-    c_est = math.inf
-    witness = None
+    consts, kept = [], []
     degenerate = 0
     n = 0
     for s, h in samples:
@@ -513,17 +483,18 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
             degenerate += 1
             continue
         nodes = np.sort(np.concatenate([[s], s + h]))
-        J = jacobian_at_nodes(curve, nodes)
+        J = jacobian_integral(curve, float(nodes[0]), np.diff(nodes))
         c = J / (sigma_est ** (-1.0 / alpha) * K)
-        if c < c_est:
-            c_est = c
-            witness = {"s": float(s), "h": h.tolist(), "J": J, "K": K,
-                       "c": c}
+        consts.append(c)
+        kept.append({"s": float(s), "h": h.tolist(), "J": J, "K": K, "c": c})
+    i = worst_index([-c for c in consts])
+    witness = None if i is None else kept[i]
+    c_est = None if i is None else consts[i]
     rep = CheckReport(
         check_id="check_J_geq_K",
         parameters={"d": d, "alpha": alpha, "sigma_est": sigma_est,
                     "n_samples": n},
-        estimate=None if witness is None else c_est,
+        estimate=c_est,
         bound=0.0,
         passed=bool(witness is not None and c_est > 0),
         witnesses=[witness] if witness else [],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DerivativeOracle, SimpleCurve, evaluate_curve
+from .curves import DerivativeOracle, SimpleCurve
 from .quadrature import QuadratureError, gl_nodes
 from .report import CheckReport, ConfigError, DomainError
 from .vandermonde import (GapVector, factorial_product, unit_bspline,
@@ -29,17 +29,13 @@ def offspring_point(curve: SimpleCurve, t: float, h) -> np.ndarray:
     a, b = curve.domain
     if t < a or t + g.kappa[-1] > b:
         raise DomainError("offspring offsets exit the curve domain")
-    return np.sum([evaluate_curve(curve, t + kj, 0) for kj in g.kappa], axis=0)
+    return np.sum([curve.jet(t + kj) for kj in g.kappa], axis=0)
 
 
 def _node_matrix(curve: SimpleCurve, nodes: np.ndarray) -> np.ndarray:
-    d = curve.d
-    cols = []
-    for sj in nodes:
-        col = [sj ** i / math.factorial(i) for i in range(d - 1)]
-        col.append(curve.phi(float(sj), 1))
-        cols.append(col)
-    return np.array(cols).T
+    """Columns gamma'(s_j), one scalar call per node: an array call moves
+    the determinant by up to 4.7e-12."""
+    return np.array([curve.jet(sj, 1) for sj in nodes]).T
 
 
 def jacobian_direct(curve: SimpleCurve, t: float, h) -> float:
@@ -53,6 +49,9 @@ def jacobian_direct(curve: SimpleCurve, t: float, h) -> float:
 # rows per oracle call of the batched B-spline mean; 64-row blocks
 # raised the settled RSS of a process by about 1 MB
 _MEAN_BLOCK = 16
+# a B-spline mean panel is kept once its 8- and 16-point rules agree to
+# this relative tolerance
+_MEAN_REL_TOL = 1e-9
 
 
 def _panel_rules(curve: SimpleCurve, t, kappa, lo, hi):
@@ -67,14 +66,14 @@ def _panel_rules(curve: SimpleCurve, t, kappa, lo, hi):
     return coarse, terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
-def _spline_means(curve: SimpleCurve, t: np.ndarray, kappa: np.ndarray,
-                  rel_tol: float = 1e-9) -> np.ndarray:
+def _spline_means(curve: SimpleCurve, t: np.ndarray,
+                  kappa: np.ndarray) -> np.ndarray:
     """The B-spline means int phi^(d)(t_i + u) M(u; kappa_i) du of the rows
     t (shape (n,)) and kappa (shape (n, d)).
 
     One Gauss-Legendre rule spans each knot interval at orders 8 and 16,
     for a block of rows per oracle call.  A panel is kept once the two
-    agree to ``rel_tol`` relative to its integral of |phi^(d)| M, or to
+    agree to _MEAN_REL_TOL relative to its integral of |phi^(d)| M, or to
     its width's share of the whole one; a row with a panel left over
     bisects it by itself, which only happens near a singularity of phi.
     """
@@ -85,7 +84,7 @@ def _spline_means(curve: SimpleCurve, t: np.ndarray, kappa: np.ndarray,
         coarse, fine, mass = _panel_rules(curve, tb[:, None, None], kb,
                                           lo, hi)
         density = mass.sum(axis=-1) / (kb[:, -1] - kb[:, 0])
-        done = np.abs(fine - coarse) <= rel_tol * np.maximum(
+        done = np.abs(fine - coarse) <= _MEAN_REL_TOL * np.maximum(
             mass, density[:, None] * (hi - lo))
         # 0.0 + ...: each running total starts at 0.0, which turns -0.0
         # into 0.0
@@ -93,12 +92,11 @@ def _spline_means(curve: SimpleCurve, t: np.ndarray, kappa: np.ndarray,
         for r in np.flatnonzero(~done.all(axis=-1)):
             out[i + r] = _bisect_mean(
                 curve, tb[r], kb[r], lo[r][~done[r]], hi[r][~done[r]],
-                0.0 + float(np.sum(fine[r][done[r]])), density[r], rel_tol)
+                0.0 + float(np.sum(fine[r][done[r]])), density[r])
     return out
 
 
-def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density,
-                 rel_tol):
+def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density):
     """Finish one row of :func:`_spline_means` from its first level: bisect
     the panels [lo, hi] left over, adding each kept panel to ``total``."""
     for _ in range(59):  # 60 levels in all
@@ -107,7 +105,7 @@ def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density,
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         coarse, fine, mass = _panel_rules(curve, t, kappa, lo, hi)
-        done = np.abs(fine - coarse) <= rel_tol * np.maximum(
+        done = np.abs(fine - coarse) <= _MEAN_REL_TOL * np.maximum(
             mass, density * (hi - lo))
         total += float(np.sum(fine[done]))
         lo, hi = lo[~done], hi[~done]
@@ -117,22 +115,14 @@ def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density,
                           f"t={t}, kappa={kappa.tolist()})")
 
 
-def jacobian_integral(curve: SimpleCurve, t: float, h,
-                      rel_tol: float = 1e-9) -> float:
+def jacobian_integral(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t, h) = int phi^(d)(t + u) Psi_d(u; h) du (Hermite-Genocchi):
     v(h) / prod_{i<d} i! times the B-spline mean."""
     g = GapVector.of(h)
     if g.v == 0.0:
         return 0.0
-    mean = _spline_means(curve, np.array([t], dtype=float), g.kappa[None],
-                         rel_tol)
+    mean = _spline_means(curve, np.array([t], dtype=float), g.kappa[None])
     return g.v / factorial_product(curve.d) * float(mean[0])
-
-
-def jacobian_at_nodes(curve: SimpleCurve, nodes) -> float:
-    """J_phi at arbitrary sorted nodes s_1 <= ... <= s_d."""
-    nodes = np.asarray(nodes, dtype=float)
-    return jacobian_integral(curve, float(nodes[0]), np.diff(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +139,10 @@ class OffspringFrame:
     matrix: np.ndarray
     phi_tilde: DerivativeOracle
 
-    def gamma_tilde(self, s: float) -> np.ndarray:
-        out = np.zeros(self.d)
-        for j in range(1, self.d):
-            out[j - 1] = s ** j / math.factorial(j)
-        out[self.d - 1] = self.phi_tilde(s, 0)
-        return out
-
     def reconstruct(self, t: float) -> np.ndarray:
-        return self.shift + self.d * self.matrix @ self.gamma_tilde(t + self.hbar)
+        gamma_tilde = SimpleCurve(d=self.d, phi=self.phi_tilde)
+        return self.shift + self.d * self.matrix @ gamma_tilde.jet(
+            t + self.hbar)
 
 
 def offspring_decomposition(curve: SimpleCurve, h) -> OffspringFrame:
@@ -212,16 +197,17 @@ def offspring_curve(curve: SimpleCurve, h) -> SimpleCurve:
 # the central lower bound
 
 
-def sample_admissible(curve: SimpleCurve, unit: np.ndarray,
-                      h_min: float = 1e-3):
+def sample_admissible(curve: SimpleCurve, unit: np.ndarray):
     """Map a unit-box sample (u_0, ..., u_{d-1}) to an admissible (t, h):
-    gaps in [h_min, (b-a)/d], t spanning [a, b - kappa_d(h)].
+    gaps in [h_min, (b-a)/d] with h_min = 1e-3, t spanning
+    [a, b - kappa_d(h)].
 
     One sample of shape (d,) gives t and its GapVector; samples of shape
     (n, d) give the arrays t, of shape (n,), and h, of shape (n, d - 1).
     """
     a, b = curve.domain
     unit = np.asarray(unit, dtype=float)
+    h_min = 1e-3
     h_max = (b - a) / curve.d
     h = h_min + unit[..., 1:] * (h_max - h_min)
     kd = np.sum(h, axis=-1)
@@ -258,12 +244,11 @@ def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
     return float(mean[0]) / (factorial_product(d) * prod ** (1.0 / d))
 
 
-def estimate_sigma(curve: SimpleCurve, unit_samples,
-                   degenerate_floor: float = 1e-12) -> CheckReport:
+def estimate_sigma(curve: SimpleCurve, unit_samples) -> CheckReport:
     """Empirical infimum of the Jacobian lower-bound ratio over samples.
 
     Passes iff the infimum is strictly positive.  Samples with gaps of
-    Vandermonde volume below ``degenerate_floor``, or with phi^(d)
+    Vandermonde volume below 1e-12, or with phi^(d)
     underflowing to 0 at a node or in its product over the nodes, are
     excluded.
 
@@ -284,7 +269,7 @@ def estimate_sigma(curve: SimpleCurve, unit_samples,
         stop, err = neg[0], ConfigError("gap entries must be nonnegative")
     kappa = np.concatenate((np.zeros((n, 1)), np.cumsum(h, axis=1)), axis=1)
     v = vandermonde_arr(kappa)
-    live = np.flatnonzero(~(v[:stop] < degenerate_floor))  # NaN is kept
+    live = np.flatnonzero(~(v[:stop] < 1e-12))  # NaN is kept
     nodes = t[live, None] + kappa[live]
     try:
         phid = curve.phi(nodes, d)
@@ -340,9 +325,10 @@ def estimate_sigma(curve: SimpleCurve, unit_samples,
     return rep
 
 
-def check_offspring_closure(curve: SimpleCurve, h, unit_samples,
-                            tolerance: float = 1e-9) -> CheckReport:
+def check_offspring_closure(curve: SimpleCurve, h,
+                            unit_samples) -> CheckReport:
     """The offspring function keeps at least 1/d of the parent's sigma."""
+    tolerance = 1e-9
     parent = estimate_sigma(curve, unit_samples)
     child_curve = offspring_curve(curve, h)
     child = estimate_sigma(child_curve, unit_samples)
@@ -367,12 +353,12 @@ def check_offspring_closure(curve: SimpleCurve, h, unit_samples,
     )
 
 
-def weight_product_bound(curve: SimpleCurve, unit_samples,
-                         identity_tol: float = 1e-12) -> CheckReport:
+def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     """H(t,h) = prod_i w(t + kappa_i) satisfies
     (prod phi^(d))^{1/d} = H^{(d+1)/2} identically, and
     J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep."""
     d = curve.d
+    identity_tol = 1e-12
     unit_samples = [np.asarray(u, float) for u in unit_samples]
     sigma_rep = estimate_sigma(curve, unit_samples)
     sigma_est = sigma_rep.estimate

@@ -1,6 +1,5 @@
 """Oscillatory-quadrature probes of the restriction/extension operators,
-discrete Lorentz norms, the homogeneous rescaling identity, and the
-converse scaling computation.
+the homogeneous rescaling identity, and the converse scaling computation.
 
 Fourier convention: g_hat(xi) = int g(x) exp(-i<xi, x>) dx, except in
 ``converse_scaling_check`` where the unitary normalization is used so the
@@ -10,15 +9,14 @@ norm identity holds without stray 2*pi factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import HomogeneousCurve, affine_weight
-from .geometry import Parallelepiped, _curve_points, lambda_measure
+from .geometry import Parallelepiped, lambda_measure
 from .quadrature import QuadratureError, gl_nodes
-from .report import CheckReport, ConfigError, reject_unknown_keys
+from .report import CheckReport, ConfigError, reject_unknown_keys, worst_index
 
 
 # the keys each test-function kind reads besides 'kind', 'center', 'amp'
@@ -185,7 +183,7 @@ def restrict(tests, curve, t_grid,
     zero measure are dropped.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    pts = _curve_points(curve, t_grid)
+    pts = curve.jet(t_grid)
     w = _trapezoid_weights(t_grid)
     if weighted:
         w = w * affine_weight(curve, t_grid)
@@ -196,9 +194,10 @@ def restrict(tests, curve, t_grid,
 
 
 def extension(f, curve, weight: str, x, lam: float = 1.0,
-              order: int = 12, max_panels: int = 20000) -> complex:
+              max_panels: int = 20000) -> complex:
     """T f(x) = int_a^b f(t) w(t) exp(-i lam <x, gamma(t)>) dt by
-    panel quadrature with at most pi/2 of phase variation per panel."""
+    12-point Gauss-Legendre panels with at most pi/2 of phase variation
+    per panel."""
     if weight not in ("on", "off"):
         raise ConfigError("weight must be 'on' or 'off'")
     if lam < 1:
@@ -215,7 +214,7 @@ def extension(f, curve, weight: str, x, lam: float = 1.0,
 
     # phase variation from a coarse scan of <x, gamma(t)>
     scan = np.linspace(a, b, 257)
-    phase = lam * (_curve_points(curve, scan) @ x)
+    phase = lam * (curve.jet(scan) @ x)
     variation = float(np.sum(np.abs(np.diff(phase))))
     panels = max(8, int(math.ceil(variation / (math.pi / 2))))
     if panels > max_panels:
@@ -223,34 +222,15 @@ def extension(f, curve, weight: str, x, lam: float = 1.0,
             f"phase variation {variation:.3g} needs {panels} panels "
             f"(> {max_panels}); reduce lam*|x|")
     edges = np.linspace(a, b, panels + 1)
-    nodes, wts = gl_nodes(edges[:-1], edges[1:], order)
+    nodes, wts = gl_nodes(edges[:-1], edges[1:], 12)
     nodes = nodes.reshape(-1)
     wts = wts.reshape(-1)
     integrand = np.asarray(fvals(nodes), dtype=complex)
     if weight == "on":
         integrand = integrand * affine_weight(curve, nodes)
     integrand = integrand * np.exp(
-        -1j * lam * (_curve_points(curve, nodes) @ x))
+        -1j * lam * (curve.jet(nodes) @ x))
     return complex(np.sum(wts * integrand))
-
-
-def lorentz_norm(fn: SampledFunction, q: float, r: float) -> float:
-    """Discrete L^{q,r} functional against the stored measure.
-
-    r = inf gives the weak-type functional sup_k f*_k T_k^{1/q}; r = q
-    reduces to the plain L^q norm.
-    """
-    if q <= 0 or (r != math.inf and r <= 0):
-        raise ConfigError("Lorentz exponents must be positive")
-    mags = np.abs(fn.values)
-    order = np.argsort(-mags, kind="stable")
-    f_star = mags[order]
-    T = np.cumsum(fn.weights[order])
-    if r == math.inf:
-        return float(np.max(f_star * T ** (1.0 / q)))
-    T_prev = np.concatenate([[0.0], T[:-1]])
-    terms = f_star ** r * (q / r) * (T ** (r / q) - T_prev ** (r / q))
-    return float(np.sum(terms) ** (1.0 / r))
 
 
 def empirical_ratio(curves, P: float, Q: float, weighted: bool,
@@ -268,14 +248,12 @@ def empirical_ratio(curves, P: float, Q: float, weighted: bool,
     series = []
     per_curve_max = []
     for ci, curve in enumerate(curves):
-        best = 0.0
         restricted = restrict(test_family, curve, t_grid, weighted=weighted)
-        for gi, (g, rs) in enumerate(zip(test_family, restricted)):
-            ratio = rs.lp(Q) / g.lp_norm(P)
-            series.append({"curve_index": ci, "test_index": gi,
-                           "ratio": ratio})
-            best = max(best, ratio)
-        per_curve_max.append(best)
+        ratios = [rs.lp(Q) / g.lp_norm(P)
+                  for g, rs in zip(test_family, restricted)]
+        series += [{"curve_index": ci, "test_index": gi, "ratio": ratio}
+                   for gi, ratio in enumerate(ratios)]
+        per_curve_max.append(ratios[worst_index(ratios)])
     spread = max(per_curve_max) / min(per_curve_max)
     rep = CheckReport(
         check_id="empirical_ratio",
@@ -292,16 +270,15 @@ def empirical_ratio(curves, P: float, Q: float, weighted: bool,
 
 
 def check_dilation_invariance(d: int, P: float, Q: float, g: TestFunction,
-                              octaves: int = 4, t_span: float = 40.0,
-                              n_grid: int = 4001) -> CheckReport:
+                              octaves: int = 4) -> CheckReport:
     """Ratio invariance under the curve-adapted dilations of the moment
-    curve.  g_lam(x) = g(delta_lam^{-1} x) scales both sides of the ratio
+    curve on t in (0, 40 / lam], 4001 trapezoid points.
+    g_lam(x) = g(delta_lam^{-1} x) scales both sides of the ratio
     identically exactly when (1 - 1/P) = (2/(d(d+1))) (1/Q)."""
     a_exp = np.arange(1, d + 1, dtype=float)
-    lam_max = 2.0 ** octaves
 
     def ratio(lam: float) -> float:
-        ts = np.linspace(1e-9, t_span / lam, n_grid)
+        ts = np.linspace(1e-9, 40.0 / lam, 4001)
         pts = np.stack([ts ** j / math.factorial(j)
                         for j in range(1, d + 1)], axis=-1)
         scaled = pts * lam ** a_exp
@@ -312,12 +289,10 @@ def check_dilation_invariance(d: int, P: float, Q: float, g: TestFunction,
         return num / den
 
     base = ratio(1.0)
-    drift = 0.0
-    series = []
-    for j in range(octaves + 1):
-        r = ratio(2.0 ** j)
-        series.append({"lam": 2.0 ** j, "ratio": r})
-        drift = max(drift, abs(r - base) / base)
+    series = [{"lam": 2.0 ** j, "ratio": ratio(2.0 ** j)}
+              for j in range(octaves + 1)]
+    drifts = [abs(row["ratio"] - base) / base for row in series]
+    drift = drifts[worst_index(drifts)]
     rep = CheckReport(
         check_id="check_dilation_invariance",
         parameters={"d": d, "P": P, "Q": Q, "octaves": octaves},
@@ -331,12 +306,13 @@ def check_dilation_invariance(d: int, P: float, Q: float, g: TestFunction,
 
 
 def homogeneous_rescale_check(curve: HomogeneousCurve, k: int,
-                              g: TestFunction, p: float,
-                              order: int = 64) -> CheckReport:
+                              g: TestFunction, p: float) -> CheckReport:
     """With t = 2^{-k} s the restriction satisfies
     g_hat(gamma(2^{-k} s)) = g_hat_k(gamma(s)), g_hat_k = g_hat o delta_k;
     hence the L^p norm over I_k = [2^{-k-1}, 2^{-k}] equals
-    2^{-k/p} times the norm of g_hat_k o gamma over [1/2, 1]."""
+    2^{-k/p} times the norm of g_hat_k o gamma over [1/2, 1], both by a
+    64-point Gauss-Legendre rule."""
+    order = 64
     if k < 0:
         raise ConfigError("k must be >= 0")
     a_exp = np.asarray(curve.exponents, dtype=float)
@@ -366,8 +342,7 @@ def homogeneous_rescale_check(curve: HomogeneousCurve, k: int,
 
 def converse_scaling_check(E: Parallelepiped, f: TestFunction, P: float,
                            Q: float, alpha: float, curve=None,
-                           lattice: int = 64,
-                           span_sigmas: float = 8.0) -> CheckReport:
+                           lattice: int = 64) -> CheckReport:
     """||g||_{L^P} = m_d(E)^{1/P'} ||f_hat||_{L^P} for g defined through
     g_hat(x) = f(T^{-1}(x - x_0)), T the edge map of E.
 
@@ -396,8 +371,9 @@ def converse_scaling_check(E: Parallelepiped, f: TestFunction, P: float,
             f.sigma * np.exp(-0.5 * (shift * f.sigma) ** 2), axis=-1)
         return mag  # phases drop out of |.|; center only adds a phase
 
-    # f_hat decays like exp(-sigma^2 xi^2 / 2): lattice half-width in xi
-    half = span_sigmas / f.sigma
+    # f_hat decays like exp(-sigma^2 xi^2 / 2): lattice half-width in xi,
+    # 8 of its widths
+    half = 8.0 / f.sigma
     axes = [np.linspace(-hw, hw, lattice) for hw in half]
     step = np.prod([ax[1] - ax[0] for ax in axes])
     Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -429,7 +405,7 @@ def converse_scaling_check(E: Parallelepiped, f: TestFunction, P: float,
     if curve is not None:
         ts = np.linspace(*curve.domain, 4001)
         ghat_on_curve = f(np.linalg.solve(
-            T, (_curve_points(curve, ts) - E.base).T).T)
+            T, (curve.jet(ts) - E.base).T).T)
         if np.min(np.abs(f(np.stack(np.meshgrid(
                 *[np.linspace(0, 1, 5)] * d, indexing="ij"),
                 axis=-1).reshape(-1, d)))) < 1:

@@ -15,6 +15,10 @@ import numpy as np
 
 # integrand nodes per call of f in integrate_refine; bounds its memory
 NODES_PER_CALL = 4096
+# integrate_refine's Gauss-Legendre order per panel, and the panel count
+# past which it gives up
+_ORDER = 16
+_MAX_PANELS = 512
 
 
 class QuadratureError(RuntimeError):
@@ -63,8 +67,7 @@ def _panel_sums(f, a: float, upper: np.ndarray, panels: int,
     return sums
 
 
-def integrate_refine(f, a: float, b, rel_tol: float = 1e-9,
-                     order: int = 16, max_panels: int = 512):
+def integrate_refine(f, a: float, b, rel_tol: float = 1e-9):
     """int_a^t f(u, t) du for each upper limit t in ``b``, a float or an
     array; limits t <= a give 0.
 
@@ -80,11 +83,11 @@ def integrate_refine(f, a: float, b, rel_tol: float = 1e-9,
     prev = None
     panels = 1
     while todo.size:
-        if panels > max_panels:
+        if panels > _MAX_PANELS:
             raise QuadratureError(
                 f"integral on [{a}, {upper[todo[0]]}] did not converge "
-                f"to rel tol {rel_tol} within {max_panels} panels")
-        total = _panel_sums(f, a, upper[todo], panels, order)
+                f"to rel tol {rel_tol} within {_MAX_PANELS} panels")
+        total = _panel_sums(f, a, upper[todo], panels, _ORDER)
         if prev is not None:
             scale = np.maximum(np.maximum(np.abs(total), np.abs(prev)),
                                1e-300)

@@ -19,7 +19,7 @@ import numpy as np
 from . import conditions, geometry, jacobian, probe, vandermonde
 from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
                      poly_oracle, validate_monotone)
-from .report import CheckReport, ConfigError, reject_unknown_keys
+from .report import CheckReport, ConfigError, reject_unknown_keys, worst_index
 from .vandermonde import GapVector
 
 
@@ -43,10 +43,10 @@ def _count(params: dict, key: str, default: int) -> int:
     return n
 
 
-def _curve(params: dict, key: str = "curve") -> SimpleCurve:
-    if key not in params:
-        raise ConfigError(f"missing required parameter '{key}'")
-    return curve_from_spec(params[key])
+def _curve(params: dict) -> SimpleCurve:
+    if "curve" not in params:
+        raise ConfigError("missing required parameter 'curve'")
+    return curve_from_spec(params["curve"])
 
 
 def _op_validate_monotone(params, seed):
@@ -90,30 +90,30 @@ def _op_jacobian_identity(params, seed):
     d = int(params["d"])
     n = _count(params, "n_trials", 50)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
+    errs, trials = [], []
     for _ in range(n):
         curve = _random_poly_curve(rng, d)
         t = float(rng.uniform(-1, 1))
         h = rng.uniform(0.05, 0.8, size=d - 1)
         J1 = jacobian.jacobian_direct(curve, t, h)
         J2 = jacobian.jacobian_integral(curve, t, h)
-        err = abs(J1 - J2) / (1 + abs(J1))
-        if err > worst:
-            worst = err
-            witness = {"t": t, "h": h.tolist(), "direct": J1, "integral": J2}
+        errs.append(abs(J1 - J2) / (1 + abs(J1)))
+        trials.append({"t": t, "h": h.tolist(), "direct": J1, "integral": J2})
+    i = worst_index(errs)
     tol = 1e-8
     return CheckReport(
         check_id="jacobian_identity",
         parameters={"d": d, "n_trials": n},
-        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol,
-        witnesses=[witness] if witness else [])
+        estimate=errs[i], bound=tol, tolerance=tol, passed=errs[i] <= tol,
+        witnesses=[trials[i]])
 
 
 def _op_monomial_closed_form(params, seed):
     d_max = int(params.get("d_max", 5))
+    if d_max < 2:
+        raise ConfigError(f"'d_max' must be at least 2, got {d_max}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for d in range(2, d_max + 1):
         coeffs = [0.0] * d + [1.0 / math.factorial(d)]
         curve = SimpleCurve(d=d, phi=poly_oracle(coeffs, domain=(0.0, 50.0)),
@@ -124,7 +124,8 @@ def _op_monomial_closed_form(params, seed):
             t = float(rng.uniform(0.0, 2.0))
             J = jacobian.jacobian_direct(curve, t, g)
             pf = vandermonde.factorial_product(d)
-            worst = max(worst, abs(J * pf - g.v) / g.v)
+            errs.append(abs(J * pf - g.v) / g.v)
+    worst = errs[worst_index(errs)]
     tol = 1e-10
     return CheckReport(
         check_id="monomial_closed_form",
@@ -132,28 +133,24 @@ def _op_monomial_closed_form(params, seed):
         estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol)
 
 
-def _unit_samples(rng, n: int, d: int):
-    return rng.uniform(size=(n, d))
-
-
 def _op_estimate_sigma(params, seed):
     curve = _curve(params)
     rng = np.random.default_rng(seed)
-    us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
+    us = rng.uniform(size=(_count(params, "n_samples", 200), curve.d))
     return jacobian.estimate_sigma(curve, us)
 
 
 def _op_offspring_closure(params, seed):
     curve = _curve(params)
     rng = np.random.default_rng(seed)
-    us = _unit_samples(rng, _count(params, "n_samples", 200), curve.d)
+    us = rng.uniform(size=(_count(params, "n_samples", 200), curve.d))
     return jacobian.check_offspring_closure(curve, params["h"], us)
 
 
 def _op_weight_product_bound(params, seed):
     curve = _curve(params)
     rng = np.random.default_rng(seed)
-    us = _unit_samples(rng, _count(params, "n_samples", 100), curve.d)
+    us = rng.uniform(size=(_count(params, "n_samples", 100), curve.d))
     return jacobian.weight_product_bound(curve, us)
 
 
@@ -185,14 +182,15 @@ def _op_exponent_identities(params, seed):
     d = int(params["d"])
     n_p = 40
     p_d = (d * d + d + 2) / (d * d + d)
-    worst = 0.0
+    resids = []
     theta_ok = True
     # p very close to 1 sends p' and q to huge values and the identity
     # residual picks up cancellation noise; 1.01 keeps it at fp level
     for p in np.linspace(1.01, p_d, n_p):
         rec = conditions.exponent_calculator(d, p=float(p))
-        worst = max(worst, abs(rec["identity_eta"]), abs(rec["identity_s"]))
+        resids += [abs(rec["identity_eta"]), abs(rec["identity_s"])]
         theta_ok = theta_ok and 0 < rec["theta"] < 1
+    worst = resids[worst_index(resids)]
     delta_ok = True
     amax = 2.0 / (d * (d + 1)) if d >= 3 else 1.0 / 3 - 1e-9
     for alpha in np.linspace(amax / 20, amax, 20):
@@ -215,7 +213,7 @@ def _op_lemma1_chain(params, seed):
 
 def _shrink_family_from(params, curve):
     t0 = float(params.get("center_t", 0.5 * sum(curve.domain)))
-    center = geometry._curve_points(curve, np.array([t0]))[0]
+    center = curve.jet(np.array([t0]))[0]
     return geometry.shrink_family(center, float(params.get("side0", 1.0)),
                                   int(params.get("count", 6)))
 
@@ -265,9 +263,9 @@ def _op_sm_scaling(params, seed):
         mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
     target = 2.0 ** (-(d - 1) * alpha / (1 - d * alpha))
     series = [{"m": m, "measure": est} for m, est in enumerate(ests)]
-    worst = 0.0
-    for lo, hi in zip(ests[1:], ests[:-1]):
-        worst = max(worst, abs(lo / hi - target) / target)
+    devs = [abs(lo / hi - target) / target
+            for lo, hi in zip(ests[1:], ests[:-1])]
+    worst = devs[worst_index(devs)]
     tol = 0.2
     return CheckReport(
         check_id="sm_scaling",
@@ -320,13 +318,14 @@ def _op_homogeneous_rescale(params, seed):
                              "exponents": params["exponents"]})
     g = probe.TestFunction.from_spec(params["g"])
     p = float(params.get("p", 7.0 / 6.0))
-    worst = None
-    for k in params.get("k_list", [0, 1, 2]):
-        rep = probe.homogeneous_rescale_check(curve, int(k), g, p)
-        if worst is None or rep.estimate > worst.estimate:
-            worst = rep
-        worst.passed = worst.passed and rep.passed
-    worst.parameters["k_list"] = list(params.get("k_list", [0, 1, 2]))
+    k_list = list(params.get("k_list", [0, 1, 2]))
+    if not k_list:
+        raise ConfigError("'k_list' must name at least one k")
+    reps = [probe.homogeneous_rescale_check(curve, int(k), g, p)
+            for k in k_list]
+    worst = reps[worst_index([r.estimate for r in reps])]
+    worst.passed = all(r.passed for r in reps)
+    worst.parameters["k_list"] = k_list
     return worst
 
 
@@ -338,15 +337,15 @@ def _op_converse_scaling(params, seed):
     f = probe.TestFunction.from_spec(params["f"])
     rng = np.random.default_rng(seed)
     n = _count(params, "n_random", 20)
-    worst = 0.0
-    witness = None
+    resids, boxes = [], []
     for _ in range(n):
         E = geometry.Parallelepiped.of(
             rng.normal(size=d), np.eye(d) + 0.3 * rng.normal(size=(d, d)))
-        rep = probe.converse_scaling_check(E, f, P, Q, alpha)
-        if witness is None or rep.estimate > worst:
-            worst = rep.estimate
-            witness = {**E.to_dict(), "residual": worst}
+        resids.append(probe.converse_scaling_check(E, f, P, Q, alpha).estimate)
+        boxes.append(E)
+    i = worst_index(resids)
+    worst = resids[i]
+    witness = {**boxes[i].to_dict(), "residual": worst}
     tol = 1e-6
     return CheckReport(
         check_id="converse_scaling",

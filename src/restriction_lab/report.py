@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
@@ -28,6 +29,24 @@ def reject_unknown_keys(where: str, given, accepted) -> None:
         raise ConfigError(f"{where}: unknown key(s) "
                           f"{', '.join(map(repr, unknown))}; it accepts "
                           f"{', '.join(accepted)}")
+
+
+def worst_index(values) -> int | None:
+    """Index of the worst entry of the sequence ``values``, where larger is
+    worse.
+
+    A NaN is worse than every number, so the first NaN wins.  Otherwise the
+    first largest value wins: of tied values the earliest, and of values
+    all equal the first.  None when ``values`` is empty.  For a smallest-
+    is-worst quantity pass the negated values.
+    """
+    worst = None
+    for i, v in enumerate(values):
+        if math.isnan(v):
+            return i
+        if worst is None or v > values[worst]:
+            worst = i
+    return worst
 
 
 @dataclass

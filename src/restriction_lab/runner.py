@@ -51,9 +51,9 @@ def report_payload(config: ExperimentConfig,
     }
 
 
-def write_report(config: ExperimentConfig, reports: list[CheckReport],
-                 path: str | None = None) -> str:
-    path = path or config.output + ".json"
+def write_report(config: ExperimentConfig,
+                 reports: list[CheckReport]) -> str:
+    path = config.output + ".json"
     dump_json(report_payload(config, reports), path)
     return path
 

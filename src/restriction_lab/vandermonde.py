@@ -19,24 +19,20 @@ from .report import CheckReport, ConfigError, reject_unknown_keys
 
 
 def vandermonde(x) -> float:
-    """prod_{i<j} (x_j - x_i); zero iff two entries coincide."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    out = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= x[j] - x[i]
-    return float(out)
+    """prod_{i<j} (x_j - x_i) of a vector x; zero iff two entries coincide."""
+    return float(vandermonde_arr(x))
 
 
 def vandermonde_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized Vandermonde product over the last axis."""
+    """The Vandermonde product prod_{i<j} (x_j - x_i) over the last axis."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    out = np.ones(x.shape[:-1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (x[..., j] - x[..., i])
+    # the coordinate axis leads, so a vector's factors are numpy scalars,
+    # and the product starts from the first factor (1.0 times it)
+    cols = x.transpose(-1, *range(x.ndim - 1))
+    out = np.ones(x.shape[:-1]) if len(cols) < 2 else 1.0
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            out = out * (cols[j] - cols[i])
     return out
 
 
@@ -162,7 +158,7 @@ def psi_mean_tail_ratio(d: int, t: float, h) -> float:
     return float(_mean_tail_ratios(d, g.kappa[None], np.array([v]))[0])
 
 
-def psi_mean_tail_ratio_quad(d: int, t: float, h, order: int = 12) -> float:
+def psi_mean_tail_ratio_quad(d: int, t: float, h) -> float:
     """Independent route to :func:`psi_mean_tail_ratio`: pointwise Psi_d
     quadrature, with panels split at the kink offsets kappa_j."""
     g = GapVector.of(h)
@@ -173,13 +169,12 @@ def psi_mean_tail_ratio_quad(d: int, t: float, h, order: int = 12) -> float:
                                 if lo < t + float(k) < hi})
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
-        x, w = gl_nodes(a, b, order)
+        x, w = gl_nodes(a, b, 12)
         total += float(np.sum(w * psi(d, x - t, g)))
     return total / g.v
 
 
-def check_psi_lower_bound(d: int, t, h,
-                          tolerance: float = 0.0) -> CheckReport:
+def check_psi_lower_bound(d: int, t, h) -> CheckReport:
     """Empirical infimum of the Psi tail-mass ratio over the samples
     (t_k, h_k): ``h`` holds one row of d - 1 gaps per sample and ``t`` is
     one float for all of them or one per sample.
@@ -187,6 +182,7 @@ def check_psi_lower_bound(d: int, t, h,
     For d = 2 the ratio is identically 1/2; for d >= 3 the check passes
     iff the sampled infimum is strictly positive.
     """
+    tolerance = 0.0
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[1] != d - 1:
         raise ConfigError(f"need one row of {d - 1} gaps per sample, "
@@ -227,13 +223,14 @@ def check_psi_lower_bound(d: int, t, h,
 # integral identities and inequalities for Vandermonde determinants
 
 
-def check_vandermonde_integration(n: int, s, rel_tol: float = 1e-8) -> CheckReport:
+def check_vandermonde_integration(n: int, s) -> CheckReport:
     """V_n(s) = (n-1)! * iterated integral of V_{n-1} over prod [s_i, s_{i+1}],
     and the mass of the kernel,
     int Psi_n(u; diff(s)) du = V_n(s) / prod_{i<n} i!.
 
     The estimate is the larger relative error of the two identities.
     """
+    rel_tol = 1e-8
     s = np.asarray(s, dtype=float)
     if n < 2 or s.shape != (n,) or np.any(np.diff(s) <= 0):
         raise ConfigError("s must be strictly increasing of length n >= 2")
@@ -262,12 +259,14 @@ def check_vandermonde_integration(n: int, s, rel_tol: float = 1e-8) -> CheckRepo
     )
 
 
-def _nested_integral(integrand, bounds, order: int = 10, panels: int = 6):
-    """Iterated integral with bounds that may depend on the outer variables.
+def _nested_integral(integrand, bounds):
+    """Iterated integral with bounds that may depend on the outer variables,
+    by 6 panels of a 10-point Gauss-Legendre rule on each axis.
 
     ``bounds[k](prefix) -> (lo, hi)`` where prefix is the tuple of outer
     values.  The innermost axis is vectorized.
     """
+    order, panels = 10, 6
     depth = len(bounds)
 
     def recurse(prefix):
@@ -290,8 +289,7 @@ def _nested_integral(integrand, bounds, order: int = 10, panels: int = 6):
     return recurse(())
 
 
-def check_tail_inequalities(n: int, t, delta: float,
-                            floor: float = 1e-6) -> CheckReport:
+def check_tail_inequalities(n: int, t, delta: float) -> CheckReport:
     """Two lower bounds for iterated Vandermonde integrals.
 
     (a) spread-weighted: int_box V_{n-1}(u) (u_{n-1}-u_1)^delta du versus
@@ -299,8 +297,9 @@ def check_tail_inequalities(n: int, t, delta: float,
     (b) mean-restricted: the same integral restricted to
         mean(u) >= mean(t), versus V_n(t).
 
-    Both ratios must exceed ``floor``.
+    Both ratios must exceed 1e-6.
     """
+    floor = 1e-6
     t = np.asarray(t, dtype=float)
     if t.shape != (n,) or np.any(np.diff(t) <= 0):
         raise ConfigError("t must be strictly increasing of length n")
@@ -358,7 +357,7 @@ def check_lin_lemma_keys(instance) -> None:
                             ("type", "j") + _FACTOR_KEYS[kind])
 
 
-def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
+def check_lin_lemma(instance: dict) -> CheckReport:
     """Restricted-box versus full-box integrals of products of linear factors.
 
     ``instance`` = {"intervals": [[a_j, b_j], ...], "lambdas": [...],
@@ -369,6 +368,7 @@ def check_lin_lemma(instance: dict, floor: float = 0.0) -> CheckReport:
     positive: the restriction keeps only the top lambda_j fraction of
     each axis.
     """
+    floor = 0.0
     check_lin_lemma_keys(instance)
     intervals = [tuple(map(float, iv)) for iv in instance["intervals"]]
     lambdas = [float(x) for x in instance.get("lambdas", [])]

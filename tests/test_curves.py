@@ -7,20 +7,37 @@ from hypothesis import strategies as st
 
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight,
-                                    curve_from_spec, evaluate_curve,
-                                    expflat_oracle, expflat_phi_derivative,
+                                    curve_from_spec, expflat_oracle,
+                                    expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
-                                    normalize_domain, poly_oracle,
-                                    validate_monotone)
+                                    poly_oracle, validate_monotone)
 from restriction_lab.report import CapabilityError, ConfigError, DomainError
 
 
-def test_evaluate_curve_structure(moment_curve_3):
+def test_simple_curve_jet_structure(moment_curve_3):
     t = 0.7
-    g = evaluate_curve(moment_curve_3, t, 0)
+    g = moment_curve_3.jet(t)
+    assert g.shape == (3,)
     assert np.allclose(g, [t, t ** 2 / 2, t ** 3 / 6])
-    g1 = evaluate_curve(moment_curve_3, t, 1)
-    assert np.allclose(g1, [1.0, t, t ** 2 / 2])
+    assert np.allclose(moment_curve_3.jet(t, 1), [1.0, t, t ** 2 / 2])
+    # the components below order k vanish; phi^(3) = 1 for t^3/6
+    assert np.array_equal(moment_curve_3.jet(t, 3), [0.0, 0.0, 1.0])
+    ts = np.array([[0.2, 0.7], [1.1, 1.9]])
+    for k in range(4):
+        rows = moment_curve_3.jet(ts, k)
+        assert rows.shape == (2, 2, 3)
+        for idx in np.ndindex(ts.shape):
+            assert np.allclose(rows[idx], moment_curve_3.jet(ts[idx], k))
+
+
+def test_simple_curve_jet_keeps_the_power_of_its_argument(moment_curve_3):
+    # a float is raised by Python's power, an array by numpy's (whose
+    # square is exact); jet does not coerce one into the other
+    ts = np.random.default_rng(3).uniform(0.0, 2.0, 2000)
+    arr = moment_curve_3.jet(ts)
+    assert np.array_equal(arr[:, 1], ts ** 2 / 2)
+    assert [moment_curve_3.jet(t)[1] for t in ts.tolist()] == [
+        t ** 2 / 2 for t in ts.tolist()]
 
 
 def test_affine_weight_cubic_plane_curve():
@@ -43,10 +60,14 @@ def test_affine_weight_homogeneous_arrays():
 def test_homogeneous_curve_basics():
     c = HomogeneousCurve(exponents=(1.0, 2.0, 3.0))
     assert c.d == 3
-    assert c.homogeneous_dimension == 6.0
-    assert np.allclose(c.point(0.5), [0.5, 0.25, 0.125])
+    assert np.allclose(c.jet(0.5), [0.5, 0.25, 0.125])
     # derivative via falling factorials
-    assert c.derivative(0.5, 1) == pytest.approx([1.0, 1.0, 0.75])
+    assert c.jet(0.5, 1) == pytest.approx([1.0, 1.0, 0.75])
+    assert c.jet(0.5, 3) == pytest.approx([0.0, 0.0, 6.0])
+    ts = np.linspace(0.1, 0.9, 5)
+    # k = 0 broadcasts the powers against all exponents at once
+    assert np.array_equal(c.jet(ts), ts[:, None] ** np.array([1.0, 2.0, 3.0]))
+    assert c.jet(ts, 2).shape == (5, 3)
 
 
 def test_oracle_capability_and_domain_errors():
@@ -80,15 +101,6 @@ def test_oracle_contract():
     assert np.array_equal(ident(t, 0), np.clip(t, eps, 2.0 - eps))
     for x in t:
         assert ident(x, 0) == float(np.clip(x, eps, 2.0 - eps))
-
-
-def test_normalize_domain_rescales_derivatives():
-    c = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 2.0)),
-                    label="m4")
-    cn = normalize_domain(c)
-    assert cn.domain[1] == pytest.approx(1.0)
-    for k in range(4):
-        assert cn.phi(0.4, k) == pytest.approx(2 ** k * c.phi(0.8, k))
 
 
 def test_validate_monotone(quartic_curve):
@@ -160,7 +172,7 @@ def test_curve_from_spec_kinds():
                          "d": 3, "domain": [0.0, 1.0]})
     assert p.phi(0.5, 3) == pytest.approx(6.0)
     hom = curve_from_spec({"kind": "homogeneous", "exponents": [1.0, 2.5]})
-    assert hom.homogeneous_dimension == pytest.approx(3.5)
+    assert hom.exponents == (1.0, 2.5) and hom.d == 2
     fl = curve_from_spec({"kind": "flatten",
                           "base": {"kind": "monomial", "beta": 4.0},
                           "steps": 1, "variant": "exp", "d": 3,

@@ -14,7 +14,7 @@ from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       K_u_geometry, Parallelepiped,
-                                      _curve_points, _K_many,
+                                      _K_many,
                                       _occupation, check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
@@ -92,7 +92,7 @@ def _occupation_one_at_a_time(curve, E, tol, ts, pts):
     def bisect(lo, hi, lo_in):
         while hi - lo > width_target:
             mid = 0.5 * (lo + hi)
-            point = _curve_points(curve, np.array([mid]))[0]
+            point = curve.jet(np.array([mid]))[0]
             if bool(E.contains(point)) == lo_in:
                 lo = mid
             else:
@@ -134,7 +134,7 @@ def test_batched_bisection_equals_one_at_a_time(name, parabola,
     a, b = curve.domain
     d = curve.d
     ts = np.linspace(a, b, _COARSE + 1)
-    pts = _curve_points(curve, ts)
+    pts = curve.jet(ts)
     boxes = {0: [cube(np.full(d, 50.0), 1.0), cube(np.zeros(d), 100.0)],
              1: [cube(np.zeros(d), b)],
              4: [_chord_strip(0.25 * b, 0.75 * b, 0.01 * b * b, d)]}
@@ -238,6 +238,17 @@ def test_sm_measure_validation():
     with pytest.raises(ConfigError, match="'m_max' must be at least 1"):
         get_operation("sm-scaling").fn(
             {"d": 3, "alpha": 1 / 6, "m_max": 0, "mc_samples": 1000}, 1)
+
+
+def test_u_of_is_the_product_of_gap_differences(rng):
+    for d in range(2, 7):
+        for h in rng.uniform(0.0, 3.0, size=(400, d - 1)):
+            hh = np.append(h, 0.0)
+            ref = 1.0
+            for i in range(d):
+                for j in range(i + 1, d):
+                    ref *= abs(hh[i] - hh[j])
+            assert u_of(h) == ref
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

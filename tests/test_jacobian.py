@@ -11,7 +11,7 @@ from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
                                     expflat_oracle, monomial_oracle,
                                     poly_oracle)
 from restriction_lab.jacobian import (check_offspring_closure,
-                                      estimate_sigma, jacobian_at_nodes,
+                                      estimate_sigma,
                                       jacobian_direct, jacobian_integral,
                                       offspring_curve,
                                       offspring_decomposition,
@@ -126,13 +126,6 @@ def test_monomial_closed_form_spot():
     g = GapVector.of((0.4, 0.9, 0.2))
     pf = math.prod(math.factorial(j) for j in range(1, d))
     assert jacobian_direct(c, 0.6, g) * pf == pytest.approx(g.v, rel=1e-12)
-
-
-def test_jacobian_at_sorted_nodes_matches_gap_form(moment_curve_3):
-    t, h = 0.2, (0.3, 0.5)
-    nodes = t + GapVector.of(h).kappa
-    assert jacobian_at_nodes(moment_curve_3, nodes) == pytest.approx(
-        jacobian_direct(moment_curve_3, t, h))
 
 
 def test_offspring_point_definition(quartic_curve):

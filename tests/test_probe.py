@@ -8,19 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from restriction_lab.conditions import build_flattened, exponent_calculator
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight, poly_oracle)
-from restriction_lab.geometry import Parallelepiped, _curve_points, cube
+from restriction_lab.geometry import Parallelepiped, cube
 from restriction_lab.probe import (SampledFunction, TestFunction,
                                    _trapezoid_weights,
                                    check_dilation_invariance,
                                    converse_scaling_check, empirical_ratio,
                                    extension, homogeneous_rescale_check,
-                                   lorentz_norm, restrict)
+                                   restrict)
 from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import get_operation
 from restriction_lab.report import ConfigError
@@ -163,44 +161,6 @@ def test_extension_budget_and_validation(parabola):
         extension(lambda t: t, parabola, "off", np.zeros(2), lam=0.5)
 
 
-@settings(max_examples=30, deadline=None)
-@given(q=st.floats(0.5, 6.0), seed=st.integers(0, 10 ** 6))
-def test_lorentz_qq_equals_lq(q, seed):
-    rng = np.random.default_rng(seed)
-    n = 17
-    fn = SampledFunction(grid=np.linspace(0, 1, n),
-                         weights=rng.uniform(0.1, 1.0, size=n),
-                         values=rng.normal(size=n)
-                         + 1j * rng.normal(size=n))
-    assert lorentz_norm(fn, q, q) == pytest.approx(fn.lp(q), rel=1e-12)
-
-
-def test_lorentz_weak_norm_of_indicator():
-    fn = SampledFunction(grid=np.linspace(0, 1, 8),
-                         weights=np.full(8, 0.25),
-                         values=np.ones(8))
-    # f* = 1 and T_k is the running measure: sup is (total measure)^{1/q}
-    assert lorentz_norm(fn, 3.0, math.inf) == pytest.approx(2.0 ** (1 / 3))
-    with pytest.raises(ConfigError):
-        lorentz_norm(fn, -1.0, 2.0)
-
-
-def test_lorentz_refinement_trend_for_power_weight():
-    # f(t) = t^{-1/2} on (0, 1] sits exactly on the weak-L^2 boundary:
-    # the weak functional stabilizes while the L^2 norm grows with the
-    # grid refinement toward the origin
-    weak, strong = [], []
-    for n in (200, 800, 3200):
-        grid = np.linspace(1.0 / n, 1.0, n)
-        w = np.full(n, 1.0 / n)
-        fn = SampledFunction(grid=grid, weights=w,
-                             values=grid ** -0.5)
-        weak.append(lorentz_norm(fn, 2.0, math.inf))
-        strong.append(fn.lp(2.0))
-    assert weak[-1] == pytest.approx(weak[0], rel=0.02)
-    assert strong[-1] > strong[0] + 0.5
-
-
 def test_empirical_ratio_is_finite_and_annotated(moment_curve_3,
                                                  quartic_curve):
     fam = [TestFunction.gaussian([0, 0, 0], s) for s in (0.5, 1.0, 2.0)]
@@ -232,7 +192,7 @@ SWEEP_TESTS = [
 
 def _restrict_alone(g, curve, ts, weighted):
     """One test function's samples, the curve swept for it alone."""
-    pts = _curve_points(curve, ts)
+    pts = curve.jet(ts)
     vals = g.fourier(pts)
     w = _trapezoid_weights(ts)
     if weighted:

@@ -1,14 +1,16 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from restriction_lab import vandermonde
+from restriction_lab import probe, vandermonde
 from restriction_lab.cli import main
 from restriction_lab.curves import DerivativeOracle
 from restriction_lab.registry import REGISTRY, get_operation
-from restriction_lab.report import ConfigError, ExperimentConfig, dump_json
+from restriction_lab.report import (CheckReport, ConfigError,
+                                   ExperimentConfig, dump_json, worst_index)
 from restriction_lab.runner import (emit_plot_data, load_config, run,
                                     report_payload, write_report)
 
@@ -302,3 +304,72 @@ def test_vandermonde_integration_catches_a_scaled_psi(monkeypatch):
     rep = run(cfg)[0]
     assert not rep.passed
     assert rep.estimate == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("values, expect", [
+    ([], None),
+    ([0.0, 0.0, 0.0], 0),             # all equal: the first
+    ([1.0, 3.0, 2.0, 3.0], 1),        # a tie: the earliest
+    ([1.0, math.nan, 5.0, math.nan], 1),  # NaN is worse than any number
+    ([-math.inf, 2.0, math.inf], 2),
+    ([np.float64(1.0), 2], 1),
+])
+def test_worst_index_rule(values, expect):
+    assert worst_index(values) == expect
+
+
+def test_monomial_closed_form_needs_two_dimensions():
+    # with d_max < 2 no dimension is checked, and the check once passed
+    # with estimate 0
+    for d_max in (1, 0, -3):
+        with pytest.raises(ConfigError, match="'d_max' must be at least 2"):
+            run(_config([{"operation": "monomial-closed-form",
+                          "d_max": d_max}]))
+    (rep,) = run(_config([{"operation": "monomial-closed-form",
+                           "d_max": 2}]))
+    assert rep.passed and rep.estimate is not None
+
+
+HOMOGENEOUS_RESCALE = {
+    "operation": "homogeneous-rescale", "exponents": [1.0, 2.0, 3.0],
+    "g": {"kind": "Gaussian", "center": [0.3, 0.0, 0.0], "sigma": 1.0}}
+
+
+def test_homogeneous_rescale_needs_a_k():
+    with pytest.raises(ConfigError, match="'k_list'"):
+        run(_config([{**HOMOGENEOUS_RESCALE, "k_list": []}]))
+
+
+def test_homogeneous_rescale_passes_only_if_every_k_passes(monkeypatch):
+    # k = 1 fails with a NaN residual, and a later k with a larger finite
+    # residual once took the worst place and dropped that failure
+    estimates = {0: 0.0, 1: math.nan, 2: 1e-12}
+
+    def fake(curve, k, g, p):
+        est = estimates[k]
+        return CheckReport(check_id="homogeneous_rescale_check",
+                           parameters={"k": k}, estimate=est,
+                           passed=est <= 1e-9)
+
+    monkeypatch.setattr(probe, "homogeneous_rescale_check", fake)
+    (rep,) = run(_config([HOMOGENEOUS_RESCALE]))
+    assert not rep.passed
+    assert rep.parameters == {"k": 1, "k_list": [0, 1, 2]}
+    estimates[1] = 0.0
+    (rep,) = run(_config([HOMOGENEOUS_RESCALE]))
+    assert rep.passed and rep.parameters["k"] == 2
+
+
+def test_validate_monotone_fails_on_nan_derivatives():
+    # t^1.5 is NaN on the whole of [-1, 0): the check once passed there
+    # with estimate inf
+    with np.errstate(invalid="ignore"):
+        (rep,) = run(_config([{
+            "operation": "validate-monotone",
+            "curve": {"kind": "monomial", "beta": 1.5, "d": 5,
+                      "domain": [-1.0, 0.0]}}]))
+    assert not rep.passed
+    assert rep.estimate is None
+    assert rep.notes[0] == "phi^(1) is NaN at t = -1.0"
+    assert len(rep.notes) == 5
+    json.dumps(rep.to_dict(), allow_nan=False)

@@ -38,6 +38,18 @@ def test_vandermonde_array_route_agrees(xs):
         vandermonde(xs), rel=1e-12, abs=1e-12)
 
 
+def test_vandermonde_equals_the_pairwise_product():
+    # the one-vector product is the array product's, factor by factor
+    rng = np.random.default_rng(5)
+    for d in range(2, 7):
+        for x in rng.uniform(-2.0, 2.0, size=(400, d)):
+            ref = 1.0
+            for i in range(d):
+                for j in range(i + 1, d):
+                    ref *= x[j] - x[i]
+            assert vandermonde(x) == ref
+
+
 def test_gap_vector_prefix_sums():
     g = GapVector.of((0.5, 1.1, 0.3))
     assert np.allclose(g.kappa, [0.0, 0.5, 1.6, 1.9])
