@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -27,10 +27,11 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 @dataclass
 class ConditionEstimate:
     condition_id: str
-    constant: float
+    constant: Optional[float]
     attained_at: dict[str, Any] = field(default_factory=dict)
     grid_spec: str = ""
     passed: bool = True
+    notes: list[str] = field(default_factory=list)
 
 
 def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
@@ -155,6 +156,9 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     """Infimum over a < t < s < b of
     (phi^(d-1)(s) - phi^(d-1)(t)) / (s-t)^rho with
     rho = 1/alpha + 1 - d(d+1)/2; the reported constant is inf^(-alpha).
+
+    An infimum that is not positive (or NaN) fails the condition: there is
+    no constant, and a note gives the infimum and its (t, s).
     """
     d = curve.d
     _validate_alpha(d, alpha)
@@ -170,15 +174,19 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     ratios[mask] = (vs[mask] - vt[mask]) / (ss[mask] - tt[mask]) ** rho
     idx = np.unravel_index(np.argmin(ratios), ratios.shape)
     inf_val = float(ratios[idx])
+    t, s = float(tt[idx]), float(ss[idx])
     passed = inf_val > 0
-    constant = inf_val ** (-alpha) if passed else math.inf
     return ConditionEstimate(
         condition_id="phicond",
-        constant=constant,
-        attained_at={"t": float(tt[idx]), "s": float(ss[idx]),
-                     "inf": inf_val, "rho": rho},
+        constant=inf_val ** (-alpha) if passed else None,
+        # a report is strict JSON: no NaN or infinite value in it
+        attained_at={"t": t, "s": s,
+                     "inf": inf_val if math.isfinite(inf_val) else None,
+                     "rho": rho},
         grid_spec=f"{grid_size}x{grid_size} pair grid",
         passed=passed,
+        notes=[] if passed else [f"infimum {inf_val!r} at t={t!r}, "
+                                 f"s={s!r} is not positive; no constant"],
     )
 
 

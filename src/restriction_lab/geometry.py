@@ -17,7 +17,7 @@ import numpy as np
 
 from .conditions import _validate_alpha
 from .curves import SimpleCurve, validate_monotone
-from .jacobian import jacobian_integral
+from .jacobian import jacobian_integrals
 from .report import CheckReport, ConfigError, DomainError, worst_index
 from .vandermonde import vandermonde
 
@@ -467,29 +467,32 @@ def sm_measure(d: int, alpha: float, m: int, mc_samples: int = 4_000_000,
 def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
                   samples) -> CheckReport:
     """Empirical constant in J(s, h) >= c * sigma^{-1/alpha} * K(h), with
-    J evaluated at the nondecreasing rearrangement of {s} union {s+h_j}."""
+    J evaluated at the nondecreasing rearrangement of {s} union {s+h_j}.
+
+    K is taken per sample pair (s, h); the pairs with K != 0 are swept as
+    arrays, with every J from one :func:`jacobian_integrals` call."""
     d = curve.d
     _validate_alpha(d, alpha)
     if sigma_est <= 0:
         raise ConfigError("sigma_est must be positive")
-    consts, kept = [], []
-    degenerate = 0
-    n = 0
-    for s, h in samples:
-        n += 1
-        h = np.asarray(h, dtype=float)
-        K = K_of(h, alpha)
-        if K == 0:
-            degenerate += 1
-            continue
-        nodes = np.sort(np.concatenate([[s], s + h]))
-        J = jacobian_integral(curve, float(nodes[0]), np.diff(nodes))
-        c = J / (sigma_est ** (-1.0 / alpha) * K)
-        consts.append(c)
-        kept.append({"s": float(s), "h": h.tolist(), "J": J, "K": K, "c": c})
-    i = worst_index([-c for c in consts])
-    witness = None if i is None else kept[i]
-    c_est = None if i is None else consts[i]
+    samples = list(samples)
+    n = len(samples)
+    s = np.array([float(si) for si, _ in samples])
+    h = np.array([hi for _, hi in samples], dtype=float).reshape(n, d - 1)
+    K = np.array([K_of(hi, alpha) for hi in h])
+    kept = np.flatnonzero(K != 0)
+    nodes = np.sort(np.concatenate((s[kept, None], s[kept, None] + h[kept]),
+                                   axis=1), axis=1)
+    J = jacobian_integrals(curve, nodes[:, 0], np.diff(nodes, axis=1))
+    consts = J / (sigma_est ** (-1.0 / alpha) * K[kept])
+    i = worst_index((-consts).tolist())
+    witness = c_est = None
+    if i is not None:
+        k = kept[i]
+        c_est = float(consts[i])
+        witness = {"s": float(s[k]), "h": h[k].tolist(), "J": float(J[i]),
+                   "K": float(K[k]), "c": c_est}
+    degenerate = n - kept.size
     rep = CheckReport(
         check_id="check_J_geq_K",
         parameters={"d": d, "alpha": alpha, "sigma_est": sigma_est,

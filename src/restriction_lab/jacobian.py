@@ -19,8 +19,8 @@ import numpy as np
 from .curves import DerivativeOracle, SimpleCurve
 from .quadrature import QuadratureError, gl_nodes
 from .report import CheckReport, ConfigError, DomainError
-from .vandermonde import (GapVector, factorial_product, unit_bspline,
-                          vandermonde_arr)
+from .vandermonde import (GapVector, factorial_product, kappa_of,
+                          unit_bspline, vandermonde_arr)
 
 
 def offspring_point(curve: SimpleCurve, t: float, h) -> np.ndarray:
@@ -117,12 +117,24 @@ def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density):
 
 def jacobian_integral(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t, h) = int phi^(d)(t + u) Psi_d(u; h) du (Hermite-Genocchi):
-    v(h) / prod_{i<d} i! times the B-spline mean."""
+    v(h) / prod_{i<d} i! times the B-spline mean, and 0.0 where v(h) = 0."""
     g = GapVector.of(h)
-    if g.v == 0.0:
-        return 0.0
-    mean = _spline_means(curve, np.array([t], dtype=float), g.kappa[None])
-    return g.v / factorial_product(curve.d) * float(mean[0])
+    return float(jacobian_integrals(curve, np.array([t], dtype=float),
+                                    np.array([g.h]))[0])
+
+
+def jacobian_integrals(curve: SimpleCurve, t: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+    """:func:`jacobian_integral` of the samples t (shape (n,)) and
+    nonnegative gaps h (shape (n, d - 1)), with one call for all the
+    B-spline means and the arithmetic of one sample in each."""
+    kappa = kappa_of(h)
+    v = vandermonde_arr(kappa)
+    J = np.zeros(len(kappa))
+    nz = v != 0.0
+    J[nz] = v[nz] / factorial_product(curve.d) * _spline_means(
+        curve, t[nz], kappa[nz])
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +279,7 @@ def estimate_sigma(curve: SimpleCurve, unit_samples) -> CheckReport:
     neg = np.flatnonzero(np.any(h < 0, axis=1))
     if neg.size:
         stop, err = neg[0], ConfigError("gap entries must be nonnegative")
-    kappa = np.concatenate((np.zeros((n, 1)), np.cumsum(h, axis=1)), axis=1)
+    kappa = kappa_of(h)
     v = vandermonde_arr(kappa)
     live = np.flatnonzero(~(v[:stop] < 1e-12))  # NaN is kept
     nodes = t[live, None] + kappa[live]
@@ -356,39 +368,44 @@ def check_offspring_closure(curve: SimpleCurve, h,
 def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     """H(t,h) = prod_i w(t + kappa_i) satisfies
     (prod phi^(d))^{1/d} = H^{(d+1)/2} identically, and
-    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep."""
+    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep.
+
+    The samples are swept as arrays, each with the arithmetic of one
+    sample, and the powers of each row are Python's scalar ``**``.  J comes
+    from :func:`jacobian_integrals`, taken again here and not from
+    :func:`estimate_sigma`.
+    """
     d = curve.d
     identity_tol = 1e-12
-    unit_samples = [np.asarray(u, float) for u in unit_samples]
-    sigma_rep = estimate_sigma(curve, unit_samples)
-    sigma_est = sigma_rep.estimate
+    units = np.asarray(unit_samples, dtype=float)
+    units = units.reshape(len(units), d)  # an empty set has no row width
+    sigma_est = estimate_sigma(curve, units).estimate
     if sigma_est is None:
         return CheckReport(check_id="weight_product_bound",
                            parameters={"d": d, "curve": curve.label,
-                                       "n_samples": len(unit_samples)},
+                                       "n_samples": len(units)},
                            passed=False,
                            notes=["inconclusive: no admissible sample"])
-    worst_identity = 0.0
-    worst_margin = math.inf
-    for u in unit_samples:
-        t, g = sample_admissible(curve, u)
-        if g.v < 1e-12:
-            continue
-        nodes = t + g.kappa
-        phid = np.asarray(curve.phi(nodes, d))
-        H = float(np.prod(np.abs(phid) ** (2.0 / (d * (d + 1)))))
-        lhs = float(np.prod(phid)) ** (1.0 / d)
-        rhs = H ** ((d + 1) / 2.0)
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        worst_identity = max(worst_identity, rel)
-        J = jacobian_integral(curve, t, g)
-        margin = J - sigma_est * g.v * rhs
-        worst_margin = min(worst_margin, margin)
+    t, h = sample_admissible(curve, units)
+    kappa = kappa_of(h)
+    v = vandermonde_arr(kappa)
+    live = ~(v < 1e-12)  # NaN is kept
+    t, kappa, v = t[live], kappa[live], v[live]
+    phid = curve.phi(t[:, None] + kappa, d)
+    H = np.prod(np.abs(phid) ** (2.0 / (d * (d + 1))), axis=1)
+    lhs = np.array([p ** (1.0 / d) for p in np.prod(phid, axis=1).tolist()])
+    rhs = np.array([x ** ((d + 1) / 2.0) for x in H.tolist()])
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
+    J = jacobian_integrals(curve, t, h[live])
+    margin = J - sigma_est * v * rhs
+    # a running max from 0.0 and min from inf, which a NaN never replaces
+    worst_identity = max([0.0, *rel.tolist()])
+    worst_margin = min([math.inf, *margin.tolist()])
     passed = (worst_identity <= identity_tol and
               worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
     return CheckReport(
         check_id="weight_product_bound",
-        parameters={"d": d, "curve": curve.label, "n_samples": len(unit_samples)},
+        parameters={"d": d, "curve": curve.label, "n_samples": len(units)},
         estimate=worst_identity,
         bound=identity_tol,
         tolerance=identity_tol,

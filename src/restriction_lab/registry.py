@@ -161,7 +161,7 @@ def _wrap_condition(est, check_id, bound=None, tolerance=None):
         check_id=check_id,
         parameters={"grid": est.grid_spec},
         estimate=est.constant, bound=bound, tolerance=tolerance,
-        passed=passed, witnesses=[est.attained_at])
+        passed=passed, witnesses=[est.attained_at], notes=list(est.notes))
 
 
 def _op_estimate_A(params, seed):

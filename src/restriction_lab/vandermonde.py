@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,14 @@ def vandermonde_arr(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def kappa_of(h: np.ndarray) -> np.ndarray:
+    """Prefix-sum offsets kappa_1 = 0, kappa_j = h_1 + ... + h_{j-1} of the
+    gaps h on the last axis."""
+    h = np.asarray(h, dtype=float)
+    return np.concatenate((np.zeros(h.shape[:-1] + (1,)),
+                           np.cumsum(h, axis=-1)), axis=-1)
+
+
 @dataclass(frozen=True)
 class GapVector:
     """Nonnegative gaps h = (h_1, ..., h_{d-1}) between offspring offsets."""
@@ -56,13 +65,18 @@ class GapVector:
     def d(self) -> int:
         return len(self.h) + 1
 
-    @property
+    @cached_property
     def kappa(self) -> np.ndarray:
-        """Prefix-sum offsets kappa_1 = 0, kappa_j = h_1 + ... + h_{j-1}."""
-        return np.concatenate(([0.0], np.cumsum(self.h)))
+        """Prefix-sum offsets kappa_1 = 0, kappa_j = h_1 + ... + h_{j-1},
+        computed on first read and kept read-only, so that no caller can
+        change the kept array."""
+        kappa = kappa_of(self.h)
+        kappa.flags.writeable = False
+        return kappa
 
-    @property
+    @cached_property
     def v(self) -> float:
+        """The Vandermonde product v(h) of kappa, computed on first read."""
         return vandermonde(self.kappa)
 
 
@@ -191,7 +205,7 @@ def check_psi_lower_bound(d: int, t, h) -> CheckReport:
         raise ConfigError("gap entries must be nonnegative")
     n = h.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    kappa = np.concatenate([np.zeros((n, 1)), np.cumsum(h, axis=1)], axis=1)
+    kappa = kappa_of(h)
     v = vandermonde_arr(kappa)
     kept = np.flatnonzero(v > 0.0)
     ratios = _mean_tail_ratios(d, kappa[kept], v[kept])

@@ -20,8 +20,10 @@ from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       lemma1_chain, lemma1_conclusion,
                                       shrink_family, sm_measure, sm_shells,
                                       u_of)
+from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import get_operation
-from restriction_lab.report import ConfigError
+from restriction_lab.report import ConfigError, worst_index
+from test_jacobian import SWEEP_CURVES, _ref_jacobian_integral
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -363,3 +365,96 @@ def test_check_J_geq_K(rng, quartic_curve):
     assert rep.passed
     assert rep.estimate > 0
     assert any("collided" in n for n in rep.notes)
+
+
+# ---------------------------------------------------------------------------
+# the batched check_J_geq_K against the per-sample loop it replaced
+
+
+def _ref_check_J_geq_K(curve, sigma_est, alpha, samples):
+    """The per-sample check_J_geq_K loop: (estimate, witnesses, notes,
+    passed)."""
+    consts, kept, degenerate = [], [], 0
+    for s, h in samples:
+        h = np.asarray(h, dtype=float)
+        K = K_of(h, alpha)
+        if K == 0:
+            degenerate += 1
+            continue
+        nodes = np.sort(np.concatenate([[s], s + h]))
+        J = _ref_jacobian_integral(curve, float(nodes[0]), np.diff(nodes))
+        c = J / (sigma_est ** (-1.0 / alpha) * K)
+        consts.append(c)
+        kept.append({"s": float(s), "h": h.tolist(), "J": J, "K": K, "c": c})
+    i = worst_index([-c for c in consts])
+    notes = [f"{degenerate} samples with collided gaps (both sides "
+             "vanish)"] if degenerate else []
+    if i is None:
+        return None, [], notes, False
+    return consts[i], [kept[i]], notes, bool(consts[i] > 0)
+
+
+def _J_K_samples(curve, n, seed):
+    """Pairs (s, h) drawn as the check-J-geq-K operation draws them, and
+    one pair with every gap 0 (K = 0)."""
+    rng = np.random.default_rng(seed)
+    a, b = curve.domain
+    samples = []
+    for _ in range(n):
+        h = rng.uniform(1e-3, (b - a) / curve.d, size=curve.d - 1)
+        samples.append((float(rng.uniform(a, b - float(np.max(h)))), h))
+    samples.insert(n // 2, (0.5 * (a + b), np.zeros(curve.d - 1)))
+    return samples
+
+
+def _alpha(d):
+    return 2.0 / (d * (d + 1)) if d >= 3 else 0.2
+
+
+def _outcome(fn):
+    """(estimate, witnesses, notes, passed) of a check, or the type and
+    message of what it raised."""
+    try:
+        rep = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(rep, tuple):
+        return rep
+    return rep.estimate, rep.witnesses, rep.notes, rep.passed
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 37, 200])
+@pytest.mark.parametrize("curve", SWEEP_CURVES,
+                         ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
+def test_check_J_geq_K_sweep_equals_per_sample_loop(curve, n):
+    # on the d = 5 exp-flat curve some B-spline means do not converge:
+    # the sweep raises what the loop raised at its first such sample
+    samples = _J_K_samples(curve, n, 400 + n)
+    alpha = _alpha(curve.d)
+    got = _outcome(lambda: check_J_geq_K(curve, 0.7, alpha, samples))
+    assert got == _outcome(
+        lambda: _ref_check_J_geq_K(curve, 0.7, alpha, samples))
+    if got[0] is not QuadratureError:
+        assert got[2] == ["1 samples with collided gaps (both sides "
+                          "vanish)"]
+
+
+def test_check_J_geq_K_collided_nodes_give_J_zero():
+    # s + h_1 rounds to s, so the sorted nodes coincide and v = 0 while
+    # K > 0: J is exactly 0.0, as jacobian_integral gives it
+    curve = SWEEP_CURVES[2]  # poly, d = 4, on [0, 12]
+    samples = _J_K_samples(curve, 15, 3) + [(8.0, np.array([1e-17, 0.5,
+                                                            1.0]))]
+    rep = check_J_geq_K(curve, 0.7, _alpha(4), samples)
+    assert (rep.estimate, rep.witnesses, rep.notes, rep.passed) == (
+        _ref_check_J_geq_K(curve, 0.7, _alpha(4), samples))
+    (witness,) = rep.witnesses
+    assert witness["s"] == 8.0 and witness["J"] == 0.0 and witness["K"] > 0
+    assert rep.estimate == 0.0 and not rep.passed
+
+
+def test_check_J_geq_K_all_collided_is_inconclusive():
+    curve = SWEEP_CURVES[1]
+    rep = check_J_geq_K(curve, 0.7, _alpha(3), [(1.0, [0.0, 0.0])] * 3)
+    assert (rep.estimate, rep.witnesses, rep.passed) == (None, [], False)
+    assert rep.notes == ["3 samples with collided gaps (both sides vanish)"]

@@ -13,6 +13,7 @@ from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
 from restriction_lab.jacobian import (check_offspring_closure,
                                       estimate_sigma,
                                       jacobian_direct, jacobian_integral,
+                                      jacobian_integrals,
                                       offspring_curve,
                                       offspring_decomposition,
                                       offspring_point, sample_admissible,
@@ -413,10 +414,7 @@ def test_unit_bspline_knot_rows_equal_one_row_calls():
                                   equal_nan=True)
 
 
-def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
-    curve = SimpleCurve(d=5, phi=poly_oracle(_positive_poly(5),
-                                             domain=(0.0, 12.0)), label="p")
-    units = np.random.default_rng(11).uniform(size=(200, 5))
+def _counting_oracle(monkeypatch):
     seen = {"calls": 0, "points": 0}
     call = DerivativeOracle.__call__
 
@@ -426,6 +424,14 @@ def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
         return call(self, t, k)
 
     monkeypatch.setattr(DerivativeOracle, "__call__", counting)
+    return seen
+
+
+def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
+    curve = SimpleCurve(d=5, phi=poly_oracle(_positive_poly(5),
+                                             domain=(0.0, 12.0)), label="p")
+    units = np.random.default_rng(11).uniform(size=(200, 5))
+    seen = _counting_oracle(monkeypatch)
     _ref_estimate_sigma(curve, units)
     loop = dict(seen)
     counts = []
@@ -438,3 +444,123 @@ def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
     assert counts[0]["calls"] <= math.ceil(200 / jacobian._MEAN_BLOCK) + 1
     assert counts[0]["points"] == loop["points"] == 200 * 5 + 200 * 4 * 24
     assert loop["calls"] == 400
+
+
+# ---------------------------------------------------------------------------
+# the batched weight-product sweep against the per-sample loop it replaced
+
+
+def _ref_jacobian_integral(curve, t, h):
+    """J of one sample, as the per-sample loops took it."""
+    g = GapVector.of(h)
+    if g.v == 0.0:
+        return 0.0
+    return g.v / math.prod(math.factorial(i) for i in range(1, curve.d)) * (
+        _ref_spline_mean(curve, t, g.kappa))
+
+
+def _ref_weight_product_bound(curve, unit_samples):
+    """The per-sample weight_product_bound loop: (estimate, witnesses,
+    notes, passed)."""
+    d = curve.d
+    sigma_est = _ref_estimate_sigma(curve, unit_samples)[0]
+    if sigma_est is None:
+        return None, [], ["inconclusive: no admissible sample"], False
+    worst_identity, worst_margin = 0.0, math.inf
+    for u in unit_samples:
+        t, g = sample_admissible(curve, np.asarray(u, float))
+        if g.v < 1e-12:
+            continue
+        phid = np.asarray(curve.phi(t + g.kappa, d))
+        H = float(np.prod(np.abs(phid) ** (2.0 / (d * (d + 1)))))
+        lhs = float(np.prod(phid)) ** (1.0 / d)
+        rhs = H ** ((d + 1) / 2.0)
+        rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        worst_identity = max(worst_identity, rel)
+        margin = _ref_jacobian_integral(curve, t, g) - sigma_est * g.v * rhs
+        worst_margin = min(worst_margin, margin)
+    passed = (worst_identity <= 1e-12 and
+              worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
+    return (worst_identity,
+            [{"sigma_est": sigma_est, "min_margin": worst_margin}], [],
+            passed)
+
+
+def _report_result(rep):
+    return rep.estimate, rep.witnesses, rep.notes, rep.passed
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 37, 200])
+@pytest.mark.parametrize("curve", SWEEP_CURVES,
+                         ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
+def test_weight_product_bound_sweep_equals_per_sample_loop(curve, n):
+    units = np.random.default_rng(300 + n).uniform(size=(n, curve.d))
+    assert _report_result(weight_product_bound(curve, units)) == (
+        _ref_weight_product_bound(curve, units))
+
+
+def _gapless(units, rows):
+    # gap units of 0 put every gap at h_min = 1e-3: at d = 4 that is
+    # v = 1.2e-17, below the 1e-12 floor
+    units = units.copy()
+    units[rows, 1:] = 0.0
+    return units
+
+
+@pytest.mark.parametrize("case", ["some-degenerate", "all-degenerate",
+                                  "nan-ratio"])
+def test_weight_product_bound_sweep_edge_cases(case):
+    if case == "nan-ratio":
+        # phi'' is NaN at the clamped left end only: the first sample's
+        # identity error and margin are NaN, and a NaN is never the worst
+        curve = SimpleCurve(d=2, phi=DerivativeOracle(
+            domain=(0.0, 1.0), max_order=5,
+            fn=lambda t, k: np.where(t < 1e-6, np.nan, 1.0 + t)), label="x")
+        units = np.array([[0.0, 0.5], [0.3, 0.5], [0.6, 0.2]])
+    else:
+        curve = SimpleCurve(d=4, phi=poly_oracle(_positive_poly(4),
+                                                 domain=(0.0, 12.0)),
+                            label="poly")
+        units = np.random.default_rng(9).uniform(size=(37, 4))
+        units = _gapless(units, slice(None) if case == "all-degenerate"
+                         else slice(None, None, 5))
+    rep = weight_product_bound(curve, units)
+    assert _report_result(rep) == _ref_weight_product_bound(curve, units)
+    assert rep.passed == (case != "all-degenerate")
+    if case == "all-degenerate":
+        assert rep.notes == ["inconclusive: no admissible sample"]
+
+
+def test_weight_product_bound_oracle_calls_and_points(monkeypatch):
+    curve = SimpleCurve(d=5, phi=poly_oracle(_positive_poly(5),
+                                             domain=(0.0, 12.0)), label="p")
+    units = np.random.default_rng(13).uniform(size=(100, 5))
+    seen = _counting_oracle(monkeypatch)
+    _ref_weight_product_bound(curve, units)
+    loop = dict(seen)
+    counts = []
+    for _ in range(2):
+        seen.update(calls=0, points=0)
+        weight_product_bound(curve, units)
+        counts.append(dict(seen))
+    assert counts[0] == counts[1]
+    # estimate_sigma and the J sweep: one call for the nodes and one per
+    # block each; no row bisects here
+    assert counts[0]["calls"] <= 2 * math.ceil(100 / jacobian._MEAN_BLOCK) + 2
+    assert counts[0]["points"] == loop["points"] == 2 * (100 * 5
+                                                         + 100 * 4 * 24)
+    assert loop["calls"] == 400
+
+
+@pytest.mark.parametrize("curve", SWEEP_CURVES,
+                         ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
+def test_jacobian_integrals_equal_one_sample_calls(curve):
+    t, h = sample_admissible(
+        curve, np.random.default_rng(17).uniform(size=(37, curve.d)))
+    h[0] = 0.0  # v = 0: J is exactly 0.0
+    J = jacobian_integrals(curve, t, h)
+    assert J[0] == 0.0 and math.copysign(1.0, J[0]) == 1.0
+    assert J.tolist() == [_ref_jacobian_integral(curve, ti, hi)
+                          for ti, hi in zip(t.tolist(), h)]
+    assert J.tolist() == [jacobian_integral(curve, ti, hi)
+                          for ti, hi in zip(t.tolist(), h)]

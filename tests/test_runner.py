@@ -116,6 +116,28 @@ def test_weight_product_bound_without_admissible_sample_is_inconclusive():
     assert rep.notes == ["inconclusive: no admissible sample"]
 
 
+@pytest.mark.parametrize("curve", [
+    # phi'' of exp(-t^-3) decreases past its peak: the infimum is negative
+    {"kind": "exp-flat", "beta": 3.0, "d": 3, "domain": [0.0, 2.0]},
+    # t^1.5 has NaN derivatives on the negative domain: the infimum is NaN
+    {"kind": "monomial", "beta": 1.5, "d": 3, "domain": [-1.0, 0.0]}])
+def test_check_phicond_failure_writes_strict_json(curve):
+    cfg = _config([{"operation": "check-phicond", "alpha": 0.1,
+                    "curve": curve}], seed=1)
+    with np.errstate(invalid="ignore"):
+        reports = run(cfg)
+    (rep,) = reports
+    assert not rep.passed
+    # once "estimate": Infinity, which is not JSON
+    assert rep.estimate is None
+    (note,) = rep.notes
+    (witness,) = rep.witnesses
+    assert note.startswith("infimum ") and note.endswith(
+        f" at t={witness['t']!r}, s={witness['s']!r} is not positive; "
+        "no constant")
+    json.dumps(report_payload(cfg, reports), allow_nan=False)
+
+
 def test_report_payload_reproducible():
     cfg = _config([PSI_CHECK, {"operation": "exponent-identities", "d": 3}])
     p1 = report_payload(cfg, run(cfg))
@@ -265,6 +287,18 @@ def test_cli_all_ops_config_passes(tmp_path, capsys):
     assert all(rep["passed"] for rep in reports)
     # report notes carry plain Python reprs, not numpy ones
     assert "np." not in json.dumps(reports)
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("name", ["default", "all_ops"])
+def test_shipped_config_reports_are_strict_json(tmp_path, capsys, name):
+    main(["run", str(CONFIGS / f"{name}.json"),
+          "--output", str(tmp_path / name)])
+    with open(tmp_path / f"{name}.json", encoding="utf-8") as fh:
+        json.load(fh, parse_constant=_reject_constant)
 
 
 def test_shipped_configs_cover_every_operation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from restriction_lab import vandermonde as vandermonde_module
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.jacobian import jacobian_direct, jacobian_integral
 from restriction_lab.vandermonde import (GapVector, check_lin_lemma,
@@ -54,6 +55,22 @@ def test_gap_vector_prefix_sums():
     g = GapVector.of((0.5, 1.1, 0.3))
     assert np.allclose(g.kappa, [0.0, 0.5, 1.6, 1.9])
     assert g.v == pytest.approx(vandermonde(g.kappa))
+
+
+def test_gap_vector_computes_kappa_and_v_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(vandermonde_module, "vandermonde",
+                        lambda x: calls.append(x) or vandermonde(x))
+    h = (0.5, 1.1, 0.3)
+    g = GapVector.of(h)
+    for _ in range(3):
+        assert np.array_equal(g.kappa, np.concatenate(([0.0], np.cumsum(h))))
+        assert g.v == vandermonde(np.concatenate(([0.0], np.cumsum(h))))
+    assert g.kappa is g.kappa and len(calls) == 1
+    # the kept offsets are read-only, so no caller can change them
+    with pytest.raises(ValueError):
+        g.kappa[1] = 0.0
+    assert g == GapVector.of(np.array(h)) and hash(g) == hash(GapVector(h))
 
 
 def test_psi_d2_is_indicator():
