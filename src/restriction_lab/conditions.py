@@ -56,12 +56,14 @@ def _ratio_at(curve: SimpleCurve, rows: np.ndarray,
     """The mean-value ratio of each row of ``rows`` (shape (m, d)), from
     one oracle call on the nodes and their centres together."""
     d = curve.d
-    center = np.mean(rows, axis=1) if variant == "AM" else np.exp(
-        np.mean(np.log(rows), axis=1))
-    vals = curve.phi(np.column_stack([rows, center]), d)
+    # np.add.reduce(...) / d and np.concatenate: the values of np.mean and
+    # np.column_stack without their Python wrappers
+    center = np.add.reduce(rows, axis=1) / d if variant == "AM" else np.exp(
+        np.add.reduce(np.log(rows), axis=1) / d)
+    vals = curve.phi(np.concatenate((rows, center[:, None]), axis=1), d)
     if np.any(vals[:, :d] <= 0):
         raise DomainError("phi^(d) <= 0 inside the simplex sweep")
-    gm = np.exp(np.mean(np.log(vals[:, :d]), axis=1))
+    gm = np.exp(np.add.reduce(np.log(vals[:, :d]), axis=1) / d)
     return gm / vals[:, d]
 
 
@@ -162,6 +164,8 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     """
     d = curve.d
     _validate_alpha(d, alpha)
+    if grid_size < 2:
+        raise ConfigError("grid_size must be >= 2")
     rho = 1.0 / alpha + 1 - d * (d + 1) / 2.0
     a, b = curve.domain
     inset = 1e-6 * (b - a)

@@ -49,21 +49,27 @@ class DerivativeOracle:
         if k < 0 or k > self.max_order:
             raise CapabilityError(
                 f"derivative order {k} outside 0..{self.max_order}")
-        a, b = self.domain
-        t_arr = np.asarray(t, dtype=float)
-        # fmin/fmax skip NaN, so a NaN entry hides no out-of-domain one
-        if t_arr.size:
-            tol = 1e-12 * max(1.0, abs(a), abs(b))
-            if (np.fmin.reduce(t_arr, axis=None) < a - tol
-                    or np.fmax.reduce(t_arr, axis=None) > b + tol):
-                raise DomainError(f"t={t} outside domain ({a}, {b})")
-        eps = CLAMP_EPS_REL * (b - a)
-        # the values of np.clip, NaN kept, at a fraction of its cost
-        t_arr = np.minimum(np.maximum(t_arr, a + eps), b - eps)
-        out = np.asarray(self.fn(t_arr, k), dtype=float)
+        out = np.asarray(self.fn(_clamped(self.domain, t), k), dtype=float)
         if np.ndim(t) == 0:
             return float(out)
         return out
+
+
+def _clamped(domain: tuple[float, float], t) -> np.ndarray:
+    """t as a float array clamped CLAMP_EPS_REL inside ``domain``; a t
+    beyond the domain by more than a relative 1e-12 raises DomainError,
+    and NaN entries pass through unchecked."""
+    a, b = domain
+    t_arr = np.asarray(t, dtype=float)
+    # fmin/fmax skip NaN, so a NaN entry hides no out-of-domain one
+    if t_arr.size:
+        tol = 1e-12 * max(1.0, abs(a), abs(b))
+        if (np.fmin.reduce(t_arr, axis=None) < a - tol
+                or np.fmax.reduce(t_arr, axis=None) > b + tol):
+            raise DomainError(f"t={t} outside domain ({a}, {b})")
+    eps = CLAMP_EPS_REL * (b - a)
+    # the values of np.clip, NaN kept, at a fraction of its cost
+    return np.minimum(np.maximum(t_arr, a + eps), b - eps)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,12 @@ class SimpleCurve:
     @property
     def domain(self) -> tuple[float, float]:
         return self.phi.domain
+
+    def top(self, x, rows):
+        """phi^(d) at x.  This is the signature of the B-spline mean sweep,
+        whose rows may each lie on a curve of their own (see
+        :func:`poly_rows`); on one curve the rows do not matter."""
+        return self.phi(x, self.d)
 
     def jet(self, t, k: int = 0):
         """gamma^(k)(t) on the last axis: t^(j-k)/(j-k)! for j = 1..d-1
@@ -210,19 +222,62 @@ def monomial_oracle(beta: float, domain=(0.0, 1.0),
     return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
 
 
+def _horner(c, x):
+    """sum_j c[j] x^j by Horner's rule, with the arithmetic of numpy's
+    polyval: c[-1] + x*0, then c[-i] + (...)*x.  The entries of ``c`` are
+    floats, or arrays that broadcast against x."""
+    out = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        out = c[-i] + out * x
+    return out
+
+
+def _deriv_coeffs(c, k: int):
+    """The coefficients of the k-th derivative as numpy.polynomial's
+    deriv(k) takes them: k steps of c[j-1] <- j * c[j], or c[0] * 0 alone
+    once k reaches len(c)."""
+    if k >= len(c):
+        return [c[0] * 0]
+    for _ in range(k):
+        c = [j * c[j] for j in range(1, len(c))]
+    return c
+
+
 def poly_oracle(coeffs: Sequence[float], domain=(0.0, 1.0),
                 max_order: int | None = None) -> DerivativeOracle:
-    """phi(t) = sum coeffs[k] * t^k."""
+    """phi(t) = sum coeffs[k] * t^k, evaluated by Horner's rule with the
+    values of numpy.polynomial.Polynomial and its deriv(k)."""
+    coeffs = tuple(float(c) for c in coeffs)
+    if not coeffs:
+        raise ConfigError("a polynomial needs at least one coefficient")
     if max_order is None:
         max_order = max(DEFAULT_MAX_D, len(coeffs))
-    poly = np.polynomial.Polynomial(list(coeffs))
-    # each derivative is built on first use and kept by the oracle
-    deriv = lru_cache(maxsize=None)(poly.deriv)
+    # each derivative's coefficients are built on first use and kept
+    deriv = lru_cache(maxsize=None)(lambda k: _deriv_coeffs(coeffs, k))
 
     def fn(t, k):
-        return (deriv(k) if k else poly)(np.asarray(t, dtype=float))
+        # 0.0 + t: Polynomial maps its argument to 0.0 + 1.0 * t
+        return _horner(deriv(k), 0.0 + np.asarray(t, dtype=float))
 
     return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
+
+
+def poly_rows(coeffs, domain, k: int):
+    """The k-th derivatives of the polynomials whose coefficients are the
+    rows of ``coeffs`` (shape (n, m)), all on ``domain``, as the B-spline
+    mean sweep's top(x, rows): x has one leading entry per row of
+    ``rows`` (a slice or an index array), or is the points of the one row
+    ``rows`` (an int).  Each value is the one :func:`poly_oracle` of that
+    row gives, the oracle's domain check and clamp included."""
+    cols = _deriv_coeffs(list(np.asarray(coeffs, dtype=float).T), k)
+
+    def top(x, rows):
+        x = _clamped(domain, x)
+        c = [col[rows] for col in cols]
+        c = [ci.reshape(ci.shape + (1,) * (x.ndim - ci.ndim)) for ci in c]
+        return _horner(c, 0.0 + x)
+
+    return top
 
 
 @lru_cache(maxsize=128)

@@ -483,7 +483,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
     kept = np.flatnonzero(K != 0)
     nodes = np.sort(np.concatenate((s[kept, None], s[kept, None] + h[kept]),
                                    axis=1), axis=1)
-    J = jacobian_integrals(curve, nodes[:, 0], np.diff(nodes, axis=1))
+    J = jacobian_integrals(curve.top, nodes[:, 0], np.diff(nodes, axis=1))
     consts = J / (sigma_est ** (-1.0 / alpha) * K[kept])
     i = worst_index((-consts).tolist())
     witness = c_est = None

@@ -12,12 +12,14 @@ t the determinant cancels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .curves import DerivativeOracle, SimpleCurve
-from .quadrature import QuadratureError, gl_nodes
+from .quadrature import QuadratureError, _leggauss
 from .report import CheckReport, ConfigError, DomainError
 from .vandermonde import (GapVector, factorial_product, kappa_of,
                           unit_bspline, vandermonde_arr)
@@ -50,68 +52,89 @@ def jacobian_direct(curve: SimpleCurve, t: float, h) -> float:
 # raised the settled RSS of a process by about 1 MB
 _MEAN_BLOCK = 16
 # a B-spline mean panel is kept once its 8- and 16-point rules agree to
-# this relative tolerance
+# this relative tolerance, or to the smallest normal double where that
+# is less (phi^(d) subnormal over the panel: its mean is 0 to double
+# precision)
 _MEAN_REL_TOL = 1e-9
+_MEAN_ABS_FLOOR = sys.float_info.min
 
 
-def _panel_rules(curve: SimpleCurve, t, kappa, lo, hi):
+@lru_cache(maxsize=1)
+def _mean_rule():
+    """The 8-point Gauss-Legendre rule on [-1, 1], then the 16-point one."""
+    (x1, w1), (x2, w2) = _leggauss(8), _leggauss(16)
+    return np.concatenate((x1, x2)), np.concatenate((w1, w2))
+
+
+def _panel_rules(top, rows, t, kappa, lo, hi):
     """The 8- and 16-point Gauss-Legendre rules of phi^(d)(t + u) M(u; kappa)
-    on the panels [lo, hi], and the 16-point rule of its absolute value."""
-    x1, w1 = gl_nodes(lo, hi, 8)
-    x2, w2 = gl_nodes(lo, hi, 16)
-    x = np.concatenate((x1, x2), axis=-1)
-    f = unit_bspline(kappa, x) * curve.phi(t + x, curve.d)
-    coarse = (w1 * f[..., :8]).sum(axis=-1)
-    terms = w2 * f[..., 8:]
+    on the panels [lo, hi] of ``rows``, and the 16-point rule of its
+    absolute value; phi^(d) is ``top(x, rows)``."""
+    nodes, weights = _mean_rule()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[..., None] + half[..., None] * nodes
+    w = half[..., None] * weights
+    f = unit_bspline(kappa, x) * top(t + x, rows)
+    coarse = (w[..., :8] * f[..., :8]).sum(axis=-1)
+    terms = w[..., 8:] * f[..., 8:]
     return coarse, terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
-def _spline_means(curve: SimpleCurve, t: np.ndarray,
-                  kappa: np.ndarray) -> np.ndarray:
+def _panels_done(coarse, fine, mass, density, width):
+    """Whether each panel's two rules agree: to _MEAN_REL_TOL relative to
+    its integral of |phi^(d)| M or its width's share of the whole one, and
+    never to less than _MEAN_ABS_FLOOR."""
+    return np.abs(fine - coarse) <= np.maximum(
+        _MEAN_REL_TOL * np.maximum(mass, density * width), _MEAN_ABS_FLOOR)
+
+
+def _spline_means(top, t: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """The B-spline means int phi^(d)(t_i + u) M(u; kappa_i) du of the rows
     t (shape (n,)) and kappa (shape (n, d)).
 
+    phi^(d) is ``top(x, rows)``, at the points x of the rows ``rows`` of
+    t: a slice, with one leading entry of x per row, or one row's index.
     One Gauss-Legendre rule spans each knot interval at orders 8 and 16,
-    for a block of rows per oracle call.  A panel is kept once the two
-    agree to _MEAN_REL_TOL relative to its integral of |phi^(d)| M, or to
-    its width's share of the whole one; a row with a panel left over
-    bisects it by itself, which only happens near a singularity of phi.
+    for a block of rows per call of ``top``.  A panel is kept once the two
+    agree (:func:`_panels_done`); a row with a panel left over bisects it
+    by itself, which only happens near a singularity of phi.
     """
     out = np.empty(t.size)
     for i in range(0, t.size, _MEAN_BLOCK):
-        tb, kb = t[i:i + _MEAN_BLOCK], kappa[i:i + _MEAN_BLOCK]
+        rows = slice(i, i + _MEAN_BLOCK)
+        tb, kb = t[rows], kappa[rows]
         lo, hi = kb[:, :-1], kb[:, 1:]
-        coarse, fine, mass = _panel_rules(curve, tb[:, None, None], kb,
+        coarse, fine, mass = _panel_rules(top, rows, tb[:, None, None], kb,
                                           lo, hi)
         density = mass.sum(axis=-1) / (kb[:, -1] - kb[:, 0])
-        done = np.abs(fine - coarse) <= _MEAN_REL_TOL * np.maximum(
-            mass, density[:, None] * (hi - lo))
+        done = _panels_done(coarse, fine, mass, density[:, None], hi - lo)
         # 0.0 + ...: each running total starts at 0.0, which turns -0.0
         # into 0.0
-        out[i:i + tb.size] = 0.0 + fine.sum(axis=-1)
+        out[rows] = 0.0 + fine.sum(axis=-1)
         for r in np.flatnonzero(~done.all(axis=-1)):
             out[i + r] = _bisect_mean(
-                curve, tb[r], kb[r], lo[r][~done[r]], hi[r][~done[r]],
+                top, i + r, tb[r], kb[r], lo[r][~done[r]], hi[r][~done[r]],
                 0.0 + float(np.sum(fine[r][done[r]])), density[r])
     return out
 
 
-def _bisect_mean(curve: SimpleCurve, t, kappa, lo, hi, total, density):
-    """Finish one row of :func:`_spline_means` from its first level: bisect
-    the panels [lo, hi] left over, adding each kept panel to ``total``."""
+def _bisect_mean(top, row, t, kappa, lo, hi, total, density):
+    """Finish the row ``row`` of :func:`_spline_means` from its first level:
+    bisect the panels [lo, hi] left over, adding each kept panel to
+    ``total``."""
     for _ in range(59):  # 60 levels in all
         if lo.size > 512:
             break
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        coarse, fine, mass = _panel_rules(curve, t, kappa, lo, hi)
-        done = np.abs(fine - coarse) <= _MEAN_REL_TOL * np.maximum(
-            mass, density * (hi - lo))
+        coarse, fine, mass = _panel_rules(top, row, t, kappa, lo, hi)
+        done = _panels_done(coarse, fine, mass, density, hi - lo)
         total += float(np.sum(fine[done]))
         lo, hi = lo[~done], hi[~done]
         if not lo.size:
             return total
-    raise QuadratureError(f"B-spline mean did not converge (d={curve.d}, "
+    raise QuadratureError(f"B-spline mean did not converge (d={kappa.size}, "
                           f"t={t}, kappa={kappa.tolist()})")
 
 
@@ -119,21 +142,25 @@ def jacobian_integral(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t, h) = int phi^(d)(t + u) Psi_d(u; h) du (Hermite-Genocchi):
     v(h) / prod_{i<d} i! times the B-spline mean, and 0.0 where v(h) = 0."""
     g = GapVector.of(h)
-    return float(jacobian_integrals(curve, np.array([t], dtype=float),
+    return float(jacobian_integrals(curve.top, np.array([t], dtype=float),
                                     np.array([g.h]))[0])
 
 
-def jacobian_integrals(curve: SimpleCurve, t: np.ndarray,
-                       h: np.ndarray) -> np.ndarray:
+def jacobian_integrals(top, t: np.ndarray, h: np.ndarray) -> np.ndarray:
     """:func:`jacobian_integral` of the samples t (shape (n,)) and
     nonnegative gaps h (shape (n, d - 1)), with one call for all the
-    B-spline means and the arithmetic of one sample in each."""
+    B-spline means and the arithmetic of one sample in each.
+
+    phi^(d) is ``top(x, rows)`` as in :func:`_spline_means`, its rows
+    those of t: ``curve.top`` for one curve, :func:`poly_rows` for one
+    polynomial per sample.
+    """
     kappa = kappa_of(h)
     v = vandermonde_arr(kappa)
     J = np.zeros(len(kappa))
-    nz = v != 0.0
-    J[nz] = v[nz] / factorial_product(curve.d) * _spline_means(
-        curve, t[nz], kappa[nz])
+    live = np.flatnonzero(v != 0.0)
+    J[live] = v[live] / factorial_product(kappa.shape[-1]) * _spline_means(
+        lambda x, rows: top(x, live[rows]), t[live], kappa[live])
     return J
 
 
@@ -252,7 +279,8 @@ def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
         raise UnderflowError(f"phi^({d}) underflows to 0 at a node or in "
                              f"its product (t={t}, h={list(g.h)}); the "
                              f"sigma ratio is undefined")
-    mean = _spline_means(curve, np.array([t], dtype=float), g.kappa[None])
+    mean = _spline_means(curve.top, np.array([t], dtype=float),
+                         g.kappa[None])
     return float(mean[0]) / (factorial_product(d) * prod ** (1.0 / d))
 
 
@@ -307,7 +335,7 @@ def estimate_sigma(curve: SimpleCurve, unit_samples) -> CheckReport:
     # the geometric mean by Python's scalar power, as in sigma_ratio:
     # numpy's array power differs from it in the last bit on some inputs
     geo = np.array([p ** (1.0 / d) for p in prod[ok].tolist()])
-    ratios = _spline_means(curve, t[kept], kappa[kept]) / (
+    ratios = _spline_means(curve.top, t[kept], kappa[kept]) / (
         factorial_product(d) * geo)
     if err is not None:
         raise err
@@ -368,7 +396,9 @@ def check_offspring_closure(curve: SimpleCurve, h,
 def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     """H(t,h) = prod_i w(t + kappa_i) satisfies
     (prod phi^(d))^{1/d} = H^{(d+1)/2} identically, and
-    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep.
+    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep.  Both
+    exclude the samples :func:`estimate_sigma` excludes, and those whose
+    product of phi^(d) over the nodes is subnormal.
 
     The samples are swept as arrays, each with the arithmetic of one
     sample, and the powers of each row are Python's scalar ``**``.  J comes
@@ -379,25 +409,31 @@ def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     identity_tol = 1e-12
     units = np.asarray(unit_samples, dtype=float)
     units = units.reshape(len(units), d)  # an empty set has no row width
+    n = len(units)
     sigma_est = estimate_sigma(curve, units).estimate
     if sigma_est is None:
         return CheckReport(check_id="weight_product_bound",
                            parameters={"d": d, "curve": curve.label,
-                                       "n_samples": len(units)},
+                                       "n_samples": n},
                            passed=False,
                            notes=["inconclusive: no admissible sample"])
     t, h = sample_admissible(curve, units)
     kappa = kappa_of(h)
     v = vandermonde_arr(kappa)
-    live = ~(v < 1e-12)  # NaN is kept
-    t, kappa, v = t[live], kappa[live], v[live]
-    phid = curve.phi(t[:, None] + kappa, d)
+    live = np.flatnonzero(~(v < 1e-12))  # NaN is kept
+    phid = curve.phi(t[live, None] + kappa[live], d)
+    prod = np.prod(phid, axis=1)
+    # a zero node, or a product that underflows below the smallest normal
+    # double, excludes the sample: the left side of the identity is then
+    # 0 or short of bits, while H, a product of powers, is not
+    ok = ~np.any(phid == 0, axis=1) & ~(np.abs(prod) < sys.float_info.min)
+    kept, phid, prod = live[ok], phid[ok], prod[ok]
     H = np.prod(np.abs(phid) ** (2.0 / (d * (d + 1))), axis=1)
-    lhs = np.array([p ** (1.0 / d) for p in np.prod(phid, axis=1).tolist()])
+    lhs = np.array([p ** (1.0 / d) for p in prod.tolist()])
     rhs = np.array([x ** ((d + 1) / 2.0) for x in H.tolist()])
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
-    J = jacobian_integrals(curve, t, h[live])
-    margin = J - sigma_est * v * rhs
+    J = jacobian_integrals(curve.top, t[kept], h[kept])
+    margin = J - sigma_est * v[kept] * rhs
     # a running max from 0.0 and min from inf, which a NaN never replaces
     worst_identity = max([0.0, *rel.tolist()])
     worst_margin = min([math.inf, *margin.tolist()])
@@ -405,10 +441,12 @@ def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
               worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
     return CheckReport(
         check_id="weight_product_bound",
-        parameters={"d": d, "curve": curve.label, "n_samples": len(units)},
+        parameters={"d": d, "curve": curve.label, "n_samples": n},
         estimate=worst_identity,
         bound=identity_tol,
         tolerance=identity_tol,
         passed=passed,
         witnesses=[{"sigma_est": sigma_est, "min_margin": worst_margin}],
+        notes=[f"excluded {n - kept.size} near-degenerate samples"]
+        if kept.size < n else [],
     )

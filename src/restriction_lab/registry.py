@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conditions, geometry, jacobian, probe, vandermonde
 from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
-                     poly_oracle, validate_monotone)
+                     poly_oracle, poly_rows, validate_monotone)
 from .report import CheckReport, ConfigError, reject_unknown_keys, worst_index
 from .vandermonde import GapVector
 
@@ -80,32 +80,36 @@ def _op_lin_lemma(params, seed):
     return vandermonde.check_lin_lemma(params["instance"])
 
 
-def _random_poly_curve(rng, d: int) -> SimpleCurve:
-    coeffs = rng.normal(size=d + 3)
-    return SimpleCurve(d=d, phi=poly_oracle(coeffs, domain=(-5.0, 5.0)),
-                       label="random-poly")
+# the domain of jacobian-identity's random polynomials
+_TRIAL_DOMAIN = (-5.0, 5.0)
 
 
 def _op_jacobian_identity(params, seed):
     d = int(params["d"])
     n = _count(params, "n_trials", 50)
     rng = np.random.default_rng(seed)
-    errs, trials = [], []
+    coeffs, t, h, direct = [], [], [], []
     for _ in range(n):
-        curve = _random_poly_curve(rng, d)
-        t = float(rng.uniform(-1, 1))
-        h = rng.uniform(0.05, 0.8, size=d - 1)
-        J1 = jacobian.jacobian_direct(curve, t, h)
-        J2 = jacobian.jacobian_integral(curve, t, h)
-        errs.append(abs(J1 - J2) / (1 + abs(J1)))
-        trials.append({"t": t, "h": h.tolist(), "direct": J1, "integral": J2})
+        coeffs.append(rng.normal(size=d + 3))
+        curve = SimpleCurve(d=d, phi=poly_oracle(coeffs[-1], _TRIAL_DOMAIN),
+                            label="random-poly")
+        t.append(float(rng.uniform(-1, 1)))
+        h.append(rng.uniform(0.05, 0.8, size=d - 1))
+        direct.append(jacobian.jacobian_direct(curve, t[-1], h[-1]))
+    # every trial's integral route in one sweep, row i on trial i's
+    # polynomial
+    integral = jacobian.jacobian_integrals(
+        poly_rows(coeffs, _TRIAL_DOMAIN, d), np.array(t),
+        np.array(h)).tolist()
+    errs = [abs(J1 - J2) / (1 + abs(J1)) for J1, J2 in zip(direct, integral)]
     i = worst_index(errs)
     tol = 1e-8
     return CheckReport(
         check_id="jacobian_identity",
         parameters={"d": d, "n_trials": n},
         estimate=errs[i], bound=tol, tolerance=tol, passed=errs[i] <= tol,
-        witnesses=[trials[i]])
+        witnesses=[{"t": t[i], "h": h[i].tolist(),
+                    "direct": direct[i], "integral": integral[i]}])
 
 
 def _op_monomial_closed_form(params, seed):

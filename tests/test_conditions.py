@@ -137,6 +137,45 @@ def test_estimate_A_array_route_equals_per_tuple_loop(variant, grid_size):
         assert est.attained_at["s"] == s
 
 
+def _ref_ratio_at(curve, rows, variant):
+    """conditions._ratio_at as written with np.mean and np.column_stack."""
+    d = curve.d
+    center = np.mean(rows, axis=1) if variant == "AM" else np.exp(
+        np.mean(np.log(rows), axis=1))
+    vals = curve.phi(np.column_stack([rows, center]), d)
+    if np.any(vals[:, :d] <= 0):
+        raise DomainError("phi^(d) <= 0 inside the simplex sweep")
+    gm = np.exp(np.mean(np.log(vals[:, :d]), axis=1))
+    return gm / vals[:, d]
+
+
+@pytest.mark.parametrize("variant", ["AM", "GM"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ratio_at_and_estimate_A_equal_the_np_mean_route(monkeypatch, d,
+                                                         variant):
+    curves = [
+        SimpleCurve(d=d, phi=monomial_oracle(d + 1.5, domain=(0.0, 1.0)),
+                    label="m"),
+        SimpleCurve(d=d, phi=poly_oracle([0.0] * d + [0.5, 1.0, 0.3],
+                                         domain=(0.0, 2.0)), label="poly"),
+    ]
+    rows = np.sort(np.random.default_rng(d).uniform(
+        1e-3, 1.0, size=(300, d)), axis=1)
+    for curve in curves:
+        assert np.array_equal(conditions._ratio_at(curve, rows, variant),
+                              _ref_ratio_at(curve, rows, variant))
+        for i in range(0, 300, 37):  # one-row calls, as the golden search
+            assert np.array_equal(
+                conditions._ratio_at(curve, rows[i:i + 1], variant),
+                _ref_ratio_at(curve, rows[i:i + 1], variant))
+        est = estimate_A(curve, variant, 7)
+        with monkeypatch.context() as m:
+            m.setattr(conditions, "_ratio_at", _ref_ratio_at)
+            ref = estimate_A(curve, variant, 7)
+        assert (est.constant, est.attained_at) == (ref.constant,
+                                                   ref.attained_at)
+
+
 def test_estimate_A_GM_rejects_nonpositive_nodes():
     # the GM centre of a nonpositive node is undefined; the sup used to be
     # taken silently over the positive nodes only (1.0649477893954908)

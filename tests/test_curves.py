@@ -10,7 +10,8 @@ from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     curve_from_spec, expflat_oracle,
                                     expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
-                                    poly_oracle, validate_monotone)
+                                    poly_oracle, poly_rows,
+                                    validate_monotone)
 from restriction_lab.report import CapabilityError, ConfigError, DomainError
 
 
@@ -141,6 +142,76 @@ def test_poly_oracle_repeated_calls_match_fresh_derivatives():
         for k in range(orc.max_order + 1):
             assert np.array_equal(orc(t, k), poly.deriv(k)(t))
             assert orc(0.25, k) == float(poly.deriv(k)(0.25))
+
+
+def _bits(x):
+    """Type, shape and bytes of a value: -0.0 and NaN compare too."""
+    return type(x), np.shape(x), np.asarray(x, dtype=float).tobytes()
+
+
+HORNER_COEFFS = [
+    [2.5],
+    [-1.5, 0.25],
+    [0.3, -1.0, 2.0, 0.5, -0.25, 0.125],
+    [-0.0, 3.0, 0.0, -7.0],
+    [1e300, -3.0, 1e-300, 1e10, -1e-10, 5.0, 0.0, 1.0],
+    [1, 0, -2],  # integers, as a JSON config gives them
+]
+HORNER_POINTS = [
+    0.37, -0.0, 0.0, math.nan, math.inf, -2.5, 7, np.float64(1.75),
+    np.array(-0.0), np.array(0.6), np.array([]), np.zeros((2, 0)),
+    np.array([-0.0, 0.0, math.nan, -math.inf, 1e-320, -3.3]),
+    np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4),
+]
+
+
+@pytest.mark.parametrize("coeffs", HORNER_COEFFS,
+                         ids=[str(i) for i in range(len(HORNER_COEFFS))])
+def test_poly_oracle_horner_equals_numpy_polynomial(coeffs):
+    # fn by itself sees every point unclamped; the oracle clamps first
+    orc = poly_oracle(coeffs, domain=(-5.0, 5.0))
+    poly = np.polynomial.Polynomial(coeffs)
+    for k in range(orc.max_order + 1):
+        ref = poly.deriv(k) if k else poly
+        for x in HORNER_POINTS:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0
+                got, want = orc.fn(x, k), ref(np.asarray(x, dtype=float))
+            assert _bits(got) == _bits(want), (k, x)
+        for x in (0.37, -0.0, np.array([[-0.0, 4.5], [math.nan, -5.0]])):
+            clamped = np.clip(x, -5.0 + 1e-8, 5.0 - 1e-8)
+            ref_val = ref(clamped)
+            assert _bits(orc(x, k)) == _bits(
+                float(ref_val) if np.ndim(x) == 0 else ref_val)
+
+
+def test_poly_oracle_needs_a_coefficient():
+    with pytest.raises(ConfigError):
+        poly_oracle([])
+
+
+def test_poly_rows_equal_one_oracle_per_row():
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=(5, 6))
+    coeffs[1, 0] = -0.0
+    x = rng.uniform(-5.0, 5.0, size=(5, 3, 4))
+    x[0, 0, :3] = -0.0, math.nan, 5.0 + 1e-12  # the last is clamped
+    oracles = [poly_oracle(c, (-5.0, 5.0)) for c in coeffs]
+    for k in range(7):  # 6 and up: the coefficients c[0] * 0
+        top = poly_rows(coeffs, (-5.0, 5.0), k)
+        block = top(x[1:4], slice(1, 4))
+        picked = top(x[[4, 0]], np.array([4, 0]))
+        for j in range(5):
+            want = _bits(oracles[j](x[j], k))
+            assert _bits(top(x[j], j)) == want
+            if 1 <= j < 4:
+                assert _bits(block[j - 1]) == want
+        assert _bits(picked[0]) == _bits(oracles[4](x[4], k))
+        assert _bits(picked[1]) == _bits(oracles[0](x[0], k))
+    # the oracle's domain check, with its message
+    bad = x[1:3] + 0.5
+    with pytest.raises(DomainError) as err:
+        top(bad, slice(1, 3))
+    assert str(err.value) == f"t={bad} outside domain (-5.0, 5.0)"
 
 
 def test_expflat_first_derivative_closed_form():

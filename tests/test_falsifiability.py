@@ -22,6 +22,7 @@ ROWS = [
     ("jacobian", "_spline_means", 1.01, "jacobian-identity"),
     ("vandermonde", "vandermonde_arr", 1.01, "jacobian-identity"),
     ("vandermonde", "vandermonde_arr", 1.01, "monomial-closed-form"),
+    ("conditions", "_ratio_at", 1.01, "estimate-A"),
 ]
 
 

@@ -427,8 +427,10 @@ def _outcome(fn):
 @pytest.mark.parametrize("curve", SWEEP_CURVES,
                          ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
 def test_check_J_geq_K_sweep_equals_per_sample_loop(curve, n):
-    # on the d = 5 exp-flat curve some B-spline means do not converge:
-    # the sweep raises what the loop raised at its first such sample
+    # on the d = 5 exp-flat curve phi^(5) is subnormal over some rows'
+    # panels: both routes give those rows their level-1 means (J ~ 0),
+    # where both once raised a QuadratureError; were one to raise, the
+    # other must raise the same at the same sample
     samples = _J_K_samples(curve, n, 400 + n)
     alpha = _alpha(curve.d)
     got = _outcome(lambda: check_J_geq_K(curve, 0.7, alpha, samples))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from restriction_lab import jacobian
 from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
                                     expflat_oracle, monomial_oracle,
-                                    poly_oracle)
+                                    poly_oracle, poly_rows)
 from restriction_lab.jacobian import (check_offspring_closure,
                                       estimate_sigma,
                                       jacobian_direct, jacobian_integral,
@@ -19,7 +20,8 @@ from restriction_lab.jacobian import (check_offspring_closure,
                                       offspring_point, sample_admissible,
                                       sigma_ratio, weight_product_bound)
 from restriction_lab.quadrature import QuadratureError, gl_nodes
-from restriction_lab.report import DomainError
+from restriction_lab.registry import get_operation
+from restriction_lab.report import DomainError, worst_index
 from restriction_lab.vandermonde import GapVector, unit_bspline
 
 gaps = st.floats(0.02, 0.4)
@@ -219,7 +221,9 @@ def _ref_unit_bspline(kappa, u):
 
 
 def _ref_spline_mean(curve, t, kappa, rel_tol=1e-9):
-    """The B-spline mean of one sample, as the per-sample loop took it."""
+    """The B-spline mean of one sample, as the per-sample loop took it,
+    with the sweep's panel test: never tighter than the smallest normal
+    double."""
     lo, hi = kappa[:-1], kappa[1:]
     total, density = 0.0, None
     for _ in range(60):
@@ -232,8 +236,8 @@ def _ref_spline_mean(curve, t, kappa, rel_tol=1e-9):
         fine, mass = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
         if density is None:
             density = float(np.sum(mass)) / float(kappa[-1] - kappa[0])
-        done = np.abs(fine - coarse) <= rel_tol * np.maximum(
-            mass, density * (hi - lo))
+        done = np.abs(fine - coarse) <= np.maximum(rel_tol * np.maximum(
+            mass, density * (hi - lo)), sys.float_info.min)
         total += float(np.sum(fine[done]))
         lo, hi = lo[~done], hi[~done]
         if not lo.size:
@@ -461,17 +465,24 @@ def _ref_jacobian_integral(curve, t, h):
 
 def _ref_weight_product_bound(curve, unit_samples):
     """The per-sample weight_product_bound loop: (estimate, witnesses,
-    notes, passed)."""
+    notes, passed).  The samples _ref_estimate_sigma excludes, and those
+    whose node product is subnormal, are excluded and counted, as the
+    sweep does (the loop kept those whose node product underflows)."""
     d = curve.d
     sigma_est = _ref_estimate_sigma(curve, unit_samples)[0]
     if sigma_est is None:
         return None, [], ["inconclusive: no admissible sample"], False
-    worst_identity, worst_margin = 0.0, math.inf
+    worst_identity, worst_margin, excluded = 0.0, math.inf, 0
     for u in unit_samples:
         t, g = sample_admissible(curve, np.asarray(u, float))
         if g.v < 1e-12:
+            excluded += 1
             continue
         phid = np.asarray(curve.phi(t + g.kappa, d))
+        if np.any(phid == 0) or abs(float(np.prod(phid))) < (
+                sys.float_info.min):
+            excluded += 1
+            continue
         H = float(np.prod(np.abs(phid) ** (2.0 / (d * (d + 1)))))
         lhs = float(np.prod(phid)) ** (1.0 / d)
         rhs = H ** ((d + 1) / 2.0)
@@ -481,8 +492,10 @@ def _ref_weight_product_bound(curve, unit_samples):
         worst_margin = min(worst_margin, margin)
     passed = (worst_identity <= 1e-12 and
               worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
+    notes = ([f"excluded {excluded} near-degenerate samples"] if excluded
+             else [])
     return (worst_identity,
-            [{"sigma_est": sigma_est, "min_margin": worst_margin}], [],
+            [{"sigma_est": sigma_est, "min_margin": worst_margin}], notes,
             passed)
 
 
@@ -558,9 +571,104 @@ def test_jacobian_integrals_equal_one_sample_calls(curve):
     t, h = sample_admissible(
         curve, np.random.default_rng(17).uniform(size=(37, curve.d)))
     h[0] = 0.0  # v = 0: J is exactly 0.0
-    J = jacobian_integrals(curve, t, h)
+    J = jacobian_integrals(curve.top, t, h)
     assert J[0] == 0.0 and math.copysign(1.0, J[0]) == 1.0
     assert J.tolist() == [_ref_jacobian_integral(curve, ti, hi)
                           for ti, hi in zip(t.tolist(), h)]
     assert J.tolist() == [jacobian_integral(curve, ti, hi)
                           for ti, hi in zip(t.tolist(), h)]
+
+
+# ---------------------------------------------------------------------------
+# the jacobian-identity sweep against the per-trial loop it replaced
+
+
+def _ref_poly_oracle(coeffs, domain):
+    """poly_oracle as numpy.polynomial evaluated it."""
+    poly = np.polynomial.Polynomial(list(coeffs))
+    return DerivativeOracle(
+        domain=tuple(domain), max_order=max(5, len(coeffs)),
+        fn=lambda t, k: (poly.deriv(k) if k else poly)(
+            np.asarray(t, dtype=float)))
+
+
+def _ref_jacobian_identity(d, n, seed):
+    """The per-trial jacobian-identity loop: (estimate, witnesses, passed)
+    and every trial's integral route."""
+    rng = np.random.default_rng(seed)
+    errs, trials = [], []
+    for _ in range(n):
+        curve = SimpleCurve(d=d, phi=_ref_poly_oracle(
+            rng.normal(size=d + 3), (-5.0, 5.0)), label="random-poly")
+        t = float(rng.uniform(-1, 1))
+        h = rng.uniform(0.05, 0.8, size=d - 1)
+        J1 = jacobian_direct(curve, t, h)
+        J2 = _ref_jacobian_integral(curve, t, h)
+        errs.append(abs(J1 - J2) / (1 + abs(J1)))
+        trials.append({"t": t, "h": h.tolist(), "direct": J1,
+                       "integral": J2})
+    i = worst_index(errs)
+    return (errs[i], [trials[i]], errs[i] <= 1e-8), [
+        trial["integral"] for trial in trials]
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 20])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_jacobian_identity_sweep_equals_per_trial_loop(d, n):
+    op = get_operation("jacobian-identity")
+    for seed in (n, 20260823):
+        rep = op.fn({"d": d, "n_trials": n}, seed)
+        expect, integrals = _ref_jacobian_identity(d, n, seed)
+        assert (rep.estimate, rep.witnesses, rep.passed) == expect
+        # every trial's row of the sweep, not just the worst
+        rng = np.random.default_rng(seed)
+        coeffs, t, h = [], [], []
+        for _ in range(n):
+            coeffs.append(rng.normal(size=d + 3))
+            t.append(rng.uniform(-1, 1))
+            h.append(rng.uniform(0.05, 0.8, size=d - 1))
+        assert jacobian_integrals(poly_rows(coeffs, (-5.0, 5.0), d),
+                                  np.array(t), np.array(h)).tolist() == (
+            integrals)
+
+
+def test_poly_rows_sweep_bisects_like_one_curve_calls(monkeypatch):
+    # degree-30 polynomials: the 8-point rule is not exact on them, so
+    # some rows bisect, asking poly_rows for one row at a time
+    rng = np.random.default_rng(21)
+    coeffs = rng.normal(size=(40, 31)) * 3.0 ** np.arange(31)
+    t, h = rng.uniform(-1, 1, size=40), rng.uniform(0.05, 0.8, size=(40, 3))
+    h[5] = 0.0  # v = 0: J is exactly 0.0
+    bisected = []
+    bisect = jacobian._bisect_mean
+    monkeypatch.setattr(jacobian, "_bisect_mean", lambda *a: bisected.append(
+        a[1]) or bisect(*a))
+    J = jacobian_integrals(poly_rows(coeffs, (-5.0, 5.0), 4), t, h)
+    assert bisected and all(isinstance(r, (int, np.integer))
+                            for r in bisected)
+    for i in range(40):
+        curve = SimpleCurve(d=4, phi=poly_oracle(coeffs[i], (-5.0, 5.0)))
+        assert J[i] == jacobian_integral(curve, t[i], h[i])
+        assert J[i] == _ref_jacobian_integral(SimpleCurve(
+            d=4, phi=_ref_poly_oracle(coeffs[i], (-5.0, 5.0))), t[i], h[i])
+
+
+@pytest.mark.parametrize("t, kappa", [
+    # a panel left over at level 1 meets the floor once bisected
+    (0.0370, [0, 0.0206, 0.0332, 0.0633, 0.0741]),
+    # the panels meet the floor at level 1 (bisected, the sum differs)
+    (0.04822791241928931, [0.0, 0.022992256064476083, 0.03113313115484708,
+                           0.03956242306468115, 0.06255620219807193]),
+], ids=["bisected", "level-1"])
+def test_spline_mean_of_a_subnormal_top_derivative(t, kappa):
+    # phi^(5) of exp(-t^-3) is 0 or subnormal over the panels: the mean is
+    # 0 to double precision, and the panel test once demanded an
+    # agreement finer than any double could show (QuadratureError)
+    curve = SimpleCurve(d=5, phi=expflat_oracle(3.0, domain=(0.0, 0.4)),
+                        label="ef")
+    kappa = np.array(kappa)
+    (mean,) = jacobian._spline_means(curve.top, np.array([t]), kappa[None])
+    assert 0.0 <= mean < 1e-300
+    assert mean == _ref_spline_mean(curve, t, kappa)
+    J = jacobian_integral(curve, t, np.diff(kappa))
+    assert 0.0 <= J < 1e-300

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from restriction_lab import probe, vandermonde
+from restriction_lab import curves, probe, registry, vandermonde
 from restriction_lab.cli import main
 from restriction_lab.curves import DerivativeOracle
 from restriction_lab.registry import REGISTRY, get_operation
@@ -102,6 +105,45 @@ def test_sigma_excludes_underflowed_node_products(check):
         (note,) = rep.notes
         assert note.startswith("excluded ") and note.endswith(
             " near-degenerate samples")
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_weight_product_bound_excludes_underflowed_node_products(seed):
+    # where the product of phi^(5) over the nodes underflows, its 5th root
+    # is 0 or short of bits while H, a product of per-node powers, is not:
+    # the H identity once FAILed there (estimate 2.4e229 at seed 1)
+    (rep,) = run(_config([{"operation": "weight-product-bound",
+                           "n_samples": 200, "curve": EXP_FLAT_5}],
+                         seed=seed))
+    assert rep.passed, (rep.estimate, rep.notes)
+    assert rep.estimate <= 1e-12
+    (note,) = rep.notes
+    assert note.startswith("excluded ") and note.endswith(
+        " near-degenerate samples")
+
+
+@pytest.mark.parametrize("grid_size", [0, 1])
+def test_check_phicond_needs_two_grid_points(grid_size):
+    # one point compares no pair (once a PASS with estimate 0.0); none
+    # leaked "ValueError: attempt to get argmin of an empty sequence"
+    cfg = _config([{"operation": "check-phicond", "alpha": 1 / 6,
+                    "grid_size": grid_size,
+                    "curve": {"kind": "monomial", "beta": 4.0, "d": 3}}])
+    with pytest.raises(ConfigError, match="grid_size must be >= 2"):
+        run(cfg)
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # start-up cost: the oracles evaluate polynomials by Horner's rule and
+    # the Gauss-Legendre rules are built on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, restriction_lab.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('numpy.polynomial')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_weight_product_bound_without_admissible_sample_is_inconclusive():
@@ -312,7 +354,8 @@ def test_shipped_configs_cover_every_operation():
 def test_default_config_oracle_calls_and_points(monkeypatch):
     # estimate-A asks the oracle once per sweep or evaluation and
     # psi-lower-bound never; the points asked for stay those of the
-    # per-tuple loop (1,207 calls for the same 13,524 points)
+    # per-tuple loop (1,207 calls for the same 13,524 points), counting
+    # the jacobian-identity sweep's polynomial rows as oracle calls
     seen = {"calls": 0, "points": 0}
     call = DerivativeOracle.__call__
 
@@ -321,7 +364,18 @@ def test_default_config_oracle_calls_and_points(monkeypatch):
         seen["points"] += np.size(t)
         return call(self, t, k)
 
+    def counting_rows(coeffs, domain, k):
+        top = curves.poly_rows(coeffs, domain, k)
+
+        def counted(x, rows):
+            seen["calls"] += 1
+            seen["points"] += np.size(x)
+            return top(x, rows)
+
+        return counted
+
     monkeypatch.setattr(DerivativeOracle, "__call__", counting)
+    monkeypatch.setattr(registry, "poly_rows", counting_rows)
     run(load_config(str(CONFIGS / "default.json")))
     assert seen["calls"] <= 600
     assert seen["points"] == 13524
