@@ -257,8 +257,9 @@ def sample_admissible(curve: SimpleCurve, unit: np.ndarray):
 
 
 class UnderflowError(DomainError):
-    """phi^(d) is exactly 0 at a node, or its product over the nodes
-    underflows to 0: a positive but very flat top derivative."""
+    """phi^(d) is 0 at a node, or its product over the nodes is below the
+    smallest normal double: a positive but very flat top derivative,
+    whose geometric mean over the nodes would be 0 or short of bits."""
 
 
 def _negative_top(d: int, phid: np.ndarray, t: float, h: list) -> DomainError:
@@ -266,103 +267,119 @@ def _negative_top(d: int, phid: np.ndarray, t: float, h: list) -> DomainError:
                        f"{float(phid.min())!r} at t={t}, h={h}")
 
 
+def _sigma_sweep(curve: SimpleCurve, t: np.ndarray, h: np.ndarray):
+    """The sigma ratios of the rows t (shape (n,)) and gaps h (shape
+    (n, d - 1)), each with the arithmetic of one row.
+
+    Returns (kept, phid, geo, mean, ratio, err): the indices of the rows
+    kept, then per kept row phi^(d) at its nodes, their geometric mean,
+    the B-spline mean and the ratio.  A row whose nodes the oracle
+    rejects, or where phi^(d) is negative, ends the sweep: err is its
+    error, and the rows from it on drop out.  A row is excluded where
+    phi^(d) is 0 at a node or its product over the nodes is below the
+    smallest normal double.
+    """
+    d = curve.d
+    kappa = kappa_of(h)
+    nodes = t[:, None] + kappa
+    err = None
+    try:
+        phid = curve.phi(nodes, d)
+    except DomainError:
+        # the oracle's message names the nodes it was given: ask it again
+        # one row at a time, up to the first it rejects
+        phid = []
+        for row in nodes:
+            try:
+                phid.append(curve.phi(row, d))
+            except DomainError as exc:
+                err = exc
+                break
+        phid = np.reshape(phid, (len(phid), d))
+    bad = np.flatnonzero(np.any(phid < 0, axis=1))
+    if bad.size:
+        i = bad[0]
+        err = _negative_top(d, phid[i], float(t[i]), h[i].tolist())
+        phid = phid[:i]
+    prod = np.prod(phid, axis=1)
+    kept = np.flatnonzero(~np.any(phid == 0, axis=1)
+                          & ~(prod < sys.float_info.min))  # NaN is kept
+    phid = phid[kept]
+    # the geometric mean by Python's scalar power: numpy's array power
+    # differs from it in the last bit on some inputs
+    geo = np.array([p ** (1.0 / d) for p in prod[kept].tolist()])
+    mean = _spline_means(curve.top, t[kept], kappa[kept])
+    return kept, phid, geo, mean, mean / (factorial_product(d) * geo), err
+
+
 def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t,h) / [v(h) * (prod_i phi^(d)(t + kappa_i))^{1/d}], taken
     from the B-spline mean so that v(h) cancels analytically."""
     g = GapVector.of(h)
-    d = curve.d
-    phid = curve.phi(t + g.kappa, d)
-    if np.any(phid < 0):
-        raise _negative_top(d, phid, t, list(g.h))
-    prod = float(np.prod(phid))
-    if np.any(phid == 0) or prod == 0.0:
-        raise UnderflowError(f"phi^({d}) underflows to 0 at a node or in "
+    kept, _, _, _, ratio, err = _sigma_sweep(
+        curve, np.array([t], dtype=float), np.array([g.h]))
+    if err is not None:
+        raise err
+    if not kept.size:
+        raise UnderflowError(f"phi^({curve.d}) underflows at a node or in "
                              f"its product (t={t}, h={list(g.h)}); the "
                              f"sigma ratio is undefined")
-    mean = _spline_means(curve.top, np.array([t], dtype=float),
-                         g.kappa[None])
-    return float(mean[0]) / (factorial_product(d) * prod ** (1.0 / d))
+    return float(ratio[0])
 
 
-def estimate_sigma(curve: SimpleCurve, unit_samples) -> CheckReport:
-    """Empirical infimum of the Jacobian lower-bound ratio over samples.
+def _sigma_samples(curve: SimpleCurve, unit_samples):
+    """:func:`estimate_sigma`'s report, then v(h), phi^(d) at the nodes,
+    its geometric mean and the B-spline mean of each sample kept.
 
-    Passes iff the infimum is strictly positive.  Samples with gaps of
-    Vandermonde volume below 1e-12, or with phi^(d)
-    underflowing to 0 at a node or in its product over the nodes, are
-    excluded.
-
-    The samples are swept as arrays, each with the arithmetic of
-    :func:`sigma_ratio`.  A sample that raises does so once the samples
-    before it are done, as in a loop over them.
+    The samples are swept as arrays (:func:`_sigma_sweep`), after those
+    with gaps of Vandermonde volume below 1e-12 are excluded.  A sample
+    that raises does so once the samples before it are done, as in a loop
+    of :func:`sigma_ratio` over them.
     """
     d = curve.d
     units = np.asarray(unit_samples, dtype=float)
     units = units.reshape(len(units), d)  # an empty set has no row width
     n = len(units)
     t, h = sample_admissible(curve, units)
-    # err: the error of the first sample that raises; samples from it on
-    # drop out of the sweep
+    # samples from the first with a negative gap on drop out of the sweep
     stop, err = n, None
     neg = np.flatnonzero(np.any(h < 0, axis=1))
     if neg.size:
         stop, err = neg[0], ConfigError("gap entries must be nonnegative")
-    kappa = kappa_of(h)
-    v = vandermonde_arr(kappa)
+    v = vandermonde_arr(kappa_of(h))
     live = np.flatnonzero(~(v[:stop] < 1e-12))  # NaN is kept
-    nodes = t[live, None] + kappa[live]
-    try:
-        phid = curve.phi(nodes, d)
-    except DomainError:
-        # the oracle's message names the nodes it was given: ask it again
-        # one sample at a time, up to the first it rejects
-        phid = []
-        for i, row in enumerate(nodes):
-            try:
-                phid.append(curve.phi(row, d))
-            except DomainError as exc:
-                err, live = exc, live[:i]
-                break
-        phid = np.reshape(phid, (live.size, d))
-    bad = np.flatnonzero(np.any(phid < 0, axis=1))
-    if bad.size:
-        i, k = bad[0], live[bad[0]]
-        err = _negative_top(d, phid[i], float(t[k]), h[k].tolist())
-        live, phid = live[:i], phid[:i]
-    prod = np.prod(phid, axis=1)
-    ok = ~np.any(phid == 0, axis=1) & (prod != 0.0)
-    kept = live[ok]
-    # the geometric mean by Python's scalar power, as in sigma_ratio:
-    # numpy's array power differs from it in the last bit on some inputs
-    geo = np.array([p ** (1.0 / d) for p in prod[ok].tolist()])
-    ratios = _spline_means(curve.top, t[kept], kappa[kept]) / (
-        factorial_product(d) * geo)
-    if err is not None:
-        raise err
-    # the first strict minimum wins; NaN and inf never do
-    wins = ratios < math.inf
-    best_sample = None
-    if np.any(wins):
-        i = int(np.argmin(np.where(wins, ratios, math.inf)))
-        k = kept[i]
-        best_sample = {"t": float(t[k]), "h": h[k].tolist(),
-                       "ratio": float(ratios[i])}
-    best = best_sample["ratio"] if best_sample else None
+    kept, phid, geo, mean, ratio, sweep_err = _sigma_sweep(
+        curve, t[live], h[live])
+    if sweep_err is not None or err is not None:
+        raise sweep_err or err
+    kept = live[kept]
     rep = CheckReport(
         check_id="estimate_sigma",
         parameters={"d": d, "curve": curve.label, "n_samples": n},
-        estimate=best,
-        bound=0.0,
-        tolerance=0.0,
-        passed=best_sample is not None and best > 0,
-        witnesses=[best_sample] if best_sample else [],
-    )
+        bound=0.0, tolerance=0.0, passed=False)
+    # the first strict minimum wins; NaN and inf never do
+    wins = ratio < math.inf
+    if np.any(wins):
+        i = int(np.argmin(np.where(wins, ratio, math.inf)))
+        rep.estimate = float(ratio[i])
+        rep.passed = rep.estimate > 0
+        rep.witnesses = [{"t": float(t[kept[i]]), "h": h[kept[i]].tolist(),
+                          "ratio": rep.estimate}]
     if kept.size < n:
         rep.notes.append(f"excluded {n - kept.size} near-degenerate samples")
-    if best_sample is None:
+    if rep.estimate is None:
         rep.notes.append("all samples degenerate; inconclusive")
-        rep.passed = False
-    return rep
+    return rep, v[kept], phid, geo, mean
+
+
+def estimate_sigma(curve: SimpleCurve, unit_samples) -> CheckReport:
+    """Empirical infimum of the Jacobian lower-bound ratio over samples.
+
+    Passes iff the infimum is strictly positive.  Each sample has the
+    arithmetic of :func:`sigma_ratio`; the samples :func:`_sigma_samples`
+    excludes are counted in a note.
+    """
+    return _sigma_samples(curve, unit_samples)[0]
 
 
 def check_offspring_closure(curve: SimpleCurve, h,
@@ -396,44 +413,27 @@ def check_offspring_closure(curve: SimpleCurve, h,
 def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     """H(t,h) = prod_i w(t + kappa_i) satisfies
     (prod phi^(d))^{1/d} = H^{(d+1)/2} identically, and
-    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep.  Both
-    exclude the samples :func:`estimate_sigma` excludes, and those whose
-    product of phi^(d) over the nodes is subnormal.
+    J >= sigma_est * v(h) * H^{(d+1)/2} over the sample sweep.
 
-    The samples are swept as arrays, each with the arithmetic of one
-    sample, and the powers of each row are Python's scalar ``**``.  J comes
-    from :func:`jacobian_integrals`, taken again here and not from
-    :func:`estimate_sigma`.
+    sigma_est, the samples kept, phi^(d) at their nodes, its geometric
+    mean (the left side of the identity) and the B-spline means of J all
+    come from the one sweep that gives :func:`estimate_sigma`'s report.
+    The powers of each row are Python's scalar ``**``.
     """
     d = curve.d
     identity_tol = 1e-12
-    units = np.asarray(unit_samples, dtype=float)
-    units = units.reshape(len(units), d)  # an empty set has no row width
-    n = len(units)
-    sigma_est = estimate_sigma(curve, units).estimate
-    if sigma_est is None:
+    sigma, v, phid, lhs, mean = _sigma_samples(curve, unit_samples)
+    if sigma.estimate is None:
         return CheckReport(check_id="weight_product_bound",
-                           parameters={"d": d, "curve": curve.label,
-                                       "n_samples": n},
-                           passed=False,
+                           parameters=sigma.parameters, passed=False,
                            notes=["inconclusive: no admissible sample"])
-    t, h = sample_admissible(curve, units)
-    kappa = kappa_of(h)
-    v = vandermonde_arr(kappa)
-    live = np.flatnonzero(~(v < 1e-12))  # NaN is kept
-    phid = curve.phi(t[live, None] + kappa[live], d)
-    prod = np.prod(phid, axis=1)
-    # a zero node, or a product that underflows below the smallest normal
-    # double, excludes the sample: the left side of the identity is then
-    # 0 or short of bits, while H, a product of powers, is not
-    ok = ~np.any(phid == 0, axis=1) & ~(np.abs(prod) < sys.float_info.min)
-    kept, phid, prod = live[ok], phid[ok], prod[ok]
+    sigma_est = sigma.estimate
     H = np.prod(np.abs(phid) ** (2.0 / (d * (d + 1))), axis=1)
-    lhs = np.array([p ** (1.0 / d) for p in prod.tolist()])
     rhs = np.array([x ** ((d + 1) / 2.0) for x in H.tolist()])
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
-    J = jacobian_integrals(curve.top, t[kept], h[kept])
-    margin = J - sigma_est * v[kept] * rhs
+    # J as jacobian_integrals takes it
+    J = v / factorial_product(d) * mean
+    margin = J - sigma_est * v * rhs
     # a running max from 0.0 and min from inf, which a NaN never replaces
     worst_identity = max([0.0, *rel.tolist()])
     worst_margin = min([math.inf, *margin.tolist()])
@@ -441,12 +441,11 @@ def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
               worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
     return CheckReport(
         check_id="weight_product_bound",
-        parameters={"d": d, "curve": curve.label, "n_samples": n},
+        parameters=sigma.parameters,
         estimate=worst_identity,
         bound=identity_tol,
         tolerance=identity_tol,
         passed=passed,
         witnesses=[{"sigma_est": sigma_est, "min_margin": worst_margin}],
-        notes=[f"excluded {n - kept.size} near-degenerate samples"]
-        if kept.size < n else [],
+        notes=sigma.notes,  # the count of samples excluded
     )

@@ -137,25 +137,29 @@ def _op_monomial_closed_form(params, seed):
         estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol)
 
 
+def _unit_samples(params, seed, curve, default):
+    """'n_samples' points of the unit box [0, 1]^d, drawn from the run
+    seed: the samples of the sigma checks."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(_count(params, "n_samples", default), curve.d))
+
+
 def _op_estimate_sigma(params, seed):
     curve = _curve(params)
-    rng = np.random.default_rng(seed)
-    us = rng.uniform(size=(_count(params, "n_samples", 200), curve.d))
-    return jacobian.estimate_sigma(curve, us)
+    return jacobian.estimate_sigma(curve,
+                                   _unit_samples(params, seed, curve, 200))
 
 
 def _op_offspring_closure(params, seed):
     curve = _curve(params)
-    rng = np.random.default_rng(seed)
-    us = rng.uniform(size=(_count(params, "n_samples", 200), curve.d))
-    return jacobian.check_offspring_closure(curve, params["h"], us)
+    return jacobian.check_offspring_closure(
+        curve, params["h"], _unit_samples(params, seed, curve, 200))
 
 
 def _op_weight_product_bound(params, seed):
     curve = _curve(params)
-    rng = np.random.default_rng(seed)
-    us = rng.uniform(size=(_count(params, "n_samples", 100), curve.d))
-    return jacobian.weight_product_bound(curve, us)
+    return jacobian.weight_product_bound(
+        curve, _unit_samples(params, seed, curve, 100))
 
 
 def _wrap_condition(est, check_id, bound=None, tolerance=None):

@@ -18,7 +18,8 @@ from restriction_lab.jacobian import (check_offspring_closure,
                                       offspring_curve,
                                       offspring_decomposition,
                                       offspring_point, sample_admissible,
-                                      sigma_ratio, weight_product_bound)
+                                      sigma_ratio, UnderflowError,
+                                      weight_product_bound)
 from restriction_lab.quadrature import QuadratureError, gl_nodes
 from restriction_lab.registry import get_operation
 from restriction_lab.report import DomainError, worst_index
@@ -119,6 +120,20 @@ def test_sigma_ratio_rejects_underflowed_top_derivative():
     assert c.phi(1e-3, 2) == 0.0
     with pytest.raises(DomainError, match="underflows"):
         sigma_ratio(c, 1e-3, (0.05,))
+
+
+def test_sigma_ratio_rejects_a_subnormal_node_product():
+    # phi^(5) of exp(-t^-3) is positive at every node of this sample (one
+    # that estimate-sigma draws at seed 2), but its product over them is
+    # subnormal: its 5th root would have lost bits
+    c = SimpleCurve(d=5, phi=expflat_oracle(3.0, domain=(0.0, 0.4)),
+                    label="ef")
+    t, h = 0.11895511426148134, (0.06011341242538311, 0.07059482051032315,
+                                 0.07372612430658458, 0.021183634687122366)
+    phid = c.phi(t + GapVector.of(h).kappa, 5)
+    assert np.all(phid > 0) and 0.0 < np.prod(phid) < sys.float_info.min
+    with pytest.raises(UnderflowError, match="underflows"):
+        sigma_ratio(c, t, h)
 
 
 def test_monomial_closed_form_spot():
@@ -252,8 +267,8 @@ def _ref_spline_mean(curve, t, kappa, rel_tol=1e-9):
 
 def _ref_estimate_sigma(curve, unit_samples, floor=1e-12):
     """The per-sample estimate_sigma loop: (estimate, witness, excluded).
-    A node product that underflows to 0 is excluded, as the sweep does
-    (the loop divided by it)."""
+    A node product below the smallest normal double is excluded, as the
+    sweep does (the loop divided by it)."""
     d = curve.d
     a, b = curve.domain
     best, best_sample, excluded = math.inf, None, 0
@@ -272,7 +287,7 @@ def _ref_estimate_sigma(curve, unit_samples, floor=1e-12):
                               f"{float(phid.min())!r} at t={t}, "
                               f"h={list(g.h)}")
         prod = float(np.prod(phid))
-        if np.any(phid == 0) or prod == 0.0:
+        if np.any(phid == 0) or prod < sys.float_info.min:
             excluded += 1
             continue
         r = _ref_spline_mean(curve, t, g.kappa) / (
@@ -349,10 +364,13 @@ def test_estimate_sigma_sweep_counts_underflowed_products():
     t, h = sample_admissible(curve, units)
     kappa = np.concatenate((np.zeros((200, 1)), np.cumsum(h, axis=1)), axis=1)
     phid = curve.phi(t[:, None] + kappa, 5)
-    product_only = (np.prod(phid, axis=1) == 0) & np.all(phid > 0, axis=1)
-    assert product_only.any()  # each node positive, the product 0
+    prod = np.prod(phid, axis=1)
+    product_only = (prod < sys.float_info.min) & np.all(phid > 0, axis=1)
+    # each node positive, the product 0, or subnormal but not 0
+    assert (prod[product_only] == 0).any() and prod[product_only].any()
     est, _, excluded = _sweep_result(estimate_sigma(curve, units))
     assert excluded >= product_only.sum() and est > 0
+    assert (est, excluded) == _ref_estimate_sigma(curve, units)[::2]
 
 
 def test_estimate_sigma_sweep_bisects_like_the_loop(monkeypatch):
@@ -465,9 +483,9 @@ def _ref_jacobian_integral(curve, t, h):
 
 def _ref_weight_product_bound(curve, unit_samples):
     """The per-sample weight_product_bound loop: (estimate, witnesses,
-    notes, passed).  The samples _ref_estimate_sigma excludes, and those
-    whose node product is subnormal, are excluded and counted, as the
-    sweep does (the loop kept those whose node product underflows)."""
+    notes, passed).  The samples _ref_estimate_sigma excludes are
+    excluded and counted, as the sweep does (the loop kept those whose
+    node product underflows)."""
     d = curve.d
     sigma_est = _ref_estimate_sigma(curve, unit_samples)[0]
     if sigma_est is None:
@@ -557,11 +575,12 @@ def test_weight_product_bound_oracle_calls_and_points(monkeypatch):
         weight_product_bound(curve, units)
         counts.append(dict(seen))
     assert counts[0] == counts[1]
-    # estimate_sigma and the J sweep: one call for the nodes and one per
-    # block each; no row bisects here
-    assert counts[0]["calls"] <= 2 * math.ceil(100 / jacobian._MEAN_BLOCK) + 2
-    assert counts[0]["points"] == loop["points"] == 2 * (100 * 5
-                                                         + 100 * 4 * 24)
+    # one sweep for sigma, the identity and J: one call for the nodes and
+    # one per block; no row bisects here
+    assert counts[0]["calls"] <= math.ceil(100 / jacobian._MEAN_BLOCK) + 1
+    assert counts[0]["points"] == 100 * 5 + 100 * 4 * 24
+    # the loop asks for every sample twice: for sigma, then for its margin
+    assert loop["points"] == 2 * counts[0]["points"]
     assert loop["calls"] == 400
 
 

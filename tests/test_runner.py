@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -112,14 +113,48 @@ def test_weight_product_bound_excludes_underflowed_node_products(seed):
     # where the product of phi^(5) over the nodes underflows, its 5th root
     # is 0 or short of bits while H, a product of per-node powers, is not:
     # the H identity once FAILed there (estimate 2.4e229 at seed 1)
-    (rep,) = run(_config([{"operation": "weight-product-bound",
-                           "n_samples": 200, "curve": EXP_FLAT_5}],
-                         seed=seed))
+    sigma, rep = run(_config([
+        {"operation": op, "n_samples": 200, "curve": EXP_FLAT_5}
+        for op in ("estimate-sigma", "weight-product-bound")], seed=seed))
     assert rep.passed, (rep.estimate, rep.notes)
     assert rep.estimate <= 1e-12
     (note,) = rep.notes
     assert note.startswith("excluded ") and note.endswith(
         " near-degenerate samples")
+    # one exclusion rule: estimate-sigma once kept the samples whose node
+    # product is subnormal but not 0 (162 against 164 at seed 2)
+    assert sigma.notes == rep.notes
+
+
+@pytest.mark.parametrize("seed", [54, 95, 179, 194])
+def test_lemma1_conclusion_occupation_within_measure_resolution(seed):
+    # lambda_measure resolves the occupation to _TOL = 1e-8 in all, so at
+    # h near 1e-3 the cross-check once FAILed on shortfalls of 2e-9
+    cfg = load_config(str(CONFIGS / "all_ops.json"))
+    cfg.seed = seed
+    cfg.checks = [c for c in cfg.checks
+                  if c["operation"] == "lemma1-conclusion"]
+    (rep,) = run(cfg)
+    assert rep.estimate > 0
+    assert rep.passed, rep.witnesses
+
+
+@pytest.mark.parametrize("config, seeds, status, listed", [
+    ("default.json", ("0", "2"), 0, []),
+    # lemma1-conclusion FAILs its margin at seed 0 (ROADMAP item 12)
+    ("all_ops.json", ("0", "1"), 1, ["FAIL lemma1-conclusion seed 0"])])
+def test_seed_sweep_lists_every_failing_check(monkeypatch, capsys, config,
+                                              seeds, status, listed):
+    script = CONFIGS.parent / "scripts" / "seed_sweep.py"
+    monkeypatch.setattr(sys, "argv", [script.name, str(CONFIGS / config),
+                                      *seeds])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == status
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.split(" estimate ")[0] for line in lines] == listed
+    assert summary == (f"{len(listed)} failing (check, seed) pairs at seeds "
+                       f"{seeds[0]}-{seeds[1]}")
 
 
 @pytest.mark.parametrize("grid_size", [0, 1])
