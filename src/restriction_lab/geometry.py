@@ -10,6 +10,8 @@ exponent for the segment.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -303,7 +305,13 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
         passed=passed and chain_rep.passed,
         witnesses=witnesses,
     )
-    rep.notes.append(f"lambda(E_0) = {lam!r} >= h = {s0 - t0!r}")
+    h = s0 - t0
+    if lam >= h:
+        rep.notes.append(f"lambda(E_0) = {lam!r} >= h = {h!r}")
+    else:
+        rep.notes.append(f"lambda(E_0) = {lam!r} < h = {h!r}; the check "
+                         f"allows a shortfall of up to 1e-6 h + _TOL = "
+                         f"{h * 1e-6 + _TOL!r}")
     return rep
 
 
@@ -402,8 +410,46 @@ BOX_SIDE = 10.0
 # scratch (1.3 MB at d = 4) fit in a 2 MB L2 cache.  The block size
 # changes no estimate: PCG64 spends one 64-bit word per double, so
 # consecutive blocks draw the same numbers in the same order as one draw
-# of all rows
+# of all rows.  A draw split into parts streams each part through blocks
+# of _SM_BLOCK // parts rows, so all parts' buffers together stay at one
+# block's worth
 _SM_BLOCK = 32_768
+# most parts a K-shell draw is split into, one thread each: the sampler
+# was timed on a 2-core box, and no split above two was measured
+_SM_PARTS = 2
+
+
+def _shell_counts(seed: int, d: int, alpha: float, edges: list[float],
+                  start: int, stop: int, block: int) -> np.ndarray:
+    """For each shell edge e (``edges`` descending, the first the largest),
+    the number of samples start..stop-1 of the seeded draw of
+    ``sm_shells`` with K <= e.
+
+    The stream of ``default_rng(seed)`` is jumped ahead to sample
+    ``start``, (d - 1) words a sample, and the part is streamed through
+    blocks of ``block`` rows: each block is drawn into a reused buffer,
+    transposed into contiguous columns, reduced to K in place, compared
+    once with the largest edge, and the few rows at or below it with the
+    smaller edges.  Every comparison is exact, so counts of adjacent parts
+    add up to the count of their union."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * (d - 1))
+    at_most = np.zeros(len(edges), dtype=np.int64)
+    block = min(block, stop - start)
+    rows, cols = np.empty((block, d - 1)), np.empty((d - 1, block))
+    K, tmp = np.empty(block), np.empty(block)
+    below = np.empty(block, dtype=bool)
+    for first in range(start, stop, block):
+        n = min(block, stop - first)
+        # rng.uniform(0, BOX_SIDE) is BOX_SIDE * rng.random(), draw by draw
+        rng.random(out=rows[:n])
+        np.multiply(rows[:n].T, BOX_SIDE, out=cols[:, :n])
+        Kn = _K_cols(cols[:, :n], alpha, K[:n], tmp[:n])
+        kept = Kn[np.less_equal(Kn, edges[0], out=below[:n])]
+        at_most[0] += kept.size
+        for i in range(1, len(edges)):
+            at_most[i] += np.count_nonzero(kept <= edges[i])
+    return at_most
 
 
 def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
@@ -413,33 +459,50 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
     [0, BOX_SIDE]^{d-1}, all from one seeded draw of ``mc_samples`` gap
     vectors.
 
-    The draw is streamed through blocks of ``_SM_BLOCK`` rows: each block
-    is drawn into a reused buffer, transposed into contiguous columns,
-    reduced to K in place and counted against the shell edges 2^{-m} by
-    exact comparison, so every count equals that of the shell's own mask
-    on the whole draw."""
+    The draw is cut at ``_SM_BLOCK`` boundaries into contiguous parts, one
+    per core up to ``_SM_PARTS`` (one where the process may run on one
+    core or the draw fills one block).  Each part jumps a copy of the
+    seeded PCG64 stream ahead to its own first sample, so the parts draw
+    the very numbers of one draw of all rows.  This thread counts the
+    first part and a ``threading.Thread`` each other part, all through
+    ``_shell_counts``; once every part has ended, the error of the first
+    failing part, if any, is raised here.  The counts are exact integers,
+    so their sums, and so every estimate, are the same for any number of
+    parts.  The worker threads call nothing that ``perfbench/spans.py``
+    traces: its tracer keeps one span stack per process."""
     if d < 2:
         raise ConfigError(f"gap vectors need d >= 2, got d={d}")
     if not 0 < alpha < 1.0 / d:
         raise ConfigError(f"alpha must lie in (0, 1/d), got {alpha}")
     if m_max < 0 or mc_samples < 1:
         raise ConfigError("m >= 0 and mc_samples >= 1 required")
-    rng = np.random.default_rng(seed)
     edges = [2.0 ** -m for m in range(m_max + 2)]
-    at_most = np.zeros(len(edges), dtype=np.int64)
-    block = min(_SM_BLOCK, mc_samples)
-    rows, cols = np.empty((block, d - 1)), np.empty((d - 1, block))
-    K, tmp = np.empty(block), np.empty(block)
-    below = np.empty(block, dtype=bool)
-    for start in range(0, mc_samples, block):
-        n = min(block, mc_samples - start)
-        # rng.uniform(0, BOX_SIDE) is BOX_SIDE * rng.random(), draw by draw
-        rng.random(out=rows[:n])
-        np.multiply(rows[:n].T, BOX_SIDE, out=cols[:, :n])
-        Kn = _K_cols(cols[:, :n], alpha, K[:n], tmp[:n])
-        for i, e in enumerate(edges):
-            np.less_equal(Kn, e, out=below[:n])
-            at_most[i] += np.count_nonzero(below[:n])
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    blocks = -(-mc_samples // _SM_BLOCK)
+    parts = min(_SM_PARTS, cores, blocks)
+    cuts = [min(mc_samples, blocks * p // parts * _SM_BLOCK)
+            for p in range(parts + 1)]
+    counts: list = [None] * parts
+
+    def count(p):
+        try:
+            counts[p] = _shell_counts(seed, d, alpha, edges, cuts[p],
+                                      cuts[p + 1], _SM_BLOCK // parts)
+        except Exception as exc:    # raised below, once every part has ended
+            counts[p] = exc
+
+    workers = [threading.Thread(target=count, args=(p,))
+               for p in range(1, parts)]
+    for w in workers:
+        w.start()
+    count(0)
+    for w in workers:
+        w.join()
+    for c in counts:
+        if isinstance(c, Exception):
+            raise c
+    at_most = sum(counts)
     hits = (at_most[:-1] - at_most[1:]).tolist()
     vol = BOX_SIDE ** (d - 1)
     return [vol * h / mc_samples for h in hits], hits

@@ -1,7 +1,9 @@
 import csv
 import math
+import os
 import runpy
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restriction_lab import geometry
 from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       K_u_geometry, Parallelepiped,
-                                      _K_many,
+                                      _K_many, _shell_counts,
                                       _occupation, check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
@@ -22,7 +25,7 @@ from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       u_of)
 from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import get_operation
-from restriction_lab.report import ConfigError, worst_index
+from restriction_lab.report import ConfigError, DomainError, worst_index
 from test_jacobian import SWEEP_CURVES, _ref_jacobian_integral
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -315,6 +318,9 @@ def test_sm_shells_blocks_count_the_whole_draw(d, alpha, n):
 
 
 def test_sm_shells_allocates_one_block_at_a_time():
+    """The draw is never held whole: each part streams blocks of
+    _SM_BLOCK // parts rows, so all parts' buffers together stay at one
+    block's worth, however many cores count them."""
     tracemalloc.start()
     try:
         sm_shells(4, 0.1, 4, 2_000_000)
@@ -323,6 +329,108 @@ def test_sm_shells_allocates_one_block_at_a_time():
         tracemalloc.stop()
     # one 2M-row draw at d = 4 is 48 MB; a block's buffers are about 2 MB
     assert peak < 4e6
+
+
+# (first sample, end) of each part: one part, an even cut, a cut inside a
+# block, and a last part shorter than a block
+@pytest.mark.parametrize("cuts", [
+    (0, 200_001), (0, 100_000, 200_001), (0, 5, 70_000, 200_001),
+    (0, 2 * _SM_BLOCK, 200_000, 200_001)])
+@pytest.mark.parametrize("d,alpha", [(3, 1 / 6), (4, 0.08), (5, 0.05)])
+def test_shell_counts_of_the_parts_add_up_to_the_whole_draw(cuts, d, alpha):
+    edges = [2.0 ** -m for m in range(6)]
+    whole = _shell_counts(9, d, alpha, edges, 0, cuts[-1], _SM_BLOCK)
+    parts = [_shell_counts(9, d, alpha, edges, a, b, _SM_BLOCK // 2)
+             for a, b in zip(cuts, cuts[1:])]
+    assert sum(parts).tolist() == whole.tolist()
+    assert whole[0] > whole[-1] > 0
+
+
+# (d, alpha): the spread's exponent 1/alpha - d(d+1)/2 is 0 on the first
+# of each d, 2.5 on the second
+@pytest.mark.parametrize("d,alpha", [(3, 1 / 6), (3, 1 / 8.5), (4, 0.1),
+                                     (4, 0.08), (5, 1 / 15), (5, 0.8 / 14)])
+def test_sm_shells_counts_do_not_depend_on_the_core_count(monkeypatch, d,
+                                                          alpha):
+    n = 3 * _SM_BLOCK + 17
+    counts = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, k=cores: set(range(k)),
+                            raising=False)
+        counts.append(sm_shells(d, alpha, 4, mc_samples=n, seed=4))
+    # where the affinity call is missing, os.cpu_count decides (None: one)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cores in (2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda k=cores: k)
+        counts.append(sm_shells(d, alpha, 4, mc_samples=n, seed=4))
+    assert all(c == counts[0] for c in counts)
+    assert counts[0][1] == _mask_hits(d, alpha, 4, n, 4)
+
+
+def test_sm_shells_callers_on_many_threads_get_their_own_counts(
+        monkeypatch):
+    # more callers than cores, each with a worker of its own, switching
+    # as often as the interpreter allows: no part may count into another
+    # caller's draw
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    n = 3 * _SM_BLOCK + 17
+    want = [sm_shells(3, 1 / 6, 4, mc_samples=n, seed=s) for s in range(4)]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = sm_shells(3, 1 / 6, 4, mc_samples=n, seed=s)
+
+    callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert got == want
+
+
+def _plant_in_K_cols(monkeypatch, on_worker):
+    """Make _K_cols raise a DomainError on the worker threads (or on the
+    calling one); return the list of the worker threads that called it."""
+    workers, K_cols = [], geometry._K_cols
+
+    def planted(*args):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker:
+            workers.append(threading.current_thread())
+        if worker == on_worker:
+            raise DomainError("planted")
+        return K_cols(*args)
+
+    monkeypatch.setattr(geometry, "_K_cols", planted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return workers
+
+
+def test_sm_shells_raises_a_worker_error_as_its_own_type(monkeypatch):
+    workers = _plant_in_K_cols(monkeypatch, on_worker=True)
+    with pytest.raises(DomainError, match="planted"):
+        sm_shells(4, 0.1, 4, mc_samples=40 * _SM_BLOCK)
+    assert workers
+
+
+def test_sm_shells_joins_its_worker_when_the_calling_part_raises(
+        monkeypatch):
+    workers = _plant_in_K_cols(monkeypatch, on_worker=False)
+    with pytest.raises(DomainError, match="planted"):
+        sm_shells(4, 0.1, 4, mc_samples=40 * _SM_BLOCK)
+    # the calling part fails on its first block, long before the worker
+    # has counted its 40 blocks
+    assert workers and not any(w.is_alive() for w in workers)
+    assert len(workers) == 40
 
 
 def test_shell_scaling_script_prints_every_shell(monkeypatch, capsys):

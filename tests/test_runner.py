@@ -139,6 +139,20 @@ def test_lemma1_conclusion_occupation_within_measure_resolution(seed):
     assert rep.passed, rep.witnesses
 
 
+def test_lemma1_conclusion_note_states_the_relation_that_holds():
+    # at the config's own seed the occupation falls 1.1e-9 short of h, so
+    # the note once read "lambda(E_0) = 0.05375177040696144 >= h = ..."
+    cfg = load_config(str(CONFIGS / "all_ops.json"))
+    assert cfg.seed == 20260823
+    cfg.checks = [c for c in cfg.checks
+                  if c["operation"] == "lemma1-conclusion"]
+    (rep,) = run(cfg)
+    assert rep.passed
+    (note,) = rep.notes
+    assert note.startswith("lambda(E_0) = 0.05375177040696144 < h = "
+                           "0.05375177155390232; the check allows ")
+
+
 @pytest.mark.parametrize("config, seeds, status, listed", [
     ("default.json", ("0", "2"), 0, []),
     # lemma1-conclusion FAILs its margin at seed 0 (ROADMAP item 12)
