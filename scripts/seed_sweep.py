@@ -8,7 +8,8 @@ Each seed replaces the config's own, and the checks run in-process as
 printed, one a line with the check's estimate and notes; the exit
 status is 1 if there is any and 0 if there is none.
 
-CI sweeps ``configs/default.json`` at seeds 0-299.  ``configs/all_ops.json``
+CI sweeps ``configs/default.json`` at seeds 0-299, with a RuntimeWarning
+raised as an error.  ``configs/all_ops.json``
 joins it once ``lemma1-conclusion`` takes its constant B from boxes that
 cover the range its pairs are drawn from (ROADMAP item 12): today that
 check FAILs its margin at 20 of seeds 0-299, seed 0 among them.

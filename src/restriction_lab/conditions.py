@@ -11,27 +11,16 @@ flatter curves while keeping the geometric-mean constant at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .curves import DerivativeOracle, SimpleCurve, validate_monotone
 from .quadrature import integrate_refine
-from .report import ConfigError, DomainError
+from .report import CheckReport, ConfigError, DomainError
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-@dataclass
-class ConditionEstimate:
-    condition_id: str
-    constant: Optional[float]
-    attained_at: dict[str, Any] = field(default_factory=dict)
-    grid_spec: str = ""
-    passed: bool = True
-    notes: list[str] = field(default_factory=list)
 
 
 def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
@@ -109,11 +98,11 @@ def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
 
 
 def estimate_A(curve: SimpleCurve, variant: str = "GM",
-               grid_size: int = 12) -> ConditionEstimate:
+               grid_size: int = 12) -> CheckReport:
     """Grid supremum of (prod phi^(d)(s_j))^{1/d} / phi^(d)(mean(s)) over
     the ordered simplex, with the arithmetic (AM) or geometric (GM) mean
-    in the denominator.  The reported constant is a grid sup, not a
-    certified bound.
+    in the denominator.  The estimate is a grid sup, not a certified
+    bound; the witness is the tuple s attaining it.
     """
     if variant not in ("AM", "GM"):
         raise ConfigError(f"variant must be AM or GM, got {variant!r}")
@@ -135,12 +124,12 @@ def estimate_A(curve: SimpleCurve, variant: str = "GM",
                                          ratios)))]
     width = (b - a) / (grid_size - 1)
     best_s, best = _golden_refine(curve, best_s, variant, width)
-    return ConditionEstimate(
-        condition_id=variant,
-        constant=best,
-        attained_at={"s": [float(x) for x in best_s]},
-        grid_spec=f"simplex grid {grid_size}^{d} deduplicated + golden refine",
-    )
+    return CheckReport(
+        check_id="estimate_A",
+        parameters={"grid": f"simplex grid {grid_size}^{d} deduplicated "
+                            "+ golden refine"},
+        estimate=best, passed=True,
+        witnesses=[{"s": [float(x) for x in best_s]}])
 
 
 def _validate_alpha(d: int, alpha: float) -> None:
@@ -154,10 +143,11 @@ def _validate_alpha(d: int, alpha: float) -> None:
 
 
 def check_phicond(curve: SimpleCurve, alpha: float,
-                  grid_size: int = 64) -> ConditionEstimate:
+                  grid_size: int = 64) -> CheckReport:
     """Infimum over a < t < s < b of
     (phi^(d-1)(s) - phi^(d-1)(t)) / (s-t)^rho with
-    rho = 1/alpha + 1 - d(d+1)/2; the reported constant is inf^(-alpha).
+    rho = 1/alpha + 1 - d(d+1)/2; the estimate is the constant
+    inf^(-alpha), and the witness the (t, s) attaining the infimum.
 
     An infimum that is not positive (or NaN) fails the condition: there is
     no constant, and a note gives the infimum and its (t, s).
@@ -180,18 +170,17 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     inf_val = float(ratios[idx])
     t, s = float(tt[idx]), float(ss[idx])
     passed = inf_val > 0
-    return ConditionEstimate(
-        condition_id="phicond",
-        constant=inf_val ** (-alpha) if passed else None,
-        # a report is strict JSON: no NaN or infinite value in it
-        attained_at={"t": t, "s": s,
-                     "inf": inf_val if math.isfinite(inf_val) else None,
-                     "rho": rho},
-        grid_spec=f"{grid_size}x{grid_size} pair grid",
+    return CheckReport(
+        check_id="check_phicond",
+        parameters={"grid": f"{grid_size}x{grid_size} pair grid"},
+        estimate=inf_val ** (-alpha) if passed else None,
         passed=passed,
+        # a report is strict JSON: no NaN or infinite value in it
+        witnesses=[{"t": t, "s": s,
+                    "inf": inf_val if math.isfinite(inf_val) else None,
+                    "rho": rho}],
         notes=[] if passed else [f"infimum {inf_val!r} at t={t!r}, "
-                                 f"s={s!r} is not positive; no constant"],
-    )
+                                 f"s={s!r} is not positive; no constant"])
 
 
 def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
@@ -241,15 +230,13 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
 
 
 def exponent_calculator(d: int, p: float | None = None,
-                        alpha: float | None = None,
-                        s: float | None = None) -> dict[str, Any]:
+                        alpha: float | None = None) -> dict[str, Any]:
     """All the exponent bookkeeping in one place.
 
     With ``p``: the dual pairing, the interpolation parameter theta and the
     derived exponents (A, B, s, eta), plus residuals of the two identities
     eta - (d+1) theta/4 = 1/p and s_p = (d+1) p'/2.
     With ``alpha``: q = 1 + 1/alpha and delta(alpha).
-    With ``s``: the q defined by 1/q = 1/p_d + 1/(s p_d).
     """
     if d < 2:
         raise ConfigError("d must be >= 2")
@@ -284,10 +271,5 @@ def exponent_calculator(d: int, p: float | None = None,
             "q_alpha": 1 + 1.0 / alpha,
             "delta": (1 - (2 * d - 1) * alpha) / (1 - alpha),
         })
-
-    if s is not None:
-        if s <= 0:
-            raise ConfigError(f"s must be positive, got {s}")
-        out.update({"s": s, "q_lorentz": p_d * s / (s + 1)})
 
     return out

@@ -20,7 +20,8 @@ import numpy as np
 from .conditions import _validate_alpha
 from .curves import SimpleCurve, validate_monotone
 from .jacobian import jacobian_integrals
-from .report import CheckReport, ConfigError, DomainError, worst_index
+from .report import (CheckReport, ConfigError, DomainError, at_most,
+                     worst_index)
 from .vandermonde import vandermonde
 
 
@@ -64,12 +65,6 @@ class Parallelepiped:
 
     def to_dict(self) -> dict:
         return {"base": self.base.tolist(), "edges": self.edges.tolist()}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Parallelepiped":
-        if "base" not in raw or "edges" not in raw:
-            raise ConfigError("parallelepiped JSON needs 'base' and 'edges'")
-        return cls.of(raw["base"], raw["edges"])
 
 
 def cube(center, side: float) -> Parallelepiped:
@@ -378,6 +373,8 @@ def K_u_geometry(h, alpha: float,
     """(u(h), K(h)) plus a numerical check that K is homogeneous of
     degree 1/alpha - d."""
     h = np.asarray(h, dtype=float)
+    if h.size == 0:
+        raise ConfigError("h needs at least one gap (d >= 2)")
     d = h.size + 1
     _validate_alpha(d, alpha)
     u = u_of(h)
@@ -390,17 +387,9 @@ def K_u_geometry(h, alpha: float,
         else:
             errs.append(abs(K_of(lam * h, alpha) - lam ** deg * K) / (
                 lam ** deg * K))
-    worst = errs[worst_index(errs)]
-    rep = CheckReport(
-        check_id="K_u_geometry",
-        parameters={"d": d, "alpha": alpha, "h": h.tolist(),
-                    "scales": list(scales)},
-        estimate=worst,
-        bound=1e-12,
-        tolerance=1e-12,
-        passed=worst <= 1e-12,
-        witnesses=[{"u": u, "K": K, "degree": deg}],
-    )
+    rep = at_most("K_u_geometry", {"d": d, "alpha": alpha, "h": h.tolist(),
+                                   "scales": list(scales)},
+                  errs, 1e-12, witnesses=[{"u": u, "K": K, "degree": deg}])
     return u, K, rep
 
 
@@ -434,7 +423,7 @@ def _shell_counts(seed: int, d: int, alpha: float, edges: list[float],
     add up to the count of their union."""
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * (d - 1))
-    at_most = np.zeros(len(edges), dtype=np.int64)
+    n_le = np.zeros(len(edges), dtype=np.int64)
     block = min(block, stop - start)
     rows, cols = np.empty((block, d - 1)), np.empty((d - 1, block))
     K, tmp = np.empty(block), np.empty(block)
@@ -446,10 +435,10 @@ def _shell_counts(seed: int, d: int, alpha: float, edges: list[float],
         np.multiply(rows[:n].T, BOX_SIDE, out=cols[:, :n])
         Kn = _K_cols(cols[:, :n], alpha, K[:n], tmp[:n])
         kept = Kn[np.less_equal(Kn, edges[0], out=below[:n])]
-        at_most[0] += kept.size
+        n_le[0] += kept.size
         for i in range(1, len(edges)):
-            at_most[i] += np.count_nonzero(kept <= edges[i])
-    return at_most
+            n_le[i] += np.count_nonzero(kept <= edges[i])
+    return n_le
 
 
 def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
@@ -502,8 +491,8 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
     for c in counts:
         if isinstance(c, Exception):
             raise c
-    at_most = sum(counts)
-    hits = (at_most[:-1] - at_most[1:]).tolist()
+    n_le = sum(counts)
+    hits = (n_le[:-1] - n_le[1:]).tolist()
     vol = BOX_SIDE ** (d - 1)
     return [vol * h / mc_samples for h in hits], hits
 

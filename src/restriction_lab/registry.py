@@ -19,7 +19,8 @@ import numpy as np
 from . import conditions, geometry, jacobian, probe, vandermonde
 from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
                      poly_oracle, poly_rows, validate_monotone)
-from .report import CheckReport, ConfigError, reject_unknown_keys, worst_index
+from .report import (CheckReport, ConfigError, at_most, reject_unknown_keys,
+                     worst_index)
 from .vandermonde import GapVector
 
 
@@ -35,11 +36,13 @@ class OpEntry:
         return KEYS[self.name]
 
 
-def _count(params: dict, key: str, default: int) -> int:
-    """A sample count from the config; it must be at least 1."""
-    n = int(params.get(key, default))
-    if n < 1:
-        raise ConfigError(f"'{key}' must be at least 1, got {n}")
+def _count(params: dict, key: str, default: int | None = None,
+           least: int = 1) -> int:
+    """An integer from the config, such as a sample count or a dimension;
+    it must be at least ``least``.  A key without a default is required."""
+    n = int(params[key] if default is None else params.get(key, default))
+    if n < least:
+        raise ConfigError(f"'{key}' must be at least {least}, got {n}")
     return n
 
 
@@ -55,7 +58,7 @@ def _op_validate_monotone(params, seed):
 
 
 def _op_psi_lower_bound(params, seed):
-    d = int(params["d"])
+    d = _count(params, "d", least=2)
     n = _count(params, "n_samples", 1000)
     rng = np.random.default_rng(seed)
     # the same numbers as n draws of d - 1 gaps each
@@ -102,20 +105,14 @@ def _op_jacobian_identity(params, seed):
         poly_rows(coeffs, _TRIAL_DOMAIN, d), np.array(t),
         np.array(h)).tolist()
     errs = [abs(J1 - J2) / (1 + abs(J1)) for J1, J2 in zip(direct, integral)]
-    i = worst_index(errs)
-    tol = 1e-8
-    return CheckReport(
-        check_id="jacobian_identity",
-        parameters={"d": d, "n_trials": n},
-        estimate=errs[i], bound=tol, tolerance=tol, passed=errs[i] <= tol,
-        witnesses=[{"t": t[i], "h": h[i].tolist(),
-                    "direct": direct[i], "integral": integral[i]}])
+    return at_most("jacobian_identity", {"d": d, "n_trials": n}, errs, 1e-8,
+                   witness=lambda i: {"t": t[i], "h": h[i].tolist(),
+                                      "direct": direct[i],
+                                      "integral": integral[i]})
 
 
 def _op_monomial_closed_form(params, seed):
-    d_max = int(params.get("d_max", 5))
-    if d_max < 2:
-        raise ConfigError(f"'d_max' must be at least 2, got {d_max}")
+    d_max = _count(params, "d_max", 5, least=2)
     rng = np.random.default_rng(seed)
     errs = []
     for d in range(2, d_max + 1):
@@ -129,12 +126,7 @@ def _op_monomial_closed_form(params, seed):
             J = jacobian.jacobian_direct(curve, t, g)
             pf = vandermonde.factorial_product(d)
             errs.append(abs(J * pf - g.v) / g.v)
-    worst = errs[worst_index(errs)]
-    tol = 1e-10
-    return CheckReport(
-        check_id="monomial_closed_form",
-        parameters={"d_max": d_max},
-        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol)
+    return at_most("monomial_closed_form", {"d_max": d_max}, errs, 1e-10)
 
 
 def _unit_samples(params, seed, curve, default):
@@ -162,28 +154,19 @@ def _op_weight_product_bound(params, seed):
         curve, _unit_samples(params, seed, curve, 100))
 
 
-def _wrap_condition(est, check_id, bound=None, tolerance=None):
-    passed = est.passed if bound is None else (
-        est.passed and est.constant <= bound + (tolerance or 0.0))
-    return CheckReport(
-        check_id=check_id,
-        parameters={"grid": est.grid_spec},
-        estimate=est.constant, bound=bound, tolerance=tolerance,
-        passed=passed, witnesses=[est.attained_at], notes=list(est.notes))
-
-
 def _op_estimate_A(params, seed):
-    est = conditions.estimate_A(_curve(params),
+    rep = conditions.estimate_A(_curve(params),
                                 params.get("variant", "GM"),
                                 int(params.get("grid_size", 12)))
-    return _wrap_condition(est, "estimate_A", params.get("bound"),
-                           params.get("tolerance"))
+    rep.bound, rep.tolerance = params.get("bound"), params.get("tolerance")
+    if rep.bound is not None:
+        rep.passed = rep.estimate <= rep.bound + (rep.tolerance or 0.0)
+    return rep
 
 
 def _op_check_phicond(params, seed):
-    est = conditions.check_phicond(_curve(params), float(params["alpha"]),
-                                   int(params.get("grid_size", 64)))
-    return _wrap_condition(est, "check_phicond")
+    return conditions.check_phicond(_curve(params), float(params["alpha"]),
+                                    int(params.get("grid_size", 64)))
 
 
 def _op_exponent_identities(params, seed):
@@ -198,19 +181,15 @@ def _op_exponent_identities(params, seed):
         rec = conditions.exponent_calculator(d, p=float(p))
         resids += [abs(rec["identity_eta"]), abs(rec["identity_s"])]
         theta_ok = theta_ok and 0 < rec["theta"] < 1
-    worst = resids[worst_index(resids)]
     delta_ok = True
     amax = 2.0 / (d * (d + 1)) if d >= 3 else 1.0 / 3 - 1e-9
     for alpha in np.linspace(amax / 20, amax, 20):
         rec = conditions.exponent_calculator(d, alpha=float(alpha))
         delta_ok = delta_ok and 0 < rec["delta"] < 1
-    tol = 1e-14
-    return CheckReport(
-        check_id="exponent_identities",
-        parameters={"d": d, "n_p": n_p},
-        estimate=worst, bound=tol, tolerance=tol,
-        passed=worst <= tol and theta_ok and delta_ok,
-        notes=[] if (theta_ok and delta_ok) else ["range violation"])
+    rep = at_most("exponent_identities", {"d": d, "n_p": n_p}, resids, 1e-14,
+                  notes=[] if (theta_ok and delta_ok) else ["range violation"])
+    rep.passed = rep.passed and theta_ok and delta_ok
+    return rep
 
 
 def _op_lemma1_chain(params, seed):
@@ -238,6 +217,13 @@ def _op_lemma1_conclusion(params, seed):
     rng = np.random.default_rng(seed)
     a, b = curve.domain
     n = _count(params, "n_samples", 20)
+    # a pair is kept only if it is more than 1e-3 apart: from a draw
+    # interval 2e-3 wide three pairs in four are redrawn, and from one
+    # 1e-3 wide or narrower every pair is
+    if 0.95 * (b - a) < 2e-3:
+        raise ConfigError(f"the pairs are drawn from [a + 0.05 (b - a), b] "
+                          f"at least 1e-3 apart, which needs 0.95 (b - a) "
+                          f">= 2e-3; the domain is [{a}, {b}]")
     samples = []
     while len(samples) < n:
         t, s = np.sort(rng.uniform(a + 0.05 * (b - a), b, size=2))
@@ -262,10 +248,7 @@ def _op_sm_measure(params, seed):
 def _op_sm_scaling(params, seed):
     d = int(params["d"])
     alpha = float(params["alpha"])
-    m_max = int(params.get("m_max", 4))
-    if m_max < 1:
-        raise ConfigError(f"'m_max' must be at least 1 (two shells give the "
-                          f"first ratio), got {m_max}")
+    m_max = _count(params, "m_max", 4)  # two shells give the first ratio
     ests, _ = geometry.sm_shells(
         d, alpha, m_max,
         mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
@@ -273,25 +256,24 @@ def _op_sm_scaling(params, seed):
     series = [{"m": m, "measure": est} for m, est in enumerate(ests)]
     devs = [abs(lo / hi - target) / target
             for lo, hi in zip(ests[1:], ests[:-1])]
-    worst = devs[worst_index(devs)]
-    tol = 0.2
-    return CheckReport(
-        check_id="sm_scaling",
-        parameters={"d": d, "alpha": alpha, "m_max": m_max,
-                    "target_ratio": target},
-        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol,
-        series=series)
+    return at_most("sm_scaling", {"d": d, "alpha": alpha, "m_max": m_max,
+                                  "target_ratio": target},
+                   devs, 0.2, series=series)
 
 
 def _op_check_J_geq_K(params, seed):
     curve = _curve(params)
     alpha = float(params["alpha"])
-    est = conditions.check_phicond(curve, alpha)
-    if not est.passed:
-        raise ConfigError("check_phicond failed; no sigma available")
-    sigma = est.constant
-    rng = np.random.default_rng(seed)
     a, b = curve.domain
+    if (b - a) / curve.d < 1e-3:
+        raise ConfigError(f"the gaps are drawn from [1e-3, (b - a) / d], "
+                          f"which needs b - a >= d * 1e-3; the domain is "
+                          f"[{a}, {b}] at d = {curve.d}")
+    phicond = conditions.check_phicond(curve, alpha)
+    if not phicond.passed:
+        raise ConfigError("check_phicond failed; no sigma available")
+    sigma = phicond.estimate
+    rng = np.random.default_rng(seed)
     n = _count(params, "n_samples", 200)
     samples = []
     for _ in range(n):
@@ -314,6 +296,8 @@ def _grid_from(params):
 def _op_empirical_ratio(params, seed):
     curves = [curve_from_spec(s) for s in params["curves"]]
     P = float(params["P"])
+    if not P > 1:
+        raise ConfigError(f"'P' must exceed 1, got {P}")
     d = curves[0].d
     Q = 2.0 / (d * (d + 1) * (1 - 1.0 / P))
     return probe.empirical_ratio(curves, P, Q,
@@ -351,15 +335,11 @@ def _op_converse_scaling(params, seed):
             rng.normal(size=d), np.eye(d) + 0.3 * rng.normal(size=(d, d)))
         resids.append(probe.converse_scaling_check(E, f, P, Q, alpha).estimate)
         boxes.append(E)
-    i = worst_index(resids)
-    worst = resids[i]
-    witness = {**boxes[i].to_dict(), "residual": worst}
-    tol = 1e-6
-    return CheckReport(
-        check_id="converse_scaling",
-        parameters={"d": d, "P": P, "Q": Q, "alpha": alpha, "n_random": n},
-        estimate=worst, bound=tol, tolerance=tol, passed=worst <= tol,
-        witnesses=[witness])
+    return at_most("converse_scaling",
+                   {"d": d, "P": P, "Q": Q, "alpha": alpha, "n_random": n},
+                   resids, 1e-6,
+                   witness=lambda i: {**boxes[i].to_dict(),
+                                      "residual": resids[i]})
 
 
 def _op_dilation_invariance(params, seed):

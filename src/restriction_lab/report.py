@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -77,6 +77,27 @@ class CheckReport:
         d = asdict(self)
         d.pop("timing", None)  # wall-clock would break bit-reproducibility
         return d
+
+
+def at_most(check_id: str, parameters: dict[str, Any], values, tol: float,
+            witness: Optional[Callable[[int], dict[str, Any]]] = None,
+            **fields) -> CheckReport:
+    """The report of a "worst residual <= tol" check over the nonempty
+    sequence ``values``.
+
+    The estimate is the worst value by :func:`worst_index` (a NaN wins and
+    FAILs), ``bound`` and ``tolerance`` are ``tol``, and the check passes
+    when the worst value is at most ``tol``.  ``witness(i)`` gives the
+    witness of the worst index i; any other CheckReport field (``series``,
+    ``notes``, ``witnesses``...) passes through ``fields``.
+    """
+    i = worst_index(values)
+    worst = values[i]
+    if witness is not None:
+        fields["witnesses"] = [witness(i)]
+    return CheckReport(check_id=check_id, parameters=parameters,
+                       estimate=worst, bound=tol, tolerance=tol,
+                       passed=worst <= tol, **fields)
 
 
 @dataclass

@@ -97,7 +97,7 @@ def test_criterion_04_condition_constant_A():
             curve = SimpleCurve(d=d, phi=monomial_oracle(
                 beta, domain=(0.0, 1.0)), label=f"t^{beta}")
             est = estimate_A(curve, "GM", 10)
-            worst = max(worst, abs(est.constant - 1.0))
+            worst = max(worst, abs(est.estimate - 1.0))
     base = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 1.0)),
                        label="base")
     once = build_flattened(base, "exp")
@@ -106,7 +106,7 @@ def test_criterion_04_condition_constant_A():
     for flat in (once, twice):
         for grid in (6, 10, 14):
             flat_worst = max(flat_worst,
-                             estimate_A(flat, "GM", grid).constant - 1.0)
+                             estimate_A(flat, "GM", grid).estimate - 1.0)
     ok = worst <= 1e-9 and flat_worst <= 1e-6
     _status(4, "geometric-mean constant A", ok,
             f"monomial dev {worst:.3g}, flattened excess {flat_worst:.3g}")

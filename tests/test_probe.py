@@ -319,7 +319,7 @@ def test_converse_scaling_witness_reproduces_residual():
     (witness,) = json.loads(json.dumps(rep.witnesses))
     assert witness["residual"] == rep.estimate
     again = converse_scaling_check(
-        Parallelepiped.from_dict(witness),
+        Parallelepiped.of(witness["base"], witness["edges"]),
         TestFunction.from_spec(params["f"]), rep.parameters["P"],
         params["Q"], params["alpha"])
     assert again.estimate == witness["residual"]
@@ -336,14 +336,3 @@ def test_converse_scaling_preconditions():
     with pytest.raises(ConfigError):
         converse_scaling_check(E, TestFunction.gaussian([0.0], [1.0]),
                                6 / 5, 2.0, 1 / 3)
-
-
-def test_converse_scaling_monotonicity_step(parabola):
-    E = cube([0.5, 0.5], 1.0)
-    # amp 2 keeps g_hat >= 1 across the whole unit cell
-    f = TestFunction.gaussian([0.5, 0.5], [2.0, 2.0], amp=2.0)
-    rep = converse_scaling_check(E, f, 6 / 5, 2.0, 1 / 3, curve=parabola)
-    assert rep.passed
-    assert len(rep.witnesses) == 2
-    assert (rep.witnesses[1]["lambda^{1/Q}"]
-            <= rep.witnesses[1]["normQ"] * (1 + 1e-9))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import runpy
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from restriction_lab.cli import main
 from restriction_lab.curves import DerivativeOracle
 from restriction_lab.registry import REGISTRY, get_operation
 from restriction_lab.report import (CheckReport, ConfigError,
-                                   ExperimentConfig, dump_json, worst_index)
+                                   ExperimentConfig, at_most, dump_json,
+                                   worst_index)
 from restriction_lab.runner import (emit_plot_data, load_config, run,
                                     report_payload, write_report)
 
@@ -443,6 +445,19 @@ def test_vandermonde_integration_catches_a_scaled_psi(monkeypatch):
     assert rep.estimate == pytest.approx(0.01, rel=1e-9)
 
 
+def test_vandermonde_integration_fails_on_a_nan_psi_mass(monkeypatch):
+    # the worst of the two errors by worst_index: max() once kept the
+    # finite one and dropped a NaN mass error
+    cfg = load_config(str(CONFIGS / "all_ops.json"))
+    cfg.checks = [c for c in cfg.checks
+                  if c["operation"] == "vandermonde-integration"]
+    monkeypatch.setattr(vandermonde, "psi",
+                        lambda d, t, h: np.full(np.shape(t), math.nan))
+    rep = run(cfg)[0]
+    assert not rep.passed
+    assert math.isnan(rep.estimate)
+
+
 @pytest.mark.parametrize("values, expect", [
     ([], None),
     ([0.0, 0.0, 0.0], 0),             # all equal: the first
@@ -453,6 +468,98 @@ def test_vandermonde_integration_catches_a_scaled_psi(monkeypatch):
 ])
 def test_worst_index_rule(values, expect):
     assert worst_index(values) == expect
+
+
+def test_at_most_nan_wins_and_fails():
+    rep = at_most("c", {"k": 1}, [1e-12, math.nan, 5.0], 1e-9)
+    assert math.isnan(rep.estimate)
+    assert not rep.passed
+    assert (rep.bound, rep.tolerance) == (1e-9, 1e-9)
+
+
+def test_at_most_first_of_tied_maxima_wins():
+    seen = []
+    rep = at_most("c", {}, [1.0, 3.0, 2.0, 3.0], 3.0,
+                  witness=lambda i: seen.append(i) or {"i": i})
+    assert seen == [1]
+    assert rep.passed and rep.estimate == 3.0
+    assert not at_most("c", {}, [1.0, 3.0], 2.999).passed
+
+
+def test_at_most_witness_is_taken_at_the_worst_index():
+    values = [0.1, 0.4, 0.2]
+    rep = at_most("c", {"n": 3}, values, 0.5,
+                  witness=lambda i: {"i": i, "value": values[i]})
+    assert rep.witnesses == [{"i": 1, "value": 0.4}]
+    assert rep.check_id == "c" and rep.parameters == {"n": 3}
+    assert at_most("c", {}, values, 0.5).witnesses == []
+
+
+def test_at_most_passes_series_and_notes_through():
+    series = [{"m": 0, "measure": 1.0}]
+    rep = at_most("c", {}, [0.0], 0.1, series=series, notes=["a note"],
+                  witnesses=[{"w": 1}])
+    assert rep.series == series
+    assert rep.notes == ["a note"]
+    assert rep.witnesses == [{"w": 1}]
+
+
+MONOMIAL_3 = {"kind": "monomial", "beta": 4.0, "d": 3}
+GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
+
+
+@pytest.mark.parametrize("check", [
+    # d = 0 once leaked a ValueError from the draw, and d = 1 PASSed
+    # with no ratio to bound
+    {"operation": "psi-lower-bound", "d": 0},
+    {"operation": "psi-lower-bound", "d": 1},
+    # gaps from [1e-3, (b - a) / d] with (b - a) / d < 1e-3
+    {"operation": "check-J-geq-K", "alpha": 1 / 6,
+     "curve": {**MONOMIAL_3, "domain": [0.0, 0.002]}},
+    # a 3-dimensional g on a curve in the plane
+    {"operation": "homogeneous-rescale", "exponents": [1.0, 2.0],
+     "g": GAUSSIAN_3},
+    # no dilation at all: the worst of no drifts
+    {"operation": "dilation-invariance", "d": 3, "P": 1.125, "Q": 1.5,
+     "g": GAUSSIAN_3, "octaves": -1},
+    {"operation": "dilation-invariance", "d": 2, "P": 1.125, "Q": 1.5,
+     "g": GAUSSIAN_3},
+    # Q = 2 / (d (d + 1) (1 - 1/P)) divides by zero at P = 1, and is
+    # negative below
+    {"operation": "empirical-ratio", "P": 1.0,
+     "curves": [{**MONOMIAL_3, "domain": [0.0, 1.0]}], "tests": [GAUSSIAN_3]},
+    {"operation": "empirical-ratio", "P": 0.5,
+     "curves": [{**MONOMIAL_3, "domain": [0.0, 1.0]}], "tests": [GAUSSIAN_3]},
+    {"operation": "empirical-ratio", "P": 1.2,
+     "curves": [{**MONOMIAL_3, "domain": [0.0, 1.0]}],
+     "tests": [{**GAUSSIAN_3, "center": [0.0, 0.0]}]},
+    # d = 1: no gap, and K = 0 is trivially homogeneous
+    {"operation": "K-u-geometry", "h": [], "alpha": 0.2},
+])
+def test_out_of_range_parameters_raise_config_errors(check):
+    with pytest.raises(ConfigError):
+        registry.run_check(check, 1)
+
+
+def test_lemma1_conclusion_on_a_short_domain_raises_instead_of_hanging(
+        tmp_path, capsys):
+    # pairs at least 1e-3 apart from [a + 0.05 (b - a), b]: on [0, 0.001]
+    # the draw once looped for ever
+    def timed_out(signum, frame):
+        # pytest's Failed is a BaseException: the runner cannot catch it
+        pytest.fail("lemma1-conclusion did not return within 5 s")
+
+    cfg = _write_config(tmp_path, [{
+        "operation": "lemma1-conclusion", "alpha": 1 / 6,
+        "curve": {**MONOMIAL_3, "domain": [0.0, 0.001]}}])
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        assert main(["run", cfg]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "at least 1e-3 apart" in capsys.readouterr().err
 
 
 def test_monomial_closed_form_needs_two_dimensions():
