@@ -43,26 +43,77 @@ def _usable_grid(curve: SimpleCurve, grid: np.ndarray) -> np.ndarray:
 def _ratio_at(curve: SimpleCurve, rows: np.ndarray,
               variant: str) -> np.ndarray:
     """The mean-value ratio of each row of ``rows`` (shape (m, d)), from
-    one oracle call on the nodes and their centres together."""
+    one oracle call on the nodes and their centres together.  A row with
+    a node where phi^(d) <= 0, where the condition is undefined, gets NaN:
+    the golden search evaluates points it may never visit, and raises only
+    for one it does (``_visit``)."""
     d = curve.d
     # np.add.reduce(...) / d and np.concatenate: the values of np.mean and
     # np.column_stack without their Python wrappers
     center = np.add.reduce(rows, axis=1) / d if variant == "AM" else np.exp(
         np.add.reduce(np.log(rows), axis=1) / d)
     vals = curve.phi(np.concatenate((rows, center[:, None]), axis=1), d)
-    if np.any(vals[:, :d] <= 0):
-        raise DomainError("phi^(d) <= 0 inside the simplex sweep")
-    gm = np.exp(np.add.reduce(np.log(vals[:, :d]), axis=1) / d)
+    nodes = vals[:, :d]
+    gm = np.exp(np.add.reduce(np.log(np.where(nodes > 0, nodes, np.nan)),
+                              axis=1) / d)
     return gm / vals[:, d]
+
+
+def _visit(curve: SimpleCurve, xs: list, fs: list) -> list:
+    """The ratios ``fs`` at the points ``xs`` of one coordinate that the
+    golden search visits.  Its other coordinates hold points where
+    phi^(d) > 0, so a NaN ratio at an x where phi^(d)(x) <= 0 is one the
+    condition leaves undefined, and raises."""
+    nan_xs = [x for x, f in zip(xs, fs) if f != f]
+    if nan_xs and np.any(curve.phi(np.array(nan_xs), curve.d) <= 0):
+        raise DomainError("phi^(d) <= 0 inside the simplex sweep")
+    return fs
+
+
+# golden-section steps per coordinate, and how many of them one oracle call
+# looks ahead (it divides the steps)
+_STEPS = 40
+_LOOKAHEAD = 5
+
+
+def _golden_tree(lo: float, hi: float, x1: float, x2: float,
+                 depth: int) -> tuple[list, list]:
+    """Every state (lo, hi, x1, x2) that the next ``depth`` golden-section
+    steps can reach from the given one, as a heap, and the point each
+    state but the first asks for (node n's at n - 1).  Node n's children
+    are 2n + 1, the step taken when f1 < f2 (lo moves up, and x2 is new),
+    and 2n + 2, the other step (hi moves down, and x1 is new).  Each point
+    comes from the float expressions of a one-step-at-a-time search, so a
+    walk down the heap meets the very points that search would."""
+    nodes, xs = [(lo, hi, x1, x2)], []
+    for n in range(2 ** depth - 1):
+        lo, hi, x1, x2 = nodes[n]
+        up = x1 + _GOLDEN * (hi - x1)
+        down = x2 - _GOLDEN * (x2 - lo)
+        nodes += ((x1, hi, x2, up), (lo, x2, down, x1))
+        xs += (up, down)
+    return nodes, xs
 
 
 def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
                    width: float):
     """Coordinate-wise golden-section ascent around the best grid sample,
-    keeping the tuple ordered: 2 sweeps over the coordinates, 40 section
-    steps each."""
+    keeping the tuple ordered: 2 sweeps over the coordinates, _STEPS
+    section steps each.
+
+    Golden-section search is a fixed decision tree (Kiefer, Proc. AMS 4,
+    1953), so each oracle call evaluates every point the next _LOOKAHEAD
+    steps could ask for, and the comparisons f1 < f2 then walk the tree:
+    the same points, values and answer as one call per step."""
     a_dom, b_dom = curve.domain
     s = s.copy()
+
+    def vals(xs):
+        """The ratios at s with its coordinate i set to each of xs."""
+        rows = np.repeat(s[None], len(xs), axis=0)
+        rows[:, i] = xs
+        return _ratio_at(curve, rows, variant).tolist()
+
     best = float(_ratio_at(curve, s[None], variant)[0])
     for _ in range(2):
         for i in range(len(s)):
@@ -73,24 +124,24 @@ def _golden_refine(curve: SimpleCurve, s: np.ndarray, variant: str,
                 continue
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
-
-            def val(x):
-                t = s.copy()
-                t[i] = x
-                return float(_ratio_at(curve, t[None], variant)[0])
-
-            f1, f2 = val(x1), val(x2)
-            for _ in range(40):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + _GOLDEN * (hi - lo)
-                    f2 = val(x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - _GOLDEN * (hi - lo)
-                    f1 = val(x1)
+            f1, f2 = _visit(curve, [x1, x2], vals([x1, x2]))
+            for _ in range(_STEPS // _LOOKAHEAD):
+                nodes, xs = _golden_tree(lo, hi, x1, x2, _LOOKAHEAD)
+                fs = vals(xs)
+                path = [0]
+                for _ in range(_LOOKAHEAD):
+                    n = path[-1]
+                    if f1 < f2:
+                        path.append(2 * n + 1)
+                        f1, f2 = f2, fs[2 * n]
+                    else:
+                        path.append(2 * n + 2)
+                        f1, f2 = fs[2 * n + 1], f1
+                _visit(curve, [xs[n - 1] for n in path[1:]],
+                       [fs[n - 1] for n in path[1:]])
+                lo, hi, x1, x2 = nodes[path[-1]]
             xstar = 0.5 * (lo + hi)
-            fstar = val(xstar)
+            (fstar,) = _visit(curve, [xstar], vals([xstar]))
             if fstar > best:
                 best = fstar
                 s[i] = xstar

@@ -56,8 +56,7 @@ class Parallelepiped:
         return np.linalg.solve(self.edges.T, (x - self.base).T).T
 
     def contains(self, x, tol: float = 1e-12):
-        c = self.coords(x)
-        return np.all((c >= -tol) & (c <= 1 + tol), axis=-1)
+        return _in_unit_box(self.coords(x), tol)
 
     @property
     def barycenter(self) -> np.ndarray:
@@ -65,6 +64,12 @@ class Parallelepiped:
 
     def to_dict(self) -> dict:
         return {"base": self.base.tolist(), "edges": self.edges.tolist()}
+
+
+def _in_unit_box(c: np.ndarray, tol: float = 1e-12):
+    """Whether edge coordinates ``c`` (on the last axis) lie in [0, 1]^d,
+    up to ``tol``."""
+    return np.all((c >= -tol) & (c <= 1 + tol), axis=-1)
 
 
 def cube(center, side: float) -> Parallelepiped:
@@ -96,40 +101,54 @@ def lambda_measure(curve, E: Parallelepiped) -> float:
 
 
 def _lambda_measures(curve, family) -> list[float]:
-    """lambda_measure of each box of ``family``, with the curve evaluated
-    on the coarse grid once for all of them."""
+    """lambda_measure of each box of ``family``.
+
+    The curve is evaluated on the coarse grid once for all boxes, and the
+    crossings of all boxes are bisected together: each step evaluates the
+    curve once at every active midpoint and solves each midpoint against
+    its own box's edges.  Each crossing stops at its own box's width
+    target, so it takes the same steps as a bisection of that crossing
+    alone."""
     a, b = curve.domain
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ConfigError("lambda_measure needs a bounded domain")
     ts = np.linspace(a, b, _COARSE + 1)
     pts = curve.jet(ts)
-    return [_occupation(curve, E, _TOL, ts, pts) for E in family]
-
-
-def _occupation(curve, E: Parallelepiped, tol: float, ts: np.ndarray,
-                pts: np.ndarray) -> float:
-    inside = np.asarray(E.contains(pts))
-    flips = np.nonzero(inside[:-1] != inside[1:])[0]
-    width_target = tol / max(1, len(flips))
-    # every crossing is bisected at once; each stops at its own width,
-    # so it takes the same steps as a bisection of that crossing alone
-    lo, hi, lo_in = ts[flips], ts[flips + 1], inside[flips]
-    active = np.flatnonzero(hi - lo > width_target)
+    inside = [np.asarray(E.contains(pts)) for E in family]
+    flips = [np.nonzero(ins[:-1] != ins[1:])[0] for ins in inside]
+    counts = [f.size for f in flips]
+    # one entry per crossing: its box, its bracket, the side its lower end
+    # lies on and its box's width target
+    box = np.repeat(np.arange(len(family)), counts)
+    at = np.concatenate(flips)
+    lo, hi = ts[at], ts[at + 1]
+    lo_in = np.concatenate([ins[f] for ins, f in zip(inside, flips)])
+    target = np.repeat([_TOL / max(1, n) for n in counts], counts)
+    edges_t = np.stack([E.edges.T for E in family])
+    bases = np.stack([E.base for E in family])
+    active = np.flatnonzero(hi - lo > target)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        to_lo = E.contains(curve.jet(mid)) == lo_in[active]
+        k = box[active]
+        coords = np.linalg.solve(edges_t[k], (curve.jet(mid) - bases[k])[
+            ..., None])[..., 0]
+        to_lo = _in_unit_box(coords) == lo_in[active]
         lo[active[to_lo]] = mid[to_lo]
         hi[active[~to_lo]] = mid[~to_lo]
-        active = active[hi[active] - lo[active] > width_target]
-    crossings = list(0.5 * (lo + hi))
-    edges = [ts[0]] + crossings + [ts[-1]]
-    total = 0.0
-    state = bool(inside[0])
-    for start, end in zip(edges[:-1], edges[1:]):
-        if state:
-            total += end - start
-        state = not state
-    return float(total)
+        active = active[hi[active] - lo[active] > target[active]]
+    crossings = (0.5 * (lo + hi)).tolist()
+    out, first = [], 0
+    for ins, n in zip(inside, counts):
+        edges = [ts[0]] + crossings[first:first + n] + [ts[-1]]
+        first += n
+        total = 0.0
+        state = bool(ins[0])
+        for start, end in zip(edges[:-1], edges[1:]):
+            if state:
+                total += end - start
+            state = not state
+        out.append(float(total))
+    return out
 
 
 def estimate_alpha_B(curve, family, alpha: float) -> CheckReport:
@@ -375,6 +394,10 @@ def K_u_geometry(h, alpha: float,
     h = np.asarray(h, dtype=float)
     if h.size == 0:
         raise ConfigError("h needs at least one gap (d >= 2)")
+    if not np.any(h):
+        # u = K = 0 at every scale, whatever K's degree
+        raise ConfigError("every gap of h is 0, so K's homogeneity cannot "
+                          "be tested")
     d = h.size + 1
     _validate_alpha(d, alpha)
     u = u_of(h)

@@ -281,6 +281,8 @@ def check_dilation_invariance(d: int, P: float, Q: float, g: TestFunction,
     identically exactly when (1 - 1/P) = (2/(d(d+1))) (1/Q)."""
     if octaves < 0:
         raise ConfigError(f"octaves must be >= 0, got {octaves}")
+    if not Q > 0:
+        raise ConfigError(f"Q must be positive, got {Q}")
     if g.dim != d:
         raise ConfigError(f"g has dimension {g.dim}, the curve {d}")
     a_exp = np.arange(1, d + 1, dtype=float)
@@ -315,6 +317,8 @@ def homogeneous_rescale_check(curve: HomogeneousCurve, k: int,
     order = 64
     if k < 0:
         raise ConfigError("k must be >= 0")
+    if not p > 0:
+        raise ConfigError(f"p must be positive, got {p}")
     if g.dim != curve.d:
         raise ConfigError(f"g has dimension {g.dim}, the curve {curve.d}")
     a_exp = np.asarray(curve.exponents, dtype=float)

@@ -67,7 +67,7 @@ def _op_psi_lower_bound(params, seed):
 
 
 def _op_vandermonde_integration(params, seed):
-    n = int(params["n"])
+    n = _count(params, "n", least=2)
     rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0.0, 1.0, size=n))
     return vandermonde.check_vandermonde_integration(n, s)

@@ -237,6 +237,12 @@ def check_psi_lower_bound(d: int, t, h) -> CheckReport:
 # integral identities and inequalities for Vandermonde determinants
 
 
+# the largest n of check_vandermonde_integration: its tensor rule has
+# max(4, n)^(n-1) nodes, 2,097,152 at n = 8 (about 1 s and 0.5 GB) and
+# 43,046,721 at n = 9
+_MAX_INTEGRATION_N = 8
+
+
 def check_vandermonde_integration(n: int, s) -> CheckReport:
     """V_n(s) = (n-1)! * iterated integral of V_{n-1} over prod [s_i, s_{i+1}],
     and the mass of the kernel,
@@ -246,6 +252,10 @@ def check_vandermonde_integration(n: int, s) -> CheckReport:
     error is the worse one and FAILs.
     """
     rel_tol = 1e-8
+    if n > _MAX_INTEGRATION_N:
+        raise ConfigError(
+            f"n = {n} needs a tensor rule of {max(4, n) ** (n - 1):,} "
+            f"nodes; n must be at most {_MAX_INTEGRATION_N}")
     s = np.asarray(s, dtype=float)
     if n < 2 or s.shape != (n,) or np.any(np.diff(s) <= 0):
         raise ConfigError("s must be strictly increasing of length n >= 2")

@@ -176,6 +176,60 @@ def test_ratio_at_and_estimate_A_equal_the_np_mean_route(monkeypatch, d,
                                                     ref.witnesses[0])
 
 
+def test_estimate_A_makes_one_oracle_call_per_lookahead():
+    # d = 3, grid 10: one call for the usable grid, one for the simplex
+    # sweep, one for the best sample, then per coordinate and sweep one
+    # for x1 and x2, one per lookahead and one for the midpoint (63); one
+    # call a golden-section step made 261
+    quartic = monomial_oracle(4.0, domain=(0.0, 1.0))
+    calls = [0]
+
+    def counted(t, k):
+        calls[0] += 1
+        return quartic.fn(t, k)
+
+    curve = SimpleCurve(d=3, phi=DerivativeOracle(
+        domain=quartic.domain, max_order=quartic.max_order, fn=counted),
+        label="m4")
+    est = estimate_A(curve, "GM", 10)
+    assert calls[0] <= 70
+    ref = estimate_A(SimpleCurve(d=3, phi=quartic, label="m4"), "GM", 10)
+    assert (est.estimate, est.witnesses) == (ref.estimate, ref.witnesses)
+
+
+def test_golden_search_raises_only_at_points_it_visits(monkeypatch):
+    # the lookahead evaluates points the search may never visit, and on
+    # the twice-flattened quartic the top derivative underflows to 0 at
+    # some of them
+    quartic = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 1.0)),
+                          label="m4")
+    twice = build_flattened(build_flattened(quartic, "exp"), "exp")
+    ratio_at = conditions._ratio_at
+    undefined = [0]
+
+    def recorded(*args):
+        out = ratio_at(*args)
+        undefined[0] += int(np.count_nonzero(np.isnan(out)))
+        return out
+
+    monkeypatch.setattr(conditions, "_ratio_at", recorded)
+    for grid_size in (6, 10, 14):
+        est = estimate_A(twice, "GM", grid_size)
+        best, s = _estimate_A_per_tuple(twice, "GM", grid_size)
+        assert (est.estimate, est.witnesses[0]["s"]) == (best, s)
+    assert undefined[0] > 0
+    # the top derivative of this polynomial dips below 0 between the grid
+    # points, and the search visits such a point
+    dip = SimpleCurve(d=4, phi=poly_oracle(
+        [-0.4786384630527245, -0.7213157478486046, -0.5197597723701788,
+         0.1602267063174243, -0.3803527272151388, 0.1004418528325065,
+         1.9011872000332568, 0.4791181507969435],
+        domain=(-0.8406069232018643, 1.8101257883415856)), label="dip")
+    for route in (estimate_A, _estimate_A_per_tuple):
+        with pytest.raises(DomainError, match="inside the simplex sweep"):
+            route(dip, "AM", 3)
+
+
 def test_estimate_A_GM_rejects_nonpositive_nodes():
     # the GM centre of a nonpositive node is undefined; the sup used to be
     # taken silently over the positive nodes only (1.0649477893954908)

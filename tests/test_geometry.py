@@ -17,8 +17,8 @@ from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       K_u_geometry, Parallelepiped,
-                                      _K_many, _shell_counts,
-                                      _occupation, check_J_geq_K, cube,
+                                      _K_many, _lambda_measures,
+                                      _shell_counts, check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
                                       shrink_family, sm_measure, sm_shells,
@@ -129,7 +129,7 @@ def _chord_strip(t0, t1, half_width, d):
 
 @pytest.mark.parametrize("name", ["parabola", "quartic", "flat-quartic"])
 def test_batched_bisection_equals_one_at_a_time(name, parabola,
-                                                quartic_curve):
+                                                quartic_curve, monkeypatch):
     if name == "flat-quartic":
         curve = build_flattened(quartic_curve, "exp")
     else:
@@ -141,13 +141,111 @@ def test_batched_bisection_equals_one_at_a_time(name, parabola,
     boxes = {0: [cube(np.full(d, 50.0), 1.0), cube(np.zeros(d), 100.0)],
              1: [cube(np.zeros(d), b)],
              4: [_chord_strip(0.25 * b, 0.75 * b, 0.01 * b * b, d)]}
-    for crossings, family in boxes.items():
-        for E in family:
+    family = [E for fam in boxes.values() for E in fam]
+    for crossings, fam in boxes.items():
+        for E in fam:
             inside = np.asarray(E.contains(pts))
             assert np.count_nonzero(inside[:-1] != inside[1:]) == crossings
-            for tol in (1e-8, 1e-13):
-                assert _occupation(curve, E, tol, ts, pts) == (
-                    _occupation_one_at_a_time(curve, E, tol, ts, pts))
+    for tol in (1e-8, 1e-13):
+        monkeypatch.setattr(geometry, "_TOL", tol)
+        ref = [_occupation_one_at_a_time(curve, E, tol, ts, pts)
+               for E in family]
+        assert [_lambda_measures(curve, [E])[0] for E in family] == ref
+        assert _lambda_measures(curve, family) == ref
+
+
+def _occupation_per_box(curve, E, tol, ts, pts):
+    """The occupation measure of one box, its crossings bisected together
+    with one curve evaluation and one ``contains`` a step: the per-box
+    loop that the family-wide bisection replaced."""
+    inside = np.asarray(E.contains(pts))
+    flips = np.nonzero(inside[:-1] != inside[1:])[0]
+    width_target = tol / max(1, len(flips))
+    lo, hi, lo_in = ts[flips], ts[flips + 1], inside[flips]
+    active = np.flatnonzero(hi - lo > width_target)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        to_lo = E.contains(curve.jet(mid)) == lo_in[active]
+        lo[active[to_lo]] = mid[to_lo]
+        hi[active[~to_lo]] = mid[~to_lo]
+        active = active[hi[active] - lo[active] > width_target]
+    crossings = list(0.5 * (lo + hi))
+    edges = [ts[0]] + crossings + [ts[-1]]
+    total = 0.0
+    state = bool(inside[0])
+    for start, end in zip(edges[:-1], edges[1:]):
+        if state:
+            total += end - start
+        state = not state
+    return float(total)
+
+
+def _skew_boxes(curve, rng, count):
+    """Boxes with random skew edges near points of the curve."""
+    d = curve.d
+    a, b = curve.domain
+    out = []
+    for _ in range(count):
+        center = curve.jet(np.array([rng.uniform(a, b)]))[0]
+        edges = rng.uniform(0.05, 0.8) * (np.eye(d)
+                                          + 0.4 * rng.normal(size=(d, d)))
+        out.append(Parallelepiped.of(
+            center - 0.5 * edges.sum(axis=0) + 0.05 * rng.normal(size=d),
+            edges))
+    return out
+
+
+@pytest.mark.parametrize("name", ["quartic", "poly-phi", "flat-quartic"])
+def test_lambda_measures_equal_the_per_box_loop(name, quartic_curve):
+    curve = {"quartic": quartic_curve,
+             "poly-phi": SimpleCurve(d=4, phi=poly_oracle(
+                 [0, 0, 0, 0, 0.5, 0.2, 0.1], domain=(-1.0, 1.5)),
+                 label="poly-phi"),
+             "flat-quartic": build_flattened(quartic_curve, "exp")}[name]
+    a, b = curve.domain
+    d = curve.d
+    ts = np.linspace(a, b, _COARSE + 1)
+    pts = curve.jet(ts)
+    rng = np.random.default_rng(20)
+    center = curve.jet(np.array([0.5 * (a + b)]))[0]
+    family = (shrink_family(center, 1.0, 6) + _skew_boxes(curve, rng, 12)
+              + [cube(np.full(d, 50.0), 1.0), cube(np.zeros(d), 100.0),
+                 _chord_strip(0.25 * b, 0.75 * b, 0.01 * b * b, d)])
+    counts = [int(np.count_nonzero(np.diff(np.asarray(E.contains(pts)))))
+              for E in family]
+    # boxes the curve misses, enters once, and crosses several times
+    assert {0, 1} <= set(counts) and max(counts) >= 4
+    ref = [_occupation_per_box(curve, E, geometry._TOL, ts, pts)
+           for E in family]
+    assert [repr(x) for x in _lambda_measures(curve, family)] == [
+        repr(x) for x in ref]
+
+
+def test_estimate_alpha_B_makes_one_curve_call_a_bisection_step(
+        monkeypatch):
+    # the default config's family: one jet call for its centre, one for
+    # the coarse scan and one per bisection step of all five boxes
+    # together, where one call per box and step made 81
+    desc = {"operation": "estimate-alpha-B", "alpha": 1 / 6,
+            "center_t": 0.5, "side0": 1.0, "count": 5,
+            "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
+                      "domain": [0.0, 1.0]}}
+    calls = {"jet": 0, "contains": 0}
+    jet, contains = SimpleCurve.jet, Parallelepiped.contains
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SimpleCurve, "jet", counted("jet", jet))
+    monkeypatch.setattr(Parallelepiped, "contains",
+                        counted("contains", contains))
+    rep = get_operation("estimate-alpha-B").fn(desc, 1)
+    assert rep.passed
+    assert calls["jet"] <= 20
+    assert calls["contains"] == 5
 
 
 def test_estimate_alpha_B_trivial(parabola):

@@ -173,6 +173,25 @@ def test_seed_sweep_lists_every_failing_check(monkeypatch, capsys, config,
                        f"{seeds[0]}-{seeds[1]}")
 
 
+def test_report_diff_lists_each_differing_field():
+    differences = runpy.run_path(
+        str(CONFIGS.parent / "scripts" / "report_diff.py"))["differences"]
+    ref = {"all_passed": True, "reports": [
+        {"estimate": 1.0, "notes": [], "witnesses": [{"s": [0.1, 0.2]}]},
+        {"estimate": None, "passed": False}]}
+    assert differences(ref, json.loads(json.dumps(ref))) == []
+    new = json.loads(json.dumps(ref))
+    new["reports"][0]["witnesses"][0]["s"][1] = 0.20000000000000004
+    new["reports"][1]["estimate"] = 0.0
+    new["reports"][1]["notes"] = ["a note"]
+    del new["all_passed"]
+    assert differences(ref, new) == [
+        "all_passed: only in REF",
+        "reports[0].witnesses[0].s[1]: 0.2 (REF) != 0.20000000000000004",
+        "reports[1].estimate: null (REF) != 0.0",
+        "reports[1].notes: only in the working tree"]
+
+
 @pytest.mark.parametrize("grid_size", [0, 1])
 def test_check_phicond_needs_two_grid_points(grid_size):
     # one point compares no pair (once a PASS with estimate 0.0); none
@@ -403,10 +422,13 @@ def test_shipped_configs_cover_every_operation():
 
 
 def test_default_config_oracle_calls_and_points(monkeypatch):
-    # estimate-A asks the oracle once per sweep or evaluation and
-    # psi-lower-bound never; the points asked for stay those of the
-    # per-tuple loop (1,207 calls for the same 13,524 points), counting
-    # the jacobian-identity sweep's polynomial rows as oracle calls
+    # psi-lower-bound never asks the oracle; estimate-A asks it once per
+    # sweep and once per five golden-section steps, for the 62 points
+    # those steps could visit (63 calls for 12,870 points, where one call
+    # a step made 261 for 1,926), and estimate-alpha-B once per bisection
+    # step of all its boxes (18 calls, where one a box and step made 81,
+    # for the same 4,241 points); the jacobian-identity sweep's polynomial
+    # rows count as oracle calls
     seen = {"calls": 0, "points": 0}
     call = DerivativeOracle.__call__
 
@@ -428,8 +450,8 @@ def test_default_config_oracle_calls_and_points(monkeypatch):
     monkeypatch.setattr(DerivativeOracle, "__call__", counting)
     monkeypatch.setattr(registry, "poly_rows", counting_rows)
     run(load_config(str(CONFIGS / "default.json")))
-    assert seen["calls"] <= 600
-    assert seen["points"] == 13524
+    assert seen["calls"] <= 250
+    assert seen["points"] == 24468
 
 
 def test_vandermonde_integration_catches_a_scaled_psi(monkeypatch):
@@ -535,6 +557,20 @@ GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
      "tests": [{**GAUSSIAN_3, "center": [0.0, 0.0]}]},
     # d = 1: no gap, and K = 0 is trivially homogeneous
     {"operation": "K-u-geometry", "h": [], "alpha": 0.2},
+    # every gap 0: u = K = 0 at every scale, and the check once PASSed
+    # with estimate 0.0 whatever K's degree
+    {"operation": "K-u-geometry", "h": [0.0, 0.0], "alpha": 1 / 6},
+    # a Lebesgue exponent 0 once leaked a ZeroDivisionError from a 1/Q or
+    # 1/p power; Q < 0 FAILed on NaN ratios and p < 0 PASSed with
+    # estimate 0
+    {"operation": "dilation-invariance", "d": 3, "P": 1.125, "Q": 0.0,
+     "g": GAUSSIAN_3},
+    {"operation": "dilation-invariance", "d": 3, "P": 1.125, "Q": -1.5,
+     "g": GAUSSIAN_3},
+    {"operation": "homogeneous-rescale", "exponents": [1.0, 2.0, 3.0],
+     "p": 0.0, "g": GAUSSIAN_3},
+    {"operation": "homogeneous-rescale", "exponents": [1.0, 2.0, 3.0],
+     "p": -1.0, "g": GAUSSIAN_3},
 ])
 def test_out_of_range_parameters_raise_config_errors(check):
     with pytest.raises(ConfigError):

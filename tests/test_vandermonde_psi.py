@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from restriction_lab import registry
 from restriction_lab import vandermonde as vandermonde_module
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.jacobian import jacobian_direct, jacobian_integral
+from restriction_lab.report import ConfigError
 from restriction_lab.vandermonde import (GapVector, check_lin_lemma,
                                          check_psi_lower_bound,
                                          check_tail_inequalities,
@@ -212,6 +215,32 @@ def test_vandermonde_integration_identity(rng):
         s = np.sort(rng.uniform(0.0, 1.0, size=n))
         rep = check_vandermonde_integration(n, s)
         assert rep.passed, rep.notes
+
+
+def test_vandermonde_integration_bounds_n_before_its_tensor_rule(
+        monkeypatch):
+    # n = 12 once raised MemoryError asking for 5.41 TiB, and n = 9 asks
+    # for 9^8 nodes, about 3 GB; n = 8 takes 8^7 nodes
+    def no_rule(*args):
+        raise AssertionError("box_rule called")
+
+    with monkeypatch.context() as m:
+        m.setattr(vandermonde_module, "box_rule", no_rule)
+        for n in (9, 12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match=f"n = {n} needs a "
+                                   f"tensor rule of {n ** (n - 1):,} nodes"):
+                    registry.run_check({"operation":
+                                        "vandermonde-integration",
+                                        "n": n}, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+    rep = registry.run_check({"operation": "vandermonde-integration",
+                              "n": 8}, 1)
+    assert rep.passed, rep.estimate
 
 
 def test_tail_inequalities(rng):
