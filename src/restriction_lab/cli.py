@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .registry import REGISTRY
+from .registry import KEYS, REGISTRY
 from .report import ConfigError
 from .runner import emit_plot_data, load_config, run, write_report
 
@@ -45,9 +45,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "list-checks":
             for name in sorted(REGISTRY):
-                op = REGISTRY[name]
-                print(f"{name:26s} {op.summary}")
-                print(f"{'':26s} keys: {', '.join(op.keys)}")
+                keys = [p.name if p.default is p.empty
+                        else f"{p.name}={json.dumps(p.default)}"
+                        for p in KEYS[name]]
+                print(f"{name:26s} {REGISTRY[name].summary}")
+                print(f"{'':26s} keys: {', '.join(keys)}")
             return 0
         if args.command == "run":
             config = load_config(args.config)

@@ -155,10 +155,6 @@ def estimate_A(curve: SimpleCurve, variant: str = "GM",
     in the denominator.  The estimate is a grid sup, not a certified
     bound; the witness is the tuple s attaining it.
     """
-    if variant not in ("AM", "GM"):
-        raise ConfigError(f"variant must be AM or GM, got {variant!r}")
-    if grid_size < 2:
-        raise ConfigError("grid_size must be >= 2")
     a, b = curve.domain
     inset = 1e-6 * (b - a)
     grid = _usable_grid(curve, np.linspace(a + inset, b - inset, grid_size))
@@ -205,8 +201,6 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     """
     d = curve.d
     _validate_alpha(d, alpha)
-    if grid_size < 2:
-        raise ConfigError("grid_size must be >= 2")
     rho = 1.0 / alpha + 1 - d * (d + 1) / 2.0
     a, b = curve.domain
     inset = 1e-6 * (b - a)

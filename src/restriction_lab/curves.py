@@ -19,8 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .report import (CapabilityError, CheckReport, ConfigError, DomainError,
-                     reject_unknown_keys, worst_index)
+from .report import (CapabilityError, CheckReport, Choice, ConfigError,
+                     DomainError, Int, Many, Real, Spec, parse_keys,
+                     worst_index)
 
 DEFAULT_MAX_D = 5
 # oracles clamp evaluation points this far (relative to the domain
@@ -167,8 +168,6 @@ def validate_monotone(curve: SimpleCurve, grid_size: int = 64) -> CheckReport:
     grid.  A NaN derivative on the grid fails the check, with a note naming
     its order and first t."""
     tolerance = 1e-12
-    if grid_size < 2:
-        raise ConfigError("grid_size must be >= 2")
     a, b = curve.domain
     grid = np.linspace(a, b, grid_size)
     values, increments = [], []
@@ -318,7 +317,11 @@ def expflat_phi_derivative(beta: float, k: int, t):
 
 
 def expflat_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
-    """phi(t) = exp(-t^{-beta})."""
+    """phi(t) = exp(-t^{-beta}), beta > 0."""
+    if not beta > 0:
+        # the derivative coefficients divide by beta, and at beta < 0 phi
+        # is not flat at 0
+        raise ConfigError(f"exp-flat needs beta > 0, got {beta}")
 
     def fn(t, k):
         return expflat_phi_derivative(beta, k, t)
@@ -336,30 +339,34 @@ def finite_difference(oracle: DerivativeOracle, t: float, k: int,
     return (oracle(t + step, k - 1) - oracle(t - step, k - 1)) / (2 * step)
 
 
-# the keys each curve kind reads besides 'kind' and 'domain'
-_CURVE_KEYS = {
-    "monomial": ("d", "beta"),
-    "exp-flat": ("d", "beta"),
-    "poly-phi": ("d", "coeffs"),
-    "flatten": ("d", "base", "steps", "variant"),
-    "homogeneous": ("exponents",),
-}
-
-
 def check_curve_keys(spec) -> str:
     """The kind of a curve spec; ConfigError unless ``spec`` is an object
-    with a known 'kind' and only the keys that kind reads (a flatten
-    spec's base included).  Builds no curve."""
+    with a known 'kind', every key that kind requires and only keys it
+    reads, each in range (a flatten spec's base included).  Builds no
+    curve."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("curve spec must be an object with a 'kind'")
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in _CURVE_KEYS:
         raise ConfigError(f"unknown curve kind {kind!r}")
-    reject_unknown_keys(f"curve spec {kind!r}", spec,
-                        ("kind", "domain") + _CURVE_KEYS[kind])
-    if kind == "flatten" and "base" in spec:
-        check_curve_keys(spec["base"])
+    parsers, required = _CURVE_KEYS[kind]
+    parse_keys(f"curve spec {kind!r}",
+               {k: v for k, v in spec.items() if k != "kind"},
+               {"domain": Many(Real()), **parsers}, required)
     return kind
+
+
+_D = Int(2, DEFAULT_MAX_D)
+# the keys each curve kind reads besides 'kind' and 'domain', with their
+# parsers, and the keys it requires
+_CURVE_KEYS = {
+    "monomial": ({"d": _D, "beta": Real()}, ("beta",)),
+    "exp-flat": ({"d": _D, "beta": Real()}, ("beta",)),
+    "poly-phi": ({"d": _D, "coeffs": Many(Real())}, ("coeffs",)),
+    "flatten": ({"d": _D, "base": Spec(check_curve_keys), "steps": Int(1),
+                 "variant": Choice("exp", "log")}, ("base",)),
+    "homogeneous": ({"exponents": Many(Real())}, ("exponents",)),
+}
 
 
 def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
@@ -373,8 +380,6 @@ def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
         return HomogeneousCurve(exponents=tuple(spec["exponents"]),
                                 domain=domain, label="homogeneous")
     d = int(spec.get("d", 3))
-    if not 2 <= d <= DEFAULT_MAX_D:
-        raise ConfigError(f"d={d} outside 2..{DEFAULT_MAX_D}")
     if kind == "monomial":
         phi = monomial_oracle(float(spec["beta"]), domain)
         label = f"monomial(beta={spec['beta']})"

@@ -80,8 +80,6 @@ def cube(center, side: float) -> Parallelepiped:
 
 def shrink_family(center, side0: float, count: int) -> list[Parallelepiped]:
     """Dyadic family of cubes shrinking onto ``center``."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     return [cube(center, side0 * 0.5 ** i) for i in range(count)]
 
 
@@ -157,9 +155,14 @@ def estimate_alpha_B(curve, family, alpha: float) -> CheckReport:
     if not family:
         raise ConfigError("parallelepiped family is empty")
     _validate_alpha(curve.d, alpha)
+    volumes = [E.volume for E in family]
+    for md in volumes:
+        if not 0 < md < math.inf:
+            # lambda / volume^alpha would read 0 or inf for any lambda
+            raise ConfigError(f"a box of the family has volume {md!r}; the "
+                              f"ratio needs a positive finite volume")
     series = []
-    for E, lam in zip(family, _lambda_measures(curve, family)):
-        md = E.volume
+    for md, lam in zip(volumes, _lambda_measures(curve, family)):
         series.append({"m_d": md, "lambda": lam, "ratio": lam / md ** alpha})
     i = worst_index([row["ratio"] for row in series])
     best = series[i]["ratio"]
@@ -211,8 +214,6 @@ def lemma1_chain(curve: SimpleCurve, t: float, h: float,
     d = curve.d
     a, b = curve.domain
     containment_tol = 1e-9
-    if h <= 0:
-        raise ConfigError("h must be positive")
     if t < a or t + h > b:
         raise DomainError("[t, t+h] must sit inside the curve domain")
     mono = validate_monotone(curve)
@@ -284,9 +285,16 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
                       B_est: float) -> CheckReport:
     """B^{-1/alpha} (s-t)^{1/alpha + 1 - d(d+1)/2} <=
     phi^(d-1)(s) - phi^(d-1)(t) at every sampled pair, plus the
-    occupation cross-check lambda(E_0) >= h on the sampled chains."""
+    occupation cross-check lambda(E_0) >= h on the chain of the closest
+    pair.  Where that chain's chord band collapses, the chain stops at its
+    planar base box, and a note says the cross-check was skipped."""
     d = curve.d
     _validate_alpha(d, alpha)
+    if not B_est > 0:
+        # B^(-1/alpha) would divide by zero
+        raise ConfigError(f"B_est must be positive, got {B_est!r}: no box "
+                          f"of the family meets the curve on "
+                          f"lambda_measure's coarse scan")
     tolerance = 1e-9
     expo = 1.0 / alpha + 1 - d * (d + 1) / 2.0
     margins, pairs = [], []
@@ -301,14 +309,26 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
     worst = margins[i]
     witnesses = [pairs[i]]
     passed = bool(worst >= -tolerance)
-    # occupation cross-check on the first sample's chain
+    # occupation cross-check on the closest pair's chain
     t0, s0 = min(samples, key=lambda p: p[1] - p[0])
-    chain, chain_rep = lemma1_chain(curve, t0, s0 - t0, n_samples=200)
-    lam = lambda_measure(curve, chain[-1])
-    # lambda_measure brackets its crossings to a total width of _TOL
-    if lam < (s0 - t0) * (1 - 1e-6) - _TOL:
-        passed = False
-        witnesses.append({"lambda_E0": lam, "h": s0 - t0})
+    h = s0 - t0
+    chain, chain_rep = lemma1_chain(curve, t0, h, n_samples=200)
+    if chain[-1].dim < d:
+        note = (f"degenerate chord band at t = {t0!r}, h = {h!r}: the chain "
+                f"ends at its planar base box; occupation cross-check "
+                f"skipped")
+    else:
+        lam = lambda_measure(curve, chain[-1])
+        # lambda_measure brackets its crossings to a total width of _TOL
+        if lam < h * (1 - 1e-6) - _TOL:
+            passed = False
+            witnesses.append({"lambda_E0": lam, "h": h})
+        if lam >= h:
+            note = f"lambda(E_0) = {lam!r} >= h = {h!r}"
+        else:
+            note = (f"lambda(E_0) = {lam!r} < h = {h!r}; the check allows "
+                    f"a shortfall of up to 1e-6 h + _TOL = "
+                    f"{h * 1e-6 + _TOL!r}")
     rep = CheckReport(
         check_id="lemma1_conclusion",
         parameters={"d": d, "alpha": alpha, "B_est": B_est,
@@ -318,14 +338,8 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
         tolerance=tolerance,
         passed=passed and chain_rep.passed,
         witnesses=witnesses,
+        notes=[note],
     )
-    h = s0 - t0
-    if lam >= h:
-        rep.notes.append(f"lambda(E_0) = {lam!r} >= h = {h!r}")
-    else:
-        rep.notes.append(f"lambda(E_0) = {lam!r} < h = {h!r}; the check "
-                         f"allows a shortfall of up to 1e-6 h + _TOL = "
-                         f"{h * 1e-6 + _TOL!r}")
     return rep
 
 
@@ -392,15 +406,13 @@ def K_u_geometry(h, alpha: float,
     """(u(h), K(h)) plus a numerical check that K is homogeneous of
     degree 1/alpha - d."""
     h = np.asarray(h, dtype=float)
-    if h.size == 0:
-        raise ConfigError("h needs at least one gap (d >= 2)")
-    if not np.any(h):
-        # u = K = 0 at every scale, whatever K's degree
-        raise ConfigError("every gap of h is 0, so K's homogeneity cannot "
-                          "be tested")
     d = h.size + 1
     _validate_alpha(d, alpha)
     u = u_of(h)
+    if u == 0:
+        # K = u * spread^(...) = 0 at every scale, whatever K's degree
+        raise ConfigError(f"u(h) = 0 at h = {h.tolist()} (two equal gaps or "
+                          f"a zero gap), so K's homogeneity cannot be tested")
     K = K_of(h, alpha)
     deg = 1.0 / alpha - d
     errs = []

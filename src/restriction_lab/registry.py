@@ -1,15 +1,16 @@
 """Registry mapping check names to adapters over the library modules.
 
-Each adapter takes the raw parameter dict from a config file plus the
-run seed and returns a CheckReport.  Adapters are thin: they build
-curves/test functions from their JSON specs, draw any random samples
-from a generator seeded with the run seed, and delegate to the library.
-Every operation declares the descriptor keys its adapter reads;
-``check_descriptor`` rejects any other key before a check runs.
+Each adapter takes the run seed and the descriptor's keys as keyword
+parameters and returns a CheckReport; its signature is the operation's
+key table.  A parameter's name is the key, its annotation the parser of
+the key's value (see ``report.Int``), and its default the value of a
+missing key; a key without a default is required.  Adapters are thin:
+they build curves/test functions from their JSON specs, draw any random
+samples from a generator seeded with the run seed, and delegate to the
+library.
 """
 
-from __future__ import annotations
-
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -19,80 +20,58 @@ import numpy as np
 from . import conditions, geometry, jacobian, probe, vandermonde
 from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
                      poly_oracle, poly_rows, validate_monotone)
-from .report import (CheckReport, ConfigError, at_most, reject_unknown_keys,
-                     worst_index)
+from .report import (CheckReport, Choice, ConfigError, Int, Many, Real, Spec,
+                     at_most, parse_keys, worst_index)
 from .vandermonde import GapVector
+
+# the parsers of nested specs, checked unbuilt
+Curve = Spec(check_curve_keys)
+Test = Spec(probe.check_test_keys)
 
 
 @dataclass(frozen=True)
 class OpEntry:
     name: str
     summary: str
-    fn: Callable[[dict, int], CheckReport]
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        """The descriptor keys the adapter reads, besides 'operation'."""
-        return KEYS[self.name]
+    fn: Callable[..., CheckReport]
 
 
-def _count(params: dict, key: str, default: int | None = None,
-           least: int = 1) -> int:
-    """An integer from the config, such as a sample count or a dimension;
-    it must be at least ``least``.  A key without a default is required."""
-    n = int(params[key] if default is None else params.get(key, default))
-    if n < least:
-        raise ConfigError(f"'{key}' must be at least {least}, got {n}")
-    return n
+def _op_validate_monotone(seed, curve: Curve, grid_size: Int(2) = 64):
+    return validate_monotone(curve_from_spec(curve), grid_size=grid_size)
 
 
-def _curve(params: dict) -> SimpleCurve:
-    if "curve" not in params:
-        raise ConfigError("missing required parameter 'curve'")
-    return curve_from_spec(params["curve"])
-
-
-def _op_validate_monotone(params, seed):
-    return validate_monotone(_curve(params),
-                             grid_size=int(params.get("grid_size", 64)))
-
-
-def _op_psi_lower_bound(params, seed):
-    d = _count(params, "d", least=2)
-    n = _count(params, "n_samples", 1000)
+def _op_psi_lower_bound(seed, d: Int(2), n_samples: Int(1) = 1000):
     rng = np.random.default_rng(seed)
     # the same numbers as n draws of d - 1 gaps each
     return vandermonde.check_psi_lower_bound(
-        d, 0.3, rng.uniform(0.05, 1.0, size=(n, d - 1)))
+        d, 0.3, rng.uniform(0.05, 1.0, size=(n_samples, d - 1)))
 
 
-def _op_vandermonde_integration(params, seed):
-    n = _count(params, "n", least=2)
+def _op_vandermonde_integration(seed, n: Int(2)):
     rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0.0, 1.0, size=n))
     return vandermonde.check_vandermonde_integration(n, s)
 
 
-def _op_tail_inequalities(params, seed):
-    t = np.asarray(params["t"], dtype=float)
+# n = 2 is left out: its spread factor degenerates
+def _op_tail_inequalities(seed, n: Int(3), t: Many(Real()),
+                          delta: Real() = 0.5):
     return vandermonde.check_tail_inequalities(
-        int(params["n"]), t, float(params.get("delta", 0.5)))
+        n, np.asarray(t, dtype=float), delta)
 
 
-def _op_lin_lemma(params, seed):
-    return vandermonde.check_lin_lemma(params["instance"])
+def _op_lin_lemma(seed, instance: Spec(vandermonde.check_lin_lemma_keys)):
+    return vandermonde.check_lin_lemma(instance)
 
 
 # the domain of jacobian-identity's random polynomials
 _TRIAL_DOMAIN = (-5.0, 5.0)
 
 
-def _op_jacobian_identity(params, seed):
-    d = int(params["d"])
-    n = _count(params, "n_trials", 50)
+def _op_jacobian_identity(seed, d: Int(2), n_trials: Int(1) = 50):
     rng = np.random.default_rng(seed)
     coeffs, t, h, direct = [], [], [], []
-    for _ in range(n):
+    for _ in range(n_trials):
         coeffs.append(rng.normal(size=d + 3))
         curve = SimpleCurve(d=d, phi=poly_oracle(coeffs[-1], _TRIAL_DOMAIN),
                             label="random-poly")
@@ -105,14 +84,13 @@ def _op_jacobian_identity(params, seed):
         poly_rows(coeffs, _TRIAL_DOMAIN, d), np.array(t),
         np.array(h)).tolist()
     errs = [abs(J1 - J2) / (1 + abs(J1)) for J1, J2 in zip(direct, integral)]
-    return at_most("jacobian_identity", {"d": d, "n_trials": n}, errs, 1e-8,
-                   witness=lambda i: {"t": t[i], "h": h[i].tolist(),
-                                      "direct": direct[i],
-                                      "integral": integral[i]})
+    return at_most("jacobian_identity", {"d": d, "n_trials": n_trials}, errs,
+                   1e-8, witness=lambda i: {"t": t[i], "h": h[i].tolist(),
+                                            "direct": direct[i],
+                                            "integral": integral[i]})
 
 
-def _op_monomial_closed_form(params, seed):
-    d_max = _count(params, "d_max", 5, least=2)
+def _op_monomial_closed_form(seed, d_max: Int(2) = 5):
     rng = np.random.default_rng(seed)
     errs = []
     for d in range(2, d_max + 1):
@@ -129,48 +107,48 @@ def _op_monomial_closed_form(params, seed):
     return at_most("monomial_closed_form", {"d_max": d_max}, errs, 1e-10)
 
 
-def _unit_samples(params, seed, curve, default):
-    """'n_samples' points of the unit box [0, 1]^d, drawn from the run
+def _unit_samples(seed, n_samples, curve):
+    """``n_samples`` points of the unit box [0, 1]^d, drawn from the run
     seed: the samples of the sigma checks."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(size=(_count(params, "n_samples", default), curve.d))
+    return rng.uniform(size=(n_samples, curve.d))
 
 
-def _op_estimate_sigma(params, seed):
-    curve = _curve(params)
+def _op_estimate_sigma(seed, curve: Curve, n_samples: Int(1) = 200):
+    curve = curve_from_spec(curve)
     return jacobian.estimate_sigma(curve,
-                                   _unit_samples(params, seed, curve, 200))
+                                   _unit_samples(seed, n_samples, curve))
 
 
-def _op_offspring_closure(params, seed):
-    curve = _curve(params)
+def _op_offspring_closure(seed, curve: Curve, h: Many(Real()),
+                          n_samples: Int(1) = 200):
+    curve = curve_from_spec(curve)
     return jacobian.check_offspring_closure(
-        curve, params["h"], _unit_samples(params, seed, curve, 200))
+        curve, h, _unit_samples(seed, n_samples, curve))
 
 
-def _op_weight_product_bound(params, seed):
-    curve = _curve(params)
+def _op_weight_product_bound(seed, curve: Curve, n_samples: Int(1) = 100):
+    curve = curve_from_spec(curve)
     return jacobian.weight_product_bound(
-        curve, _unit_samples(params, seed, curve, 100))
+        curve, _unit_samples(seed, n_samples, curve))
 
 
-def _op_estimate_A(params, seed):
-    rep = conditions.estimate_A(_curve(params),
-                                params.get("variant", "GM"),
-                                int(params.get("grid_size", 12)))
-    rep.bound, rep.tolerance = params.get("bound"), params.get("tolerance")
+def _op_estimate_A(seed, curve: Curve, variant: Choice("AM", "GM") = "GM",
+                   grid_size: Int(2) = 12, bound: Real(keep=True) = None,
+                   tolerance: Real(keep=True) = None):
+    rep = conditions.estimate_A(curve_from_spec(curve), variant, grid_size)
+    rep.bound, rep.tolerance = bound, tolerance
     if rep.bound is not None:
         rep.passed = rep.estimate <= rep.bound + (rep.tolerance or 0.0)
     return rep
 
 
-def _op_check_phicond(params, seed):
-    return conditions.check_phicond(_curve(params), float(params["alpha"]),
-                                    int(params.get("grid_size", 64)))
+def _op_check_phicond(seed, curve: Curve, alpha: Real(0),
+                      grid_size: Int(2) = 64):
+    return conditions.check_phicond(curve_from_spec(curve), alpha, grid_size)
 
 
-def _op_exponent_identities(params, seed):
-    d = int(params["d"])
+def _op_exponent_identities(seed, d: Int(2)):
     n_p = 40
     p_d = (d * d + d + 2) / (d * d + d)
     resids = []
@@ -192,31 +170,32 @@ def _op_exponent_identities(params, seed):
     return rep
 
 
-def _op_lemma1_chain(params, seed):
-    _, rep = geometry.lemma1_chain(
-        _curve(params), float(params["t"]), float(params["h"]))
+def _op_lemma1_chain(seed, curve: Curve, t: Real(), h: Real(0)):
+    _, rep = geometry.lemma1_chain(curve_from_spec(curve), t, h)
     return rep
 
 
-def _shrink_family_from(params, curve):
-    t0 = float(params.get("center_t", 0.5 * sum(curve.domain)))
+def _boxes(curve, center_t, side0, count):
+    """The cubes around gamma(center_t), by default the domain's midpoint."""
+    t0 = 0.5 * sum(curve.domain) if center_t is None else center_t
     center = curve.jet(np.array([t0]))[0]
-    return geometry.shrink_family(center, float(params.get("side0", 1.0)),
-                                  int(params.get("count", 6)))
+    return geometry.shrink_family(center, side0, count)
 
 
-def _op_estimate_alpha_B(params, seed):
-    curve = _curve(params)
-    return geometry.estimate_alpha_B(curve, _shrink_family_from(params, curve),
-                                     float(params["alpha"]))
+def _op_estimate_alpha_B(seed, curve: Curve, alpha: Real(0),
+                         center_t: Real() = None, side0: Real(0) = 1.0,
+                         count: Int(1) = 6):
+    curve = curve_from_spec(curve)
+    return geometry.estimate_alpha_B(
+        curve, _boxes(curve, center_t, side0, count), alpha)
 
 
-def _op_lemma1_conclusion(params, seed):
-    curve = _curve(params)
-    alpha = float(params["alpha"])
+def _op_lemma1_conclusion(seed, curve: Curve, alpha: Real(0),
+                          n_samples: Int(1) = 20, center_t: Real() = None,
+                          side0: Real(0) = 1.0, count: Int(1) = 6):
+    curve = curve_from_spec(curve)
     rng = np.random.default_rng(seed)
     a, b = curve.domain
-    n = _count(params, "n_samples", 20)
     # a pair is kept only if it is more than 1e-3 apart: from a draw
     # interval 2e-3 wide three pairs in four are redrawn, and from one
     # 1e-3 wide or narrower every pair is
@@ -225,33 +204,30 @@ def _op_lemma1_conclusion(params, seed):
                           f"at least 1e-3 apart, which needs 0.95 (b - a) "
                           f">= 2e-3; the domain is [{a}, {b}]")
     samples = []
-    while len(samples) < n:
+    while len(samples) < n_samples:
         t, s = np.sort(rng.uniform(a + 0.05 * (b - a), b, size=2))
         if s - t > 1e-3:
             samples.append((float(t), float(s)))
     B_rep = geometry.estimate_alpha_B(
-        curve, _shrink_family_from(params, curve), alpha)
+        curve, _boxes(curve, center_t, side0, count), alpha)
     return geometry.lemma1_conclusion(curve, samples, alpha, B_rep.estimate)
 
 
-def _op_K_u_geometry(params, seed):
-    _, _, rep = geometry.K_u_geometry(params["h"], float(params["alpha"]))
+def _op_K_u_geometry(seed, h: Many(Real()), alpha: Real(0)):
+    _, _, rep = geometry.K_u_geometry(h, alpha)
     return rep
 
 
-def _op_sm_measure(params, seed):
-    return geometry.sm_measure(
-        int(params["d"]), float(params["alpha"]), int(params["m"]),
-        mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
+def _op_sm_measure(seed, d: Int(2), alpha: Real(0), m: Int(0),
+                   mc_samples: Int(1) = 4_000_000):
+    return geometry.sm_measure(d, alpha, m, mc_samples=mc_samples, seed=seed)
 
 
-def _op_sm_scaling(params, seed):
-    d = int(params["d"])
-    alpha = float(params["alpha"])
-    m_max = _count(params, "m_max", 4)  # two shells give the first ratio
-    ests, _ = geometry.sm_shells(
-        d, alpha, m_max,
-        mc_samples=_count(params, "mc_samples", 4_000_000), seed=seed)
+def _op_sm_scaling(seed, d: Int(2), alpha: Real(0),
+                   m_max: Int(1) = 4,  # two shells give the first ratio
+                   mc_samples: Int(1) = 4_000_000):
+    ests, _ = geometry.sm_shells(d, alpha, m_max, mc_samples=mc_samples,
+                                 seed=seed)
     target = 2.0 ** (-(d - 1) * alpha / (1 - d * alpha))
     series = [{"m": m, "measure": est} for m, est in enumerate(ests)]
     devs = [abs(lo / hi - target) / target
@@ -261,9 +237,9 @@ def _op_sm_scaling(params, seed):
                    devs, 0.2, series=series)
 
 
-def _op_check_J_geq_K(params, seed):
-    curve = _curve(params)
-    alpha = float(params["alpha"])
+def _op_check_J_geq_K(seed, curve: Curve, alpha: Real(0),
+                      n_samples: Int(1) = 200):
+    curve = curve_from_spec(curve)
     a, b = curve.domain
     if (b - a) / curve.d < 1e-3:
         raise ConfigError(f"the gaps are drawn from [1e-3, (b - a) / d], "
@@ -274,45 +250,40 @@ def _op_check_J_geq_K(params, seed):
         raise ConfigError("check_phicond failed; no sigma available")
     sigma = phicond.estimate
     rng = np.random.default_rng(seed)
-    n = _count(params, "n_samples", 200)
     samples = []
-    for _ in range(n):
+    for _ in range(n_samples):
         h = rng.uniform(1e-3, (b - a) / curve.d, size=curve.d - 1)
         s = rng.uniform(a, b - float(np.max(h)))
         samples.append((float(s), h))
     return geometry.check_J_geq_K(curve, sigma, alpha, samples)
 
 
-def _tests_from(params):
-    return [probe.TestFunction.from_spec(s) for s in params["tests"]]
+def _check_t_grid(spec) -> None:
+    """ConfigError unless t_grid holds only finite a, b and whole n >= 2."""
+    parse_keys("t_grid", spec, {"a": Real(), "b": Real(), "n": Int(2)})
 
 
-def _grid_from(params):
-    g = params.get("t_grid", {})
-    return np.linspace(float(g.get("a", 1e-4)), float(g.get("b", 1.0)),
-                       int(g.get("n", 2001)))
-
-
-def _op_empirical_ratio(params, seed):
-    curves = [curve_from_spec(s) for s in params["curves"]]
-    P = float(params["P"])
-    if not P > 1:
-        raise ConfigError(f"'P' must exceed 1, got {P}")
+def _op_empirical_ratio(seed, curves: Many(Curve), P: Real(1),
+                        tests: Many(Test),
+                        weighted: Choice(True, False) = True,
+                        t_grid: Spec(_check_t_grid) = None):
+    curves = [curve_from_spec(s) for s in curves]
+    g = t_grid or {}
     d = curves[0].d
     Q = 2.0 / (d * (d + 1) * (1 - 1.0 / P))
-    return probe.empirical_ratio(curves, P, Q,
-                                 bool(params.get("weighted", True)),
-                                 _tests_from(params), _grid_from(params))
+    return probe.empirical_ratio(
+        curves, P, Q, weighted,
+        [probe.TestFunction.from_spec(s) for s in tests],
+        np.linspace(float(g.get("a", 1e-4)), float(g.get("b", 1.0)),
+                    int(g.get("n", 2001))))
 
 
-def _op_homogeneous_rescale(params, seed):
-    curve = curve_from_spec({"kind": "homogeneous",
-                             "exponents": params["exponents"]})
-    g = probe.TestFunction.from_spec(params["g"])
-    p = float(params.get("p", 7.0 / 6.0))
-    k_list = list(params.get("k_list", [0, 1, 2]))
-    if not k_list:
-        raise ConfigError("'k_list' must name at least one k")
+def _op_homogeneous_rescale(seed, exponents: Many(Real()), g: Test,
+                            p: Real(0) = 7.0 / 6.0,
+                            k_list: Many(Int(0)) = (0, 1, 2)):
+    curve = curve_from_spec({"kind": "homogeneous", "exponents": exponents})
+    g = probe.TestFunction.from_spec(g)
+    k_list = list(k_list)
     reps = [probe.homogeneous_rescale_check(curve, int(k), g, p)
             for k in k_list]
     worst = reps[worst_index([r.estimate for r in reps])]
@@ -321,138 +292,121 @@ def _op_homogeneous_rescale(params, seed):
     return worst
 
 
-def _op_converse_scaling(params, seed):
-    alpha = float(params["alpha"])
-    Q = float(params["Q"])
+def _op_converse_scaling(seed, d: Int(1), Q: Real(0), alpha: Real(0),
+                         f: Test, n_random: Int(1) = 20):
+    if not alpha < Q:
+        raise ConfigError(f"P = 1 / (1 - alpha / Q) needs alpha < Q, got "
+                          f"alpha = {alpha}, Q = {Q}")
     P = 1.0 / (1.0 - alpha / Q)
-    d = int(params["d"])
-    f = probe.TestFunction.from_spec(params["f"])
+    f = probe.TestFunction.from_spec(f)
     rng = np.random.default_rng(seed)
-    n = _count(params, "n_random", 20)
     resids, boxes = [], []
-    for _ in range(n):
+    for _ in range(n_random):
         E = geometry.Parallelepiped.of(
             rng.normal(size=d), np.eye(d) + 0.3 * rng.normal(size=(d, d)))
         resids.append(probe.converse_scaling_check(E, f, P, Q, alpha).estimate)
         boxes.append(E)
     return at_most("converse_scaling",
-                   {"d": d, "P": P, "Q": Q, "alpha": alpha, "n_random": n},
+                   {"d": d, "P": P, "Q": Q, "alpha": alpha,
+                    "n_random": n_random},
                    resids, 1e-6,
                    witness=lambda i: {**boxes[i].to_dict(),
                                       "residual": resids[i]})
 
 
-def _op_dilation_invariance(params, seed):
-    g = probe.TestFunction.from_spec(params["g"])
+def _op_dilation_invariance(seed, d: Int(1), P: Real(0), Q: Real(0), g: Test,
+                            octaves: Int(0) = 4):
     return probe.check_dilation_invariance(
-        int(params["d"]), float(params["P"]), float(params["Q"]), g,
-        octaves=int(params.get("octaves", 4)))
+        d, P, Q, probe.TestFunction.from_spec(g), octaves=octaves)
 
 
 REGISTRY: dict[str, OpEntry] = {}
-# accepted keys by operation name, apart from the entries so that an entry
-# rebuilt around a wrapped adapter (as the benchmark's tracer does) keeps them
-KEYS: dict[str, tuple[str, ...]] = {}
+# the adapter parameters after 'seed' by operation name: the keys, their
+# parsers and defaults.  Kept apart from the entries so that an entry
+# rebuilt around a wrapped adapter (as the benchmark's tracer does) keeps
+# them
+KEYS: dict[str, tuple[inspect.Parameter, ...]] = {}
 
 
-def _register(name: str, summary: str, fn, keys: str) -> None:
-    """Register an adapter with the space-separated keys it reads."""
+def _register(name: str, summary: str, fn) -> None:
+    """Register an adapter; its parameters after 'seed' are the keys it
+    reads."""
     REGISTRY[name] = OpEntry(name=name, summary=summary, fn=fn)
-    KEYS[name] = tuple(keys.split())
+    KEYS[name] = tuple(inspect.signature(fn).parameters.values())[1:]
 
 
 _register("validate-monotone",
           "derivative stack nonnegative and nondecreasing on a grid",
-          _op_validate_monotone, "curve grid_size")
+          _op_validate_monotone)
 _register("psi-lower-bound",
           "positivity of the kernel mean-tail ratio (exactly 1/2 for d=2)",
-          _op_psi_lower_bound, "d n_samples")
+          _op_psi_lower_bound)
 _register("vandermonde-integration",
           "iterated-integral identity for the Vandermonde determinant",
-          _op_vandermonde_integration, "n")
+          _op_vandermonde_integration)
 _register("tail-inequalities",
           "spread-weighted and mean-restricted Vandermonde integral bounds",
-          _op_tail_inequalities, "n t delta")
+          _op_tail_inequalities)
 _register("lin-lemma",
           "restricted-box vs full-box ratio for factored integrands",
-          _op_lin_lemma, "instance")
+          _op_lin_lemma)
 _register("jacobian-identity",
           "determinant Jacobian equals its Hermite-Genocchi B-spline integral",
-          _op_jacobian_identity, "d n_trials")
+          _op_jacobian_identity)
 _register("monomial-closed-form",
           "J * prod(j!) = v(h) for the pure monomial phi = t^d/d!",
-          _op_monomial_closed_form, "d_max")
+          _op_monomial_closed_form)
 _register("estimate-sigma",
           "empirical infimum of the Jacobian lower-bound ratio",
-          _op_estimate_sigma, "curve n_samples")
+          _op_estimate_sigma)
 _register("offspring-closure",
           "offspring curve keeps at least 1/d of the parent's sigma",
-          _op_offspring_closure, "curve h n_samples")
+          _op_offspring_closure)
 _register("weight-product-bound",
           "weight-product identity and the Jacobian lower bound",
-          _op_weight_product_bound, "curve n_samples")
+          _op_weight_product_bound)
 _register("estimate-A",
           "grid supremum of the mean-value condition ratio",
-          _op_estimate_A, "curve variant grid_size bound tolerance")
+          _op_estimate_A)
 _register("check-phicond",
           "derivative-gap condition infimum and sigma estimate",
-          _op_check_phicond, "curve alpha grid_size")
+          _op_check_phicond)
 _register("exponent-identities",
           "exponent bookkeeping identities on a p-grid",
-          _op_exponent_identities, "d")
+          _op_exponent_identities)
 _register("lemma1-chain",
           "trapping parallelepiped chain with exact measure recursion",
-          _op_lemma1_chain, "curve t h")
+          _op_lemma1_chain)
 _register("estimate-alpha-B",
           "sup of occupation measure over parallelepiped volume^alpha",
-          _op_estimate_alpha_B, "curve alpha center_t side0 count")
+          _op_estimate_alpha_B)
 _register("lemma1-conclusion",
           "derivative-gap lower bound from the measure condition",
-          _op_lemma1_conclusion, "curve alpha n_samples center_t side0 count")
+          _op_lemma1_conclusion)
 _register("K-u-geometry",
           "gap polynomial u, the kernel K, and its homogeneity",
-          _op_K_u_geometry, "h alpha")
+          _op_K_u_geometry)
 _register("sm-measure",
           "Monte Carlo measure of one dyadic K-shell",
-          _op_sm_measure, "d alpha m mc_samples")
+          _op_sm_measure)
 _register("sm-scaling",
           "consecutive K-shell measures follow the dilation ratio",
-          _op_sm_scaling, "d alpha m_max mc_samples")
+          _op_sm_scaling)
 _register("check-J-geq-K",
           "Jacobian dominates the gap kernel K up to a constant",
-          _op_check_J_geq_K, "curve alpha n_samples")
+          _op_check_J_geq_K)
 _register("empirical-ratio",
           "exploratory restriction-ratio sweep over a curve family",
-          _op_empirical_ratio, "curves P weighted tests t_grid")
+          _op_empirical_ratio)
 _register("homogeneous-rescale",
           "dyadic rescaling identity for homogeneous curves",
-          _op_homogeneous_rescale, "exponents g p k_list")
+          _op_homogeneous_rescale)
 _register("converse-scaling",
           "norm identity behind the converse scaling computation",
-          _op_converse_scaling, "d Q alpha n_random f")
+          _op_converse_scaling)
 _register("dilation-invariance",
           "ratio invariance under curve-adapted dilations",
-          _op_dilation_invariance, "d P Q g octaves")
-
-
-def _each(check):
-    def check_all(specs):
-        for spec in specs:
-            check(spec)
-    return check_all
-
-
-# the key check of each nested spec, by the descriptor key that holds it
-# (a key names the same kind of spec in every operation that reads it)
-_NESTED = {
-    "curve": check_curve_keys,
-    "curves": _each(check_curve_keys),
-    "tests": _each(probe.check_test_keys),
-    "g": probe.check_test_keys,
-    "f": probe.check_test_keys,
-    "t_grid": lambda g: reject_unknown_keys("t_grid", g, ("a", "b", "n")),
-    "instance": vandermonde.check_lin_lemma_keys,
-}
+          _op_dilation_invariance)
 
 
 def get_operation(name: str) -> OpEntry:
@@ -461,19 +415,22 @@ def get_operation(name: str) -> OpEntry:
     return REGISTRY[name]
 
 
-def check_descriptor(descriptor: dict[str, Any]) -> OpEntry:
-    """The descriptor's operation; ConfigError if it names an unknown
-    operation or a key the operation does not read, at the top level or
-    in a nested spec.  Builds no curve and runs nothing."""
+def check_descriptor(
+        descriptor: dict[str, Any]) -> tuple[OpEntry, dict[str, Any]]:
+    """The descriptor's operation and the parsed values of its keys;
+    ConfigError if it names an unknown operation, a key the operation
+    does not read (at the top level or in a nested spec), misses a
+    required key or holds a value out of range.  Builds no curve and runs
+    nothing."""
     op = get_operation(descriptor["operation"])
-    reject_unknown_keys(op.name, descriptor.keys() - {"operation"}, op.keys)
-    for key in op.keys:
-        if key in descriptor and key in _NESTED:
-            _NESTED[key](descriptor[key])
-    return op
+    params = KEYS[op.name]
+    values = parse_keys(
+        op.name, {k: v for k, v in descriptor.items() if k != "operation"},
+        {p.name: p.annotation for p in params},
+        [p.name for p in params if p.default is p.empty])
+    return op, values
 
 
 def run_check(descriptor: dict[str, Any], seed: int) -> CheckReport:
-    op = check_descriptor(descriptor)
-    params = {k: v for k, v in descriptor.items() if k != "operation"}
-    return op.fn(params, seed)
+    op, values = check_descriptor(descriptor)
+    return op.fn(seed, **values)

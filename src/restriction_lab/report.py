@@ -31,6 +31,105 @@ def reject_unknown_keys(where: str, given, accepted) -> None:
                           f"{', '.join(accepted)}")
 
 
+# Parsers of config values: parse(key, value) checks one JSON value and
+# gives what the check receives, or raises ConfigError naming ``key``.
+
+
+def _finite(key: str, value):
+    """``value``; ConfigError unless it is a finite number (no bool)."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):  # not a number; an int beyond floats
+        pass
+    raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+
+
+class Int:
+    """A whole number from ``least`` to ``most``, as int(value)."""
+
+    def __init__(self, least: float = -math.inf, most: float = math.inf):
+        self.least, self.most = least, most
+
+    def __call__(self, key: str, value) -> int:
+        if _finite(key, value) != int(value):
+            raise ConfigError(f"'{key}' must be a whole number, got {value!r}")
+        if value < self.least:
+            raise ConfigError(f"'{key}' must be at least {self.least}, "
+                              f"got {int(value)}")
+        if value > self.most:
+            raise ConfigError(f"'{key}' must be at most {self.most}, "
+                              f"got {int(value)}")
+        return int(value)
+
+
+class Real:
+    """A finite number above ``above``, as float(value), or with ``keep``
+    as written (an int stays an int in the report)."""
+
+    def __init__(self, above: float = -math.inf, keep: bool = False):
+        self.above, self.keep = above, keep
+
+    def __call__(self, key: str, value):
+        if not _finite(key, value) > self.above:
+            raise ConfigError(f"'{key}' must exceed {self.above}, "
+                              f"got {float(value)}")
+        return value if self.keep else float(value)
+
+
+class Many:
+    """A nonempty list whose entries ``item`` parses, as written."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __call__(self, key: str, value):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{key}' must be a nonempty list, "
+                              f"got {value!r}")
+        for i, x in enumerate(value):
+            self.item(f"{key}[{i}]", x)
+        return value
+
+
+class Spec:
+    """A nested spec that ``check(spec)`` accepts, as written (unbuilt)."""
+
+    def __init__(self, check: Callable[[Any], Any]):
+        self.check = check
+
+    def __call__(self, key: str, value):
+        self.check(value)
+        return value
+
+
+class Choice:
+    """One of the JSON values ``choices``, as written."""
+
+    def __init__(self, *choices):
+        self.choices = choices
+
+    def __call__(self, key: str, value):
+        # the types too, since 1 == True
+        if (type(value), value) not in [(type(c), c) for c in self.choices]:
+            raise ConfigError(f"'{key}' must be one of "
+                              f"{json.dumps(self.choices)}, got {value!r}")
+        return value
+
+
+def parse_keys(where: str, spec, parsers: dict, required=()) -> dict:
+    """The values of the object ``spec`` by key, each parsed by
+    ``parsers[key]``; ConfigError unless ``spec`` is an object holding
+    only keys of ``parsers`` and every key of ``required``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {spec!r}")
+    reject_unknown_keys(where, spec, parsers)
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: parsers[key](key, value) for key, value in spec.items()}
+
+
 def worst_index(values) -> int | None:
     """Index of the worst entry of the sequence ``values``, where larger is
     worse.
@@ -119,7 +218,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.checks[{i}]: missing 'operation'")
         return cls(
             checks=checks,
-            seed=int(raw.get("seed", 0)),
+            seed=Int()("seed", raw.get("seed", 0)),
             output=str(raw.get("output", "report")),
         )
 

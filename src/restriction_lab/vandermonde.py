@@ -323,9 +323,6 @@ def check_tail_inequalities(n: int, t, delta: float) -> CheckReport:
     t = np.asarray(t, dtype=float)
     if t.shape != (n,) or np.any(np.diff(t) <= 0):
         raise ConfigError("t must be strictly increasing of length n")
-    if n < 3:
-        raise ConfigError("tail inequalities need n >= 3 "
-                          "(the n=2 spread factor degenerates)")
     lo, hi = t[:-1], t[1:]
 
     pts, wts = box_rule(lo, hi, 24)

@@ -14,6 +14,7 @@ from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
                                     expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
                                     poly_oracle)
+from restriction_lab.registry import run_check
 from restriction_lab.report import ConfigError, DomainError
 
 
@@ -246,10 +247,10 @@ def test_estimate_A_validation():
                     label="neg")
     with pytest.raises(DomainError):
         estimate_A(c, "GM", 6)
-    good = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 1.0)),
-                       label="m")
-    with pytest.raises(ConfigError):
-        estimate_A(good, "XY", 6)
+    with pytest.raises(ConfigError, match="'variant' must be one of"):
+        run_check({"operation": "estimate-A", "variant": "XY",
+                   "grid_size": 6,
+                   "curve": {"kind": "monomial", "beta": 4.0, "d": 3}}, 1)
 
 
 def test_check_phicond_linear_case(moment_curve_3):

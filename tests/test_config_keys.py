@@ -1,17 +1,22 @@
 """The config language is the set of keys the adapters read.
 
-Every operation declares its keys; a descriptor with any other key, or
-a config with an unknown top-level key, is a config error (exit 2, no
-report), and the shipped configs read and set exactly the declared keys.
+Every operation declares its keys as its adapter's keyword parameters; a
+descriptor with any other key, without a required key or with a value
+out of range, or a config with an unknown top-level key, is a config
+error (exit 2, no report), and the shipped configs set exactly the
+declared keys.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from restriction_lab.cli import main
-from restriction_lab.registry import REGISTRY, OpEntry, get_operation
+from restriction_lab.registry import (KEYS, REGISTRY, OpEntry,
+                                      check_descriptor, get_operation)
+from restriction_lab.report import Choice, Int, Many, Real, Spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,26 +35,6 @@ SHIPPED = _shipped_checks()
 
 def _first_shipped(op):
     return next(c for _, c in SHIPPED if c["operation"] == op)
-
-
-class _Recorder(dict):
-    """A parameter dict that records every key the adapter looks up."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
 
 
 def _run_cli(tmp_path, config):
@@ -159,9 +144,9 @@ def test_nested_key_error_stops_before_any_check(tmp_path, capsys,
          "curve": {**_MONOMIAL, "domian": [0.0, 0.5]}})
     calls = []
     for name, op in list(REGISTRY.items()):
-        def counted(params, seed, fn=op.fn, name=name):
+        def counted(seed, fn=op.fn, name=name, **values):
             calls.append(name)
-            return fn(params, seed)
+            return fn(seed, **values)
         monkeypatch.setitem(REGISTRY, name,
                             OpEntry(op.name, op.summary, counted))
     code, out = _run_cli(tmp_path, config)
@@ -184,14 +169,46 @@ def test_top_level_tolerances_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("seed,check", SHIPPED,
                          ids=[c["operation"] for _, c in SHIPPED])
 def test_shipped_checks_read_only_declared_keys(seed, check):
+    # an adapter gets its keys as keyword parameters, so it reads no other
+    # key; each parameter after 'seed' carries the parser of its key
     op = get_operation(check["operation"])
-    params = _Recorder({k: v for k, v in check.items() if k != "operation"})
-    op.fn(params, seed)
-    assert params.read <= set(op.keys)
+    seed_param, *params = inspect.signature(op.fn).parameters.values()
+    assert seed_param.name == "seed"
+    for p in params:
+        assert p.kind is p.POSITIONAL_OR_KEYWORD, p
+        assert isinstance(p.annotation, (Int, Real, Many, Spec, Choice)), p
+    _, values = check_descriptor(check)
+    assert set(values) == set(check) - {"operation"}
+    assert set(values) <= {p.name for p in params}
+
+
+def test_missing_required_key_exits_2_without_report(tmp_path, capsys):
+    # a missing required key once leaked a KeyError: a FAIL with exit 1
+    check = {k: v for k, v in _first_shipped("check-phicond").items()
+             if k != "alpha"}
+    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [check]})
+    assert code == 2
+    assert not Path(str(out) + ".json").exists()
+    assert "check-phicond: missing required key 'alpha'" in (
+        capsys.readouterr().err)
+
+
+def test_list_checks_prints_each_key_with_its_default(capsys):
+    assert main(["list-checks"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = {lines[i].split()[0]: lines[i + 1].strip()
+            for i in range(0, len(lines), 2)}
+    assert set(keys) == set(REGISTRY)
+    assert keys["check-phicond"] == "keys: curve, alpha, grid_size=64"
+    assert keys["estimate-A"] == ("keys: curve, variant=\"GM\", "
+                                  "grid_size=12, bound=null, tolerance=null")
+    assert keys["homogeneous-rescale"] == (
+        "keys: exponents, g, p=1.1666666666666667, k_list=[0, 1, 2]")
 
 
 def test_shipped_configs_set_every_declared_key():
     set_keys = {name: set() for name in REGISTRY}
     for _, check in SHIPPED:
         set_keys[check["operation"]] |= set(check) - {"operation"}
-    assert set_keys == {name: set(op.keys) for name, op in REGISTRY.items()}
+    assert set_keys == {name: {p.name for p in params}
+                        for name, params in KEYS.items()}

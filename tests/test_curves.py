@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight,
-                                    curve_from_spec, expflat_oracle,
+                                    check_curve_keys, curve_from_spec,
+                                    expflat_oracle,
                                     expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
                                     poly_oracle, poly_rows,
@@ -257,3 +258,29 @@ def test_curve_from_spec_validation():
         curve_from_spec({"kind": "nope"})
     with pytest.raises(ConfigError):
         curve_from_spec({"kind": "monomial", "beta": 3.0, "d": 7})
+
+
+_M3 = {"kind": "monomial", "beta": 4.0, "d": 3}
+
+
+@pytest.mark.parametrize("spec, message", [
+    # d = 3.5 once became 3 without a word
+    ({**_M3, "d": 3.5}, "'d' must be a whole number, got 3.5"),
+    ({**_M3, "d": 6}, "'d' must be at most 5, got 6"),
+    ({**_M3, "d": math.nan}, "'d' must be a finite number, got nan"),
+    # steps = -1 once flattened 0 times and PASSed
+    ({"kind": "flatten", "base": _M3, "steps": -1},
+     "'steps' must be at least 1, got -1"),
+    ({"kind": "flatten", "base": {**_M3, "beta": math.inf}},
+     "'beta' must be a finite number, got inf"),
+    ({"kind": "exp-flat", "beta": -math.inf},
+     "'beta' must be a finite number, got -inf"),
+    # a missing beta once leaked a KeyError
+    ({"kind": "monomial", "d": 3},
+     "curve spec 'monomial': missing required key 'beta'"),
+    ({"kind": "poly-phi", "coeffs": [0.0, math.nan]},
+     r"'coeffs\[1\]' must be a finite number, got nan"),
+])
+def test_curve_spec_numbers_are_checked_before_any_curve(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        check_curve_keys(spec)

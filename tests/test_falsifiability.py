@@ -44,7 +44,7 @@ def _plant(monkeypatch, module, name, factor):
                if key.startswith("restriction_lab.")
                and getattr(m, name, None) is fn]
     for m in holders:
-        monkeypatch.setattr(m, name, lambda *a: factor * fn(*a))
+        monkeypatch.setattr(m, name, lambda *a, **k: factor * fn(*a, **k))
     return holders
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import runpy
@@ -24,7 +25,7 @@ from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       shrink_family, sm_measure, sm_shells,
                                       u_of)
 from restriction_lab.quadrature import QuadratureError
-from restriction_lab.registry import get_operation
+from restriction_lab.registry import run_check
 from restriction_lab.report import ConfigError, DomainError, worst_index
 from test_jacobian import SWEEP_CURVES, _ref_jacobian_integral
 
@@ -242,7 +243,7 @@ def test_estimate_alpha_B_makes_one_curve_call_a_bisection_step(
     monkeypatch.setattr(SimpleCurve, "jet", counted("jet", jet))
     monkeypatch.setattr(Parallelepiped, "contains",
                         counted("contains", contains))
-    rep = get_operation("estimate-alpha-B").fn(desc, 1)
+    rep = run_check(desc, 1)
     assert rep.passed
     assert calls["jet"] <= 20
     assert calls["contains"] == 5
@@ -293,13 +294,29 @@ def test_lemma1_conclusion(quartic_curve):
     assert rep.passed, rep.notes
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_lemma1_conclusion_on_a_collapsed_chord_band_skips_the_cross_check(
+        beta):
+    # phi = t^beta with beta in {0, 1} has phi'' = 0 at d = 3: the chain
+    # ends at its planar base box, which was once handed to lambda_measure
+    # on the 3-D curve (a broadcast ValueError)
+    rep = run_check({"operation": "lemma1-conclusion", "alpha": 1 / 6,
+                     "curve": {"kind": "monomial", "beta": beta, "d": 3,
+                               "domain": [0.0, 1.0]}}, 1)
+    (note,) = rep.notes
+    assert "occupation cross-check skipped" in note
+    # the margin verdict stands: phi'' has no gap to bound
+    assert not rep.passed and rep.estimate < 0
+    assert len(rep.witnesses) == 1
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
 def test_K_u_values_and_homogeneity():
     u, K, rep = K_u_geometry([1.0, 2.0], 1 / 6)
     assert u == pytest.approx(2.0)
     assert K == pytest.approx(2.0)  # 1/alpha = d(d+1)/2 makes K = u
     assert rep.passed
-    u0, K0, _ = K_u_geometry([1.0, 1.0], 1 / 6)
-    assert u0 == 0.0 and K0 == 0.0
+    assert u_of([1.0, 1.0]) == 0.0 and K_of([1.0, 1.0], 1 / 6) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -333,12 +350,12 @@ def test_sm_measure_validation():
     with pytest.raises(ConfigError, match="d >= 2"):
         sm_shells(1, 0.5, 0)
     with pytest.raises(ConfigError):
-        get_operation("sm-scaling").fn(
-            {"d": 3, "alpha": 1 / 3, "mc_samples": 10}, 1)
+        run_check({"operation": "sm-scaling", "d": 3, "alpha": 1 / 3,
+                   "mc_samples": 10}, 1)
     # one shell gives no consecutive ratio to compare
     with pytest.raises(ConfigError, match="'m_max' must be at least 1"):
-        get_operation("sm-scaling").fn(
-            {"d": 3, "alpha": 1 / 6, "m_max": 0, "mc_samples": 1000}, 1)
+        run_check({"operation": "sm-scaling", "d": 3, "alpha": 1 / 6,
+                   "m_max": 0, "mc_samples": 1000}, 1)
 
 
 def test_u_of_is_the_product_of_gap_differences(rng):
@@ -392,8 +409,8 @@ def _mask_hits(d, alpha, m_max, mc_samples, seed, box_side=10.0):
 @pytest.mark.parametrize("d,alpha", [(3, 1 / 6), (4, 0.08)])
 def test_sm_scaling_series_equals_separate_shells(d, alpha):
     n, seed, m_max = 600_001, 5, 4
-    rep = get_operation("sm-scaling").fn(
-        {"d": d, "alpha": alpha, "m_max": m_max, "mc_samples": n}, seed)
+    rep = run_check({"operation": "sm-scaling", "d": d, "alpha": alpha,
+                     "m_max": m_max, "mc_samples": n}, seed)
     series = [s["measure"] for s in rep.series]
     singles = [sm_measure(d, alpha, m, mc_samples=n, seed=seed)
                for m in range(m_max + 1)]

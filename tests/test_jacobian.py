@@ -21,7 +21,7 @@ from restriction_lab.jacobian import (check_offspring_closure,
                                       sigma_ratio, UnderflowError,
                                       weight_product_bound)
 from restriction_lab.quadrature import QuadratureError, gl_nodes
-from restriction_lab.registry import get_operation
+from restriction_lab.registry import run_check
 from restriction_lab.report import DomainError, worst_index
 from restriction_lab.vandermonde import GapVector, unit_bspline
 
@@ -634,9 +634,9 @@ def _ref_jacobian_identity(d, n, seed):
 @pytest.mark.parametrize("n", [1, 16, 17, 20])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_jacobian_identity_sweep_equals_per_trial_loop(d, n):
-    op = get_operation("jacobian-identity")
     for seed in (n, 20260823):
-        rep = op.fn({"d": d, "n_trials": n}, seed)
+        rep = run_check({"operation": "jacobian-identity", "d": d,
+                         "n_trials": n}, seed)
         expect, integrals = _ref_jacobian_identity(d, n, seed)
         assert (rep.estimate, rep.witnesses, rep.passed) == expect
         # every trial's row of the sweep, not just the worst

@@ -20,7 +20,7 @@ from restriction_lab.probe import (SampledFunction, TestFunction,
                                    extension, homogeneous_rescale_check,
                                    restrict)
 from restriction_lab.quadrature import QuadratureError
-from restriction_lab.registry import get_operation
+from restriction_lab.registry import run_check
 from restriction_lab.report import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,8 +170,10 @@ def test_empirical_ratio_is_finite_and_annotated(moment_curve_3,
     assert math.isfinite(rep.estimate) and rep.estimate > 0
     assert rep.witnesses[0]["spread"] >= 1.0
     assert any("exploratory" in n for n in rep.notes)
-    with pytest.raises(ConfigError):
-        empirical_ratio([], 9 / 8, 1.5, True, fam, np.linspace(0, 1, 5))
+    with pytest.raises(ConfigError, match="'curves' must be a nonempty list"):
+        run_check({"operation": "empirical-ratio", "curves": [], "P": 9 / 8,
+                   "tests": [{"kind": "Gaussian", "center": [0, 0, 0],
+                              "sigma": 0.5}]}, 1)
 
 
 def _flat_family(quartic_curve):
@@ -277,8 +279,11 @@ def test_homogeneous_rescale_identity():
     for k in (0, 1, 3):
         rep = homogeneous_rescale_check(curve, k, g, 7 / 6)
         assert rep.passed, rep.estimate
-    with pytest.raises(ConfigError):
-        homogeneous_rescale_check(curve, -1, g, 7 / 6)
+    with pytest.raises(ConfigError, match=r"'k_list\[0\]' must be at least 0"):
+        run_check({"operation": "homogeneous-rescale",
+                   "exponents": [1.0, 2.0, 3.0], "k_list": [-1],
+                   "g": {"kind": "Gaussian", "center": [0.0, 0.0, 0.0],
+                         "sigma": [1.0, 0.8, 1.2]}}, 1)
 
 
 def test_converse_scaling_unit_cube():
@@ -303,7 +308,7 @@ def test_converse_scaling_ill_conditioned_edges():
     with open(CONFIGS / "default.json", encoding="utf-8") as fh:
         checks = json.load(fh)["checks"]
     (params,) = [c for c in checks if c["operation"] == "converse-scaling"]
-    rep = get_operation("converse-scaling").fn(params, 2678705976)
+    rep = run_check(params, 2678705976)
     assert rep.passed, rep.estimate
     assert rep.estimate <= 1e-12
 
@@ -315,7 +320,7 @@ def test_converse_scaling_witness_reproduces_residual():
         cfg = json.load(fh)
     (params,) = [c for c in cfg["checks"]
                  if c["operation"] == "converse-scaling"]
-    rep = get_operation("converse-scaling").fn(params, cfg["seed"])
+    rep = run_check(params, cfg["seed"])
     (witness,) = json.loads(json.dumps(rep.witnesses))
     assert witness["residual"] == rep.estimate
     again = converse_scaling_check(

@@ -199,7 +199,7 @@ def test_check_phicond_needs_two_grid_points(grid_size):
     cfg = _config([{"operation": "check-phicond", "alpha": 1 / 6,
                     "grid_size": grid_size,
                     "curve": {"kind": "monomial", "beta": 4.0, "d": 3}}])
-    with pytest.raises(ConfigError, match="grid_size must be >= 2"):
+    with pytest.raises(ConfigError, match="'grid_size' must be at least 2"):
         run(cfg)
 
 
@@ -299,6 +299,10 @@ def test_load_config_validation(tmp_path):
     missing.write_text(json.dumps({"seed": 1}), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(missing))
+    # a NaN or string seed once leaked int()'s ValueError, and 3.7 ran as 3
+    for seed in (math.nan, "x", 3.7):
+        with pytest.raises(ConfigError, match="'seed' must be"):
+            ExperimentConfig.from_dict({"seed": seed, "checks": []})
 
 
 def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
@@ -571,6 +575,31 @@ GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
      "p": 0.0, "g": GAUSSIAN_3},
     {"operation": "homogeneous-rescale", "exponents": [1.0, 2.0, 3.0],
      "p": -1.0, "g": GAUSSIAN_3},
+    # two equal gaps, or a zero gap: u = K = 0 at every scale, and the
+    # check once PASSed with estimate 0.0
+    {"operation": "K-u-geometry", "h": [1.0, 1.0], "alpha": 1 / 6},
+    {"operation": "K-u-geometry", "h": [0.5, 0.0], "alpha": 1 / 6},
+    # beta <= 0: the derivative coefficients divide by beta (a
+    # ZeroDivisionError at 0), and beta < 0 once PASSed
+    {"operation": "estimate-sigma",
+     "curve": {"kind": "exp-flat", "beta": 0.0, "d": 2,
+               "domain": [0.0, 0.4]}},
+    {"operation": "estimate-sigma",
+     "curve": {"kind": "exp-flat", "beta": -1.0, "d": 2,
+               "domain": [0.0, 0.4]}},
+    # every box volume overflows: the check once PASSed with estimate 0.0
+    # and wrote a non-finite series
+    {"operation": "estimate-alpha-B", "alpha": 1 / 6, "side0": 1e308,
+     "curve": {**MONOMIAL_3, "domain": [0.0, 1.0]}},
+    {"operation": "lemma1-conclusion", "alpha": 1 / 6, "side0": 1e308,
+     "curve": {**MONOMIAL_3, "domain": [0.0, 1.0]}},
+    # boxes finer than the coarse scan off a grid point give B = 0, whose
+    # -1/alpha power once leaked a ZeroDivisionError
+    {"operation": "lemma1-conclusion", "alpha": 1 / 6, "center_t": 0.50001,
+     "side0": 1e-9, "curve": {**MONOMIAL_3, "domain": [0.0, 1.0]}},
+    # P = 1 / (1 - alpha / Q) once divided by zero at alpha = Q
+    {"operation": "converse-scaling", "d": 2, "Q": 0.2, "alpha": 0.2,
+     "f": {**GAUSSIAN_3, "center": [0.0, 0.0]}},
 ])
 def test_out_of_range_parameters_raise_config_errors(check):
     with pytest.raises(ConfigError):
