@@ -10,8 +10,6 @@ supplied analytically per family; central finite differences serve as a
 validation oracle only.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,8 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .report import (CapabilityError, CheckReport, Choice, ConfigError,
-                     DomainError, Int, Many, Real, Spec, parse_keys,
-                     worst_index)
+                     DomainError, Int, Kind, Many, Real, Spec, worst_index)
 
 DEFAULT_MAX_D = 5
 # oracles clamp evaluation points this far (relative to the domain
@@ -318,10 +315,6 @@ def expflat_phi_derivative(beta: float, k: int, t):
 
 def expflat_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
     """phi(t) = exp(-t^{-beta}), beta > 0."""
-    if not beta > 0:
-        # the derivative coefficients divide by beta, and at beta < 0 phi
-        # is not flat at 0
-        raise ConfigError(f"exp-flat needs beta > 0, got {beta}")
 
     def fn(t, k):
         return expflat_phi_derivative(beta, k, t)
@@ -339,61 +332,52 @@ def finite_difference(oracle: DerivativeOracle, t: float, k: int,
     return (oracle(t + step, k - 1) - oracle(t - step, k - 1)) / (2 * step)
 
 
-def check_curve_keys(spec) -> str:
-    """The kind of a curve spec; ConfigError unless ``spec`` is an object
-    with a known 'kind', every key that kind requires and only keys it
-    reads, each in range (a flatten spec's base included).  Builds no
-    curve."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("curve spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _CURVE_KEYS:
-        raise ConfigError(f"unknown curve kind {kind!r}")
-    parsers, required = _CURVE_KEYS[kind]
-    parse_keys(f"curve spec {kind!r}",
-               {k: v for k, v in spec.items() if k != "kind"},
-               {"domain": Many(Real()), **parsers}, required)
-    return kind
+# the builders of the curve kinds: each one's keyword parameters are the
+# keys of its spec besides 'kind'
+_D, _DOMAIN = Int(2, DEFAULT_MAX_D), Many(Real(), size=2)
 
 
-_D = Int(2, DEFAULT_MAX_D)
-# the keys each curve kind reads besides 'kind' and 'domain', with their
-# parsers, and the keys it requires
-_CURVE_KEYS = {
-    "monomial": ({"d": _D, "beta": Real()}, ("beta",)),
-    "exp-flat": ({"d": _D, "beta": Real()}, ("beta",)),
-    "poly-phi": ({"d": _D, "coeffs": Many(Real())}, ("coeffs",)),
-    "flatten": ({"d": _D, "base": Spec(check_curve_keys), "steps": Int(1),
-                 "variant": Choice("exp", "log")}, ("base",)),
-    "homogeneous": ({"exponents": Many(Real())}, ("exponents",)),
-}
+def _monomial(beta: Real(keep=True), d: _D = 3,
+              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
+    return SimpleCurve(d=d, phi=monomial_oracle(float(beta), domain),
+                       label=f"monomial(beta={beta})")
 
 
-def curve_from_spec(spec: dict) -> SimpleCurve | HomogeneousCurve:
-    """Build a curve from its JSON specification.
+# beta > 0: the derivative coefficients divide by beta
+def _exp_flat(beta: Real(0, keep=True), d: _D = 3,
+              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
+    return SimpleCurve(d=d, phi=expflat_oracle(float(beta), domain),
+                       label=f"exp-flat(beta={beta})")
 
-    Kinds: monomial | exp-flat | poly-phi | flatten | homogeneous.
-    """
-    kind = check_curve_keys(spec)
-    domain = tuple(spec.get("domain", (0.0, 1.0)))
-    if kind == "homogeneous":
-        return HomogeneousCurve(exponents=tuple(spec["exponents"]),
-                                domain=domain, label="homogeneous")
-    d = int(spec.get("d", 3))
-    if kind == "monomial":
-        phi = monomial_oracle(float(spec["beta"]), domain)
-        label = f"monomial(beta={spec['beta']})"
-    elif kind == "exp-flat":
-        phi = expflat_oracle(float(spec["beta"]), domain)
-        label = f"exp-flat(beta={spec['beta']})"
-    elif kind == "poly-phi":
-        phi = poly_oracle(list(spec["coeffs"]), domain, DEFAULT_MAX_D)
-        label = "poly-phi"
-    elif kind == "flatten":
-        from .conditions import build_flattened
-        base = curve_from_spec({**spec["base"], "d": d, "domain": list(domain)})
-        cur = base
-        for _ in range(int(spec.get("steps", 1))):
-            cur = build_flattened(cur, variant=spec.get("variant", "exp"))
-        return cur
-    return SimpleCurve(d=d, phi=phi, label=label)
+
+def _poly_phi(coeffs: Many(Real()), d: _D = 3,
+              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
+    return SimpleCurve(d=d, phi=poly_oracle(coeffs, domain, DEFAULT_MAX_D),
+                       label="poly-phi")
+
+
+def _homogeneous(exponents: Many(Real()),
+                 domain: _DOMAIN = (0.0, 1.0)) -> HomogeneousCurve:
+    return HomogeneousCurve(exponents=tuple(exponents), domain=tuple(domain))
+
+
+CURVE = Kind("curve spec", {"monomial": _monomial, "exp-flat": _exp_flat,
+                            "poly-phi": _poly_phi,
+                            "homogeneous": _homogeneous})
+
+
+def _flatten(base: CURVE, d: _D = 3, domain: _DOMAIN = (0.0, 1.0),
+             steps: Int(1) = 1,
+             variant: Choice("exp", "log") = "exp") -> SimpleCurve:
+    """``base`` at this spec's d and domain, flattened ``steps`` times."""
+    from .conditions import build_flattened
+    cur = CURVE.build({**base, "d": d, "domain": list(domain)})
+    for _ in range(steps):
+        cur = build_flattened(cur, variant=variant)
+    return cur
+
+
+# flatten joins the kinds last, since its base is a curve spec of any kind
+CURVE.builders["flatten"] = Spec(_flatten, "curve spec 'flatten'")
+# the curve of a JSON spec
+curve_from_spec = CURVE.build

@@ -39,9 +39,9 @@ class Parallelepiped:
         edges = np.asarray(edges, dtype=float)
         if edges.shape != (base.size, base.size):
             raise ConfigError("edges must be d vectors of length d")
-        if abs(np.linalg.det(edges)) == 0:
+        if (E := cls(base=base, edges=edges)).volume == 0:
             raise ConfigError("edges must be linearly independent")
-        return cls(base=base, edges=edges)
+        return E
 
     @property
     def dim(self) -> int:
@@ -49,7 +49,8 @@ class Parallelepiped:
 
     @property
     def volume(self) -> float:
-        return abs(float(np.linalg.det(self.edges)))
+        with np.errstate(over="ignore"):  # inf beyond the largest double
+            return abs(float(np.linalg.det(self.edges)))
 
     def coords(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -161,9 +162,15 @@ def estimate_alpha_B(curve, family, alpha: float) -> CheckReport:
             # lambda / volume^alpha would read 0 or inf for any lambda
             raise ConfigError(f"a box of the family has volume {md!r}; the "
                               f"ratio needs a positive finite volume")
-    series = []
-    for md, lam in zip(volumes, _lambda_measures(curve, family)):
-        series.append({"m_d": md, "lambda": lam, "ratio": lam / md ** alpha})
+    lams = _lambda_measures(curve, family)
+    if not any(lams):  # a sup of zeros bounds nothing
+        side = min(np.linalg.norm(E.edges, axis=1).min() for E in family)
+        raise ConfigError(
+            f"no box of the family meets the curve on lambda_measure's "
+            f"coarse scan: the smallest side is {float(side)!r}, the scan "
+            f"spacing {(curve.domain[1] - curve.domain[0]) / _COARSE!r}")
+    series = [{"m_d": md, "lambda": lam, "ratio": lam / md ** alpha}
+              for md, lam in zip(volumes, lams)]
     i = worst_index([row["ratio"] for row in series])
     best = series[i]["ratio"]
     return CheckReport(
@@ -290,11 +297,8 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
     planar base box, and a note says the cross-check was skipped."""
     d = curve.d
     _validate_alpha(d, alpha)
-    if not B_est > 0:
-        # B^(-1/alpha) would divide by zero
-        raise ConfigError(f"B_est must be positive, got {B_est!r}: no box "
-                          f"of the family meets the curve on "
-                          f"lambda_measure's coarse scan")
+    if not B_est > 0:  # B^(-1/alpha) would divide by zero
+        raise ConfigError(f"B_est must be positive, got {B_est!r}")
     tolerance = 1e-9
     expo = 1.0 / alpha + 1 - d * (d + 1) / 2.0
     margins, pairs = [], []

@@ -6,8 +6,6 @@ Fourier convention: g_hat(xi) = int g(x) exp(-i<xi, x>) dx, except in
 norm identity holds without stray 2*pi factors.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -16,27 +14,11 @@ import numpy as np
 from .curves import HomogeneousCurve, affine_weight
 from .geometry import Parallelepiped
 from .quadrature import QuadratureError, gl_nodes
-from .report import (CheckReport, ConfigError, at_most, reject_unknown_keys,
+from .report import (CheckReport, ConfigError, Kind, Many, Real, at_most,
                      worst_index)
 
-
-# the keys each test-function kind reads besides 'kind', 'center', 'amp'
-_TEST_KEYS = {
-    "Gaussian": ("sigma",),
-    "BoxBump": ("sides",),
-    "ModulatedGaussian": ("sigma", "freq"),
-}
-
-
-def check_test_keys(spec) -> str:
-    """The kind of a test-function spec; ConfigError unless it is known
-    and the spec holds only the keys that kind reads."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if not isinstance(kind, str) or kind not in _TEST_KEYS:
-        raise ConfigError(f"unknown test-function kind {kind!r}")
-    reject_unknown_keys(f"test function {kind!r}", spec,
-                        ("kind", "center", "amp") + _TEST_KEYS[kind])
-    return kind
+# a width (and a frequency) is one number, or one per axis of the center
+_CENTER, _WIDTH = Many(Real()), Many(Real(0), single=True)
 
 
 @dataclass(frozen=True)
@@ -58,40 +40,37 @@ class TestFunction:
     amp: float = 1.0
 
     @classmethod
-    def gaussian(cls, center, sigma, amp: float = 1.0) -> "TestFunction":
+    def _of(cls, kind: str, center, amp: float,
+            **per_axis) -> "TestFunction":
+        """The ``kind`` test function; ``per_axis`` in the center's shape."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float),
-                                center.shape).copy()
-        return cls(kind="Gaussian", center=center, sigma=sigma, amp=amp)
+        for key, value in per_axis.items():
+            value = np.asarray(value, dtype=float)
+            if value.ndim and value.shape != center.shape:
+                raise ConfigError(f"'{key}' needs one entry per axis of the "
+                                  f"center, {center.size}, got {value.size}")
+            per_axis[key] = np.broadcast_to(value, center.shape).copy()
+        return cls(kind=kind, center=center, amp=amp, **per_axis)
+
+    # the builders of the kinds: each one's keyword parameters are the
+    # keys of its spec besides 'kind'
 
     @classmethod
-    def box_bump(cls, center, sides, amp: float = 1.0) -> "TestFunction":
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        sides = np.broadcast_to(np.asarray(sides, dtype=float),
-                                center.shape).copy()
-        return cls(kind="BoxBump", center=center, sides=sides, amp=amp)
+    def gaussian(cls, center: _CENTER, sigma: _WIDTH,
+                 amp: Real() = 1.0) -> "TestFunction":
+        return cls._of("Gaussian", center, amp, sigma=sigma)
 
     @classmethod
-    def modulated(cls, center, sigma, freq, amp: float = 1.0) -> "TestFunction":
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float),
-                                center.shape).copy()
-        freq = np.broadcast_to(np.asarray(freq, dtype=float),
-                               center.shape).copy()
-        return cls(kind="ModulatedGaussian", center=center, sigma=sigma,
-                   freq=freq, amp=amp)
+    def box_bump(cls, center: _CENTER, sides: _WIDTH,
+                 amp: Real() = 1.0) -> "TestFunction":
+        return cls._of("BoxBump", center, amp, sides=sides)
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "TestFunction":
-        kind = check_test_keys(spec)
-        if kind == "Gaussian":
-            return cls.gaussian(spec["center"], spec["sigma"],
-                                spec.get("amp", 1.0))
-        if kind == "BoxBump":
-            return cls.box_bump(spec["center"], spec["sides"],
-                                spec.get("amp", 1.0))
-        return cls.modulated(spec["center"], spec["sigma"], spec["freq"],
-                             spec.get("amp", 1.0))
+    def modulated(cls, center: _CENTER, sigma: _WIDTH,
+                  freq: Many(Real(), single=True),
+                  amp: Real() = 1.0) -> "TestFunction":
+        return cls._of("ModulatedGaussian", center, amp, sigma=sigma,
+                       freq=freq)
 
     @property
     def dim(self) -> int:
@@ -133,6 +112,11 @@ class TestFunction:
             return self.amp * float(np.prod(self.sides)) ** (1.0 / p)
         return self.amp * float(
             np.prod((2 * np.pi * self.sigma ** 2 / p) ** (1.0 / (2 * p))))
+
+
+TEST = Kind("test function", {"Gaussian": TestFunction.gaussian,
+                              "BoxBump": TestFunction.box_bump,
+                              "ModulatedGaussian": TestFunction.modulated})
 
 
 @dataclass
@@ -256,6 +240,9 @@ def empirical_ratio(curves, P: float, Q: float, weighted: bool,
         series += [{"curve_index": ci, "test_index": gi, "ratio": ratio}
                    for gi, ratio in enumerate(ratios)]
         per_curve_max.append(ratios[worst_index(ratios)])
+        if per_curve_max[-1] == 0:  # the spread would divide by zero
+            raise ConfigError(f"every ratio of curve {ci} is 0: the curve "
+                              f"has no measure on the t grid")
     spread = max(per_curve_max) / min(per_curve_max)
     rep = CheckReport(
         check_id="empirical_ratio",

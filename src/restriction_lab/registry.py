@@ -18,15 +18,12 @@ from typing import Any, Callable
 import numpy as np
 
 from . import conditions, geometry, jacobian, probe, vandermonde
-from .curves import (SimpleCurve, check_curve_keys, curve_from_spec,
-                     poly_oracle, poly_rows, validate_monotone)
+from .curves import (CURVE as Curve, SimpleCurve, poly_oracle, poly_rows,
+                     validate_monotone)
+from .probe import TEST as Test
 from .report import (CheckReport, Choice, ConfigError, Int, Many, Real, Spec,
                      at_most, parse_keys, worst_index)
 from .vandermonde import GapVector
-
-# the parsers of nested specs, checked unbuilt
-Curve = Spec(check_curve_keys)
-Test = Spec(probe.check_test_keys)
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class OpEntry:
 
 
 def _op_validate_monotone(seed, curve: Curve, grid_size: Int(2) = 64):
-    return validate_monotone(curve_from_spec(curve), grid_size=grid_size)
+    return validate_monotone(Curve.build(curve), grid_size=grid_size)
 
 
 def _op_psi_lower_bound(seed, d: Int(2), n_samples: Int(1) = 1000):
@@ -60,8 +57,9 @@ def _op_tail_inequalities(seed, n: Int(3), t: Many(Real()),
         n, np.asarray(t, dtype=float), delta)
 
 
-def _op_lin_lemma(seed, instance: Spec(vandermonde.check_lin_lemma_keys)):
-    return vandermonde.check_lin_lemma(instance)
+def _op_lin_lemma(seed, instance: Spec(vandermonde.check_lin_lemma,
+                                       "lin-lemma instance")):
+    return vandermonde.check_lin_lemma(**instance)
 
 
 # the domain of jacobian-identity's random polynomials
@@ -115,20 +113,20 @@ def _unit_samples(seed, n_samples, curve):
 
 
 def _op_estimate_sigma(seed, curve: Curve, n_samples: Int(1) = 200):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     return jacobian.estimate_sigma(curve,
                                    _unit_samples(seed, n_samples, curve))
 
 
 def _op_offspring_closure(seed, curve: Curve, h: Many(Real()),
                           n_samples: Int(1) = 200):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     return jacobian.check_offspring_closure(
         curve, h, _unit_samples(seed, n_samples, curve))
 
 
 def _op_weight_product_bound(seed, curve: Curve, n_samples: Int(1) = 100):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     return jacobian.weight_product_bound(
         curve, _unit_samples(seed, n_samples, curve))
 
@@ -136,7 +134,7 @@ def _op_weight_product_bound(seed, curve: Curve, n_samples: Int(1) = 100):
 def _op_estimate_A(seed, curve: Curve, variant: Choice("AM", "GM") = "GM",
                    grid_size: Int(2) = 12, bound: Real(keep=True) = None,
                    tolerance: Real(keep=True) = None):
-    rep = conditions.estimate_A(curve_from_spec(curve), variant, grid_size)
+    rep = conditions.estimate_A(Curve.build(curve), variant, grid_size)
     rep.bound, rep.tolerance = bound, tolerance
     if rep.bound is not None:
         rep.passed = rep.estimate <= rep.bound + (rep.tolerance or 0.0)
@@ -145,7 +143,7 @@ def _op_estimate_A(seed, curve: Curve, variant: Choice("AM", "GM") = "GM",
 
 def _op_check_phicond(seed, curve: Curve, alpha: Real(0),
                       grid_size: Int(2) = 64):
-    return conditions.check_phicond(curve_from_spec(curve), alpha, grid_size)
+    return conditions.check_phicond(Curve.build(curve), alpha, grid_size)
 
 
 def _op_exponent_identities(seed, d: Int(2)):
@@ -171,7 +169,7 @@ def _op_exponent_identities(seed, d: Int(2)):
 
 
 def _op_lemma1_chain(seed, curve: Curve, t: Real(), h: Real(0)):
-    _, rep = geometry.lemma1_chain(curve_from_spec(curve), t, h)
+    _, rep = geometry.lemma1_chain(Curve.build(curve), t, h)
     return rep
 
 
@@ -185,7 +183,7 @@ def _boxes(curve, center_t, side0, count):
 def _op_estimate_alpha_B(seed, curve: Curve, alpha: Real(0),
                          center_t: Real() = None, side0: Real(0) = 1.0,
                          count: Int(1) = 6):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     return geometry.estimate_alpha_B(
         curve, _boxes(curve, center_t, side0, count), alpha)
 
@@ -193,7 +191,7 @@ def _op_estimate_alpha_B(seed, curve: Curve, alpha: Real(0),
 def _op_lemma1_conclusion(seed, curve: Curve, alpha: Real(0),
                           n_samples: Int(1) = 20, center_t: Real() = None,
                           side0: Real(0) = 1.0, count: Int(1) = 6):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     rng = np.random.default_rng(seed)
     a, b = curve.domain
     # a pair is kept only if it is more than 1e-3 apart: from a draw
@@ -239,7 +237,7 @@ def _op_sm_scaling(seed, d: Int(2), alpha: Real(0),
 
 def _op_check_J_geq_K(seed, curve: Curve, alpha: Real(0),
                       n_samples: Int(1) = 200):
-    curve = curve_from_spec(curve)
+    curve = Curve.build(curve)
     a, b = curve.domain
     if (b - a) / curve.d < 1e-3:
         raise ConfigError(f"the gaps are drawn from [1e-3, (b - a) / d], "
@@ -258,31 +256,32 @@ def _op_check_J_geq_K(seed, curve: Curve, alpha: Real(0),
     return geometry.check_J_geq_K(curve, sigma, alpha, samples)
 
 
-def _check_t_grid(spec) -> None:
-    """ConfigError unless t_grid holds only finite a, b and whole n >= 2."""
-    parse_keys("t_grid", spec, {"a": Real(), "b": Real(), "n": Int(2)})
+def _t_grid(a: Real() = 1e-4, b: Real() = 1.0, n: Int(2) = 2001):
+    if not a < b:
+        raise ConfigError(f"t_grid needs a < b, got a = {a}, b = {b}")
+    return np.linspace(a, b, n)
+
+
+T_GRID = Spec(_t_grid, "t_grid")
 
 
 def _op_empirical_ratio(seed, curves: Many(Curve), P: Real(1),
                         tests: Many(Test),
                         weighted: Choice(True, False) = True,
-                        t_grid: Spec(_check_t_grid) = None):
-    curves = [curve_from_spec(s) for s in curves]
-    g = t_grid or {}
+                        t_grid: T_GRID = None):
+    curves = [Curve.build(s) for s in curves]
     d = curves[0].d
     Q = 2.0 / (d * (d + 1) * (1 - 1.0 / P))
     return probe.empirical_ratio(
-        curves, P, Q, weighted,
-        [probe.TestFunction.from_spec(s) for s in tests],
-        np.linspace(float(g.get("a", 1e-4)), float(g.get("b", 1.0)),
-                    int(g.get("n", 2001))))
+        curves, P, Q, weighted, [Test.build(s) for s in tests],
+        T_GRID.build(t_grid or {}))
 
 
 def _op_homogeneous_rescale(seed, exponents: Many(Real()), g: Test,
                             p: Real(0) = 7.0 / 6.0,
                             k_list: Many(Int(0)) = (0, 1, 2)):
-    curve = curve_from_spec({"kind": "homogeneous", "exponents": exponents})
-    g = probe.TestFunction.from_spec(g)
+    curve = Curve.build({"kind": "homogeneous", "exponents": exponents})
+    g = Test.build(g)
     k_list = list(k_list)
     reps = [probe.homogeneous_rescale_check(curve, int(k), g, p)
             for k in k_list]
@@ -298,7 +297,7 @@ def _op_converse_scaling(seed, d: Int(1), Q: Real(0), alpha: Real(0),
         raise ConfigError(f"P = 1 / (1 - alpha / Q) needs alpha < Q, got "
                           f"alpha = {alpha}, Q = {Q}")
     P = 1.0 / (1.0 - alpha / Q)
-    f = probe.TestFunction.from_spec(f)
+    f = Test.build(f)
     rng = np.random.default_rng(seed)
     resids, boxes = [], []
     for _ in range(n_random):
@@ -317,7 +316,7 @@ def _op_converse_scaling(seed, d: Int(1), Q: Real(0), alpha: Real(0),
 def _op_dilation_invariance(seed, d: Int(1), P: Real(0), Q: Real(0), g: Test,
                             octaves: Int(0) = 4):
     return probe.check_dilation_invariance(
-        d, P, Q, probe.TestFunction.from_spec(g), octaves=octaves)
+        d, P, Q, Test.build(g), octaves=octaves)
 
 
 REGISTRY: dict[str, OpEntry] = {}
@@ -423,12 +422,9 @@ def check_descriptor(
     required key or holds a value out of range.  Builds no curve and runs
     nothing."""
     op = get_operation(descriptor["operation"])
-    params = KEYS[op.name]
-    values = parse_keys(
+    return op, parse_keys(
         op.name, {k: v for k, v in descriptor.items() if k != "operation"},
-        {p.name: p.annotation for p in params},
-        [p.name for p in params if p.default is p.empty])
-    return op, values
+        KEYS[op.name])
 
 
 def run_check(descriptor: dict[str, Any], seed: int) -> CheckReport:

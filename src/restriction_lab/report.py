@@ -1,10 +1,9 @@
 """Check reports and experiment configuration records."""
 
-from __future__ import annotations
-
+import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -20,15 +19,6 @@ class CapabilityError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
-
-
-def reject_unknown_keys(where: str, given, accepted) -> None:
-    """Raise ConfigError naming every key in ``given`` not in ``accepted``."""
-    unknown = sorted(set(given) - set(accepted))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) "
-                          f"{', '.join(map(repr, unknown))}; it accepts "
-                          f"{', '.join(accepted)}")
 
 
 # Parsers of config values: parse(key, value) checks one JSON value and
@@ -78,14 +68,24 @@ class Real:
 
 
 class Many:
-    """A nonempty list whose entries ``item`` parses, as written."""
+    """A nonempty list (of ``size`` entries, if given; empty too with
+    ``empty``) whose entries ``item`` parses, as written; with ``single``
+    also one value that ``item`` parses."""
 
-    def __init__(self, item):
-        self.item = item
+    def __init__(self, item, single=False, size: int = None, empty=False):
+        self.item, self.single = item, single
+        self.size, self.empty = size, empty
 
     def __call__(self, key: str, value):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"'{key}' must be a nonempty list, "
+        if self.single and not isinstance(value, list):
+            self.item(key, value)
+            return value
+        if not isinstance(value, list) or not (value or self.empty):
+            raise ConfigError(f"'{key}' must be a "
+                              f"{'' if self.empty else 'nonempty '}list, "
+                              f"got {value!r}")
+        if self.size not in (None, len(value)):
+            raise ConfigError(f"'{key}' must have {self.size} entries, "
                               f"got {value!r}")
         for i, x in enumerate(value):
             self.item(f"{key}[{i}]", x)
@@ -93,14 +93,41 @@ class Many:
 
 
 class Spec:
-    """A nested spec that ``check(spec)`` accepts, as written (unbuilt)."""
+    """A nested object whose key table is the keyword parameters of its
+    builder ``fn`` (read once), parsed as written; ``build`` builds it."""
 
-    def __init__(self, check: Callable[[Any], Any]):
-        self.check = check
+    def __init__(self, fn: Callable, what: str):
+        self.fn, self.what = fn, what
+        self.params = tuple(inspect.signature(fn).parameters.values())
+
+    def parse(self, spec) -> tuple["Spec", dict]:
+        """The Spec of the builder of ``spec`` and its parsed values."""
+        return self, parse_keys(self.what, spec, self.params)
 
     def __call__(self, key: str, value):
-        self.check(value)
+        self.parse(value)
         return value
+
+    def build(self, spec):
+        builder, values = self.parse(spec)
+        return builder.fn(**values)
+
+
+class Kind(Spec):
+    """A nested object whose key ``tag`` names its builder in ``builders``;
+    the builder's keyword parameters are the key table of its other keys."""
+
+    def __init__(self, what: str, builders: dict, tag: str = "kind"):
+        self.what, self.tag = what, tag
+        self.builders = {name: Spec(fn, f"{what} {name!r}")
+                         for name, fn in builders.items()}
+
+    def parse(self, spec) -> tuple[Spec, dict]:
+        name = spec.get(self.tag) if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in self.builders:
+            raise ConfigError(f"unknown {self.what} {self.tag} {name!r}")
+        return self.builders[name].parse(
+            {k: v for k, v in spec.items() if k != self.tag})
 
 
 class Choice:
@@ -117,16 +144,22 @@ class Choice:
         return value
 
 
-def parse_keys(where: str, spec, parsers: dict, required=()) -> dict:
-    """The values of the object ``spec`` by key, each parsed by
-    ``parsers[key]``; ConfigError unless ``spec`` is an object holding
-    only keys of ``parsers`` and every key of ``required``."""
+def parse_keys(where: str, spec, params) -> dict:
+    """The values of the object ``spec`` by key, each parsed by the
+    annotation of its parameter in ``params``; ConfigError unless
+    ``spec`` is an object holding only keys of ``params`` and every key
+    without a default."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
-    reject_unknown_keys(where, spec, parsers)
-    for key in required:
-        if key not in spec:
-            raise ConfigError(f"{where}: missing required key {key!r}")
+    parsers = {p.name: p.annotation for p in params}
+    unknown = spec.keys() - parsers.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) "
+                          f"{', '.join(map(repr, sorted(unknown)))}; it "
+                          f"accepts {', '.join(parsers)}")
+    for p in params:
+        if p.default is p.empty and p.name not in spec:
+            raise ConfigError(f"{where}: missing required key {p.name!r}")
     return {key: parsers[key](key, value) for key, value in spec.items()}
 
 
@@ -199,28 +232,33 @@ def at_most(check_id: str, parameters: dict[str, Any], values, tol: float,
                        passed=worst <= tol, **fields)
 
 
+def _checks(key: str, value):
+    """Check descriptors, each naming its 'operation' (none runs nothing)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config.{key}: required list of check descriptors")
+    for i, c in enumerate(value):
+        if not isinstance(c, dict) or "operation" not in c:
+            raise ConfigError(f"config.{key}[{i}]: missing 'operation'")
+    return value
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a string, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
-    checks: list[dict[str, Any]]
-    seed: int = 0
-    output: str = "report"
+    """A run; the fields are the config's key table (see Spec)."""
+
+    checks: _checks
+    seed: Int() = 0
+    output: _text = "report"
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        reject_unknown_keys("config", raw, [f.name for f in fields(cls)])
-        checks = raw.get("checks")
-        if checks is None or not isinstance(checks, list):
-            raise ConfigError("config.checks: required list of check descriptors")
-        for i, c in enumerate(checks):
-            if not isinstance(c, dict) or "operation" not in c:
-                raise ConfigError(f"config.checks[{i}]: missing 'operation'")
-        return cls(
-            checks=checks,
-            seed=Int()("seed", raw.get("seed", 0)),
-            output=str(raw.get("output", "report")),
-        )
+        return Spec(cls, "config").build(raw)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -13,14 +13,16 @@ import time
 from typing import Any
 
 from . import __version__
-from .registry import check_descriptor, run_check
+from .registry import OpEntry, check_descriptor
 from .report import CheckReport, ConfigError, ExperimentConfig, dump_json
 
 
-def _run_one(descriptor: dict, seed: int) -> CheckReport:
+def _run_one(descriptor: dict, seed: int, op: OpEntry,
+             values: dict) -> CheckReport:
+    """The report of ``op`` on the parsed ``values`` of ``descriptor``."""
     start = time.perf_counter()
     try:
-        report = run_check(descriptor, seed)
+        report = op.fn(seed, **values)
     except ConfigError:
         raise
     except Exception as exc:  # a failing check must not kill the run
@@ -35,10 +37,10 @@ def _run_one(descriptor: dict, seed: int) -> CheckReport:
 
 
 def run(config: ExperimentConfig) -> list[CheckReport]:
-    """Execute every check in the config, in config order."""
-    for desc in config.checks:
-        check_descriptor(desc)  # validate names and keys up front
-    return [_run_one(desc, config.seed) for desc in config.checks]
+    """Execute every check in the config, in config order, once all parse."""
+    parsed = [check_descriptor(desc) for desc in config.checks]
+    return [_run_one(desc, config.seed, op, values)
+            for desc, (op, values) in zip(config.checks, parsed)]
 
 
 def report_payload(config: ExperimentConfig,

@@ -7,8 +7,6 @@ polynomial, so Gauss-Legendre rules split at the knots are exact up to
 roundoff.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import box_rule, gl_nodes
-from .report import CheckReport, ConfigError, at_most, reject_unknown_keys
+from .report import (CheckReport, ConfigError, Int, Kind, Many, Real,
+                     at_most)
 
 
 def vandermonde(x) -> float:
@@ -355,73 +354,63 @@ def check_tail_inequalities(n: int, t, delta: float) -> CheckReport:
     )
 
 
-# the keys each lin-lemma factor type reads besides 'type' and 'j'
-_FACTOR_KEYS = {"diff": ("k",), "upper": ("d",), "lower": ("c",)}
+# the builders of the lin-lemma factor types (keys besides 'type'; j, k are
+# 0-based axes), each giving the factor's values at an array of points
+def _diff(j: Int(0), k: Int(0)):
+    return lambda pts: pts[:, k] - pts[:, j]
 
 
-def check_lin_lemma_keys(instance) -> None:
-    """ConfigError unless the lin-lemma instance and each of its factors
-    hold only the keys they read, and every factor type is known."""
-    if not isinstance(instance, dict):
-        raise ConfigError("lin-lemma instance must be an object")
-    reject_unknown_keys("lin-lemma instance", instance,
-                        ("intervals", "lambdas", "factors"))
-    for f in instance.get("factors", []):
-        kind = f.get("type") if isinstance(f, dict) else None
-        if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
-            raise ConfigError(f"unknown factor type {kind!r}")
-        reject_unknown_keys(f"lin-lemma factor {kind!r}", f,
-                            ("type", "j") + _FACTOR_KEYS[kind])
+def _upper(j: Int(0), d: Real()):
+    return lambda pts: d - pts[:, j]
 
 
-def check_lin_lemma(instance: dict) -> CheckReport:
-    """Restricted-box versus full-box integrals of products of linear factors.
+def _lower(j: Int(0), c: Real()):
+    return lambda pts: pts[:, j] - c
 
-    ``instance`` = {"intervals": [[a_j, b_j], ...], "lambdas": [...],
-    "factors": [{"type": "diff", "j": j, "k": k} |
-                {"type": "upper", "j": j, "d": d_j} |
-                {"type": "lower", "j": j, "c": c_j}, ...]}
-    (j, k are 0-based axis indices).  The ratio restricted/full must be
-    positive: the restriction keeps only the top lambda_j fraction of
-    each axis.
+
+FACTOR = Kind("lin-lemma factor",
+              {"diff": _diff, "upper": _upper, "lower": _lower}, tag="type")
+
+
+def check_lin_lemma(intervals: Many(Many(Real(), size=2)),
+                    lambdas: Many(Real()) = (),
+                    factors: Many(FACTOR, empty=True) = ()) -> CheckReport:
+    """Restricted-box versus full-box integrals of products of linear
+    factors (x_k - x_j), (d - x_j) and (x_j - c) over the box of
+    ``intervals`` [a_j, b_j] (see :data:`FACTOR`).  The ratio
+    restricted/full must be positive: the restriction keeps only the top
+    lambda_j fraction of each axis.
     """
     floor = 0.0
-    check_lin_lemma_keys(instance)
-    intervals = [tuple(map(float, iv)) for iv in instance["intervals"]]
-    lambdas = [float(x) for x in instance.get("lambdas", [])]
-    factors = instance.get("factors", [])
     N = len(intervals)
+    intervals = [tuple(map(float, iv)) for iv in intervals]
+    lambdas = [float(x) for x in lambdas]
     if len(lambdas) != N:
         raise ConfigError("need one lambda per interval")
-    for j in range(N - 1):
-        if intervals[j][1] > intervals[j + 1][0]:
-            raise ConfigError("intervals must be nondecreasing and disjoint")
-    for (a, b) in intervals:
-        if not a < b:
-            raise ConfigError("each interval must satisfy a < b")
-    for lam in lambdas:
-        if not 0.0 < lam < 1.0:
-            raise ConfigError("lambdas must lie in (0, 1)")
+    if any(b > a for (_, b), (a, _) in zip(intervals, intervals[1:])):
+        raise ConfigError("intervals must be nondecreasing and disjoint")
+    if any(not a < b for a, b in intervals):
+        raise ConfigError("each interval must satisfy a < b")
+    if any(not 0.0 < lam < 1.0 for lam in lambdas):
+        raise ConfigError("lambdas must lie in (0, 1)")
+    # the rule that ties each factor type's keys to the intervals
+    rules = {"diff": ("0 <= j < k < N", lambda j, k: j < k < N),
+             "upper": ("j < N and d >= b_j",
+                       lambda j, d: j < N and d >= intervals[j][1]),
+             "lower": ("j < N and c <= a_j",
+                       lambda j, c: j < N and c <= intervals[j][0])}
+    values = []
     for f in factors:
-        kind = f["type"]
-        if kind == "diff":
-            if not 0 <= f["j"] < f["k"] < N:
-                raise ConfigError("diff factor needs 0 <= j < k < N")
-        elif kind == "upper":
-            if f["d"] < intervals[f["j"]][1]:
-                raise ConfigError("upper factor needs d >= b_j")
-        elif f["c"] > intervals[f["j"]][0]:
-            raise ConfigError("lower factor needs c <= a_j")
+        builder, v = FACTOR.parse(f)
+        rule, holds = rules[f["type"]]
+        if not holds(**v):
+            raise ConfigError(f"{f['type']} factor needs {rule}")
+        values.append(builder.fn(**v))
 
     def integrand(pts):
         out = np.ones(pts.shape[0])
-        for f in factors:
-            if f["type"] == "diff":
-                out = out * (pts[:, f["k"]] - pts[:, f["j"]])
-            elif f["type"] == "upper":
-                out = out * (f["d"] - pts[:, f["j"]])
-            else:
-                out = out * (pts[:, f["j"]] - f["c"])
+        for value in values:
+            out = out * value(pts)
         return out
 
     order = max(4, len(factors) + 2)  # polynomial integrand

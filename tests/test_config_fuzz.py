@@ -1,14 +1,16 @@
-"""Seeded one-key fuzz of the shipped descriptors.
+"""Seeded one-value fuzz of the shipped descriptors.
 
 Every config a user can write ends in a verdict or a typed error.  Each
-draw changes one key of one shipped check (a top-level key, or a number
-of its curve spec): the key removed, or set to 0, -1, half or one and a
-half times its value, NaN, +inf, -inf, a string or true.  The draw runs
-through ``registry.run_check`` at the shipped config's seed and must end
-in a ConfigError (from the key table before the check runs, or from a
-rule that ties keys together), a DomainError, CapabilityError,
-QuadratureError or UnderflowError, or a report that dumps as strict
-JSON.
+draw changes one value of one shipped check: a key at any depth (a
+top-level key, or a key of a nested spec: a curve, a flatten base, a test
+function, a t_grid, a lin-lemma instance or factor), or an entry of a
+list (a test function's center, an interval's ends, ...).  The value is
+removed, or set to 0, -1, half or one and a half times itself, NaN,
++inf, -inf, a string or true.  The draw runs through
+``registry.run_check`` at the shipped config's seed and must end in a
+ConfigError (from a key table before the check runs, or from a rule that
+ties keys together), a DomainError, CapabilityError, QuadratureError or
+UnderflowError, or a report that dumps as strict JSON.
 """
 
 import json
@@ -39,8 +41,13 @@ def _shipped():
     return checks
 
 
-# the shipped checks with their configs' seeds
-SHIPPED = _shipped()
+# the shipped checks with their configs' seeds, and a check of a flatten
+# curve, which no shipped check uses
+CASES = _shipped() + [(1, {
+    "operation": "validate-monotone",
+    "curve": {"kind": "flatten", "steps": 1, "d": 3, "domain": [0.0, 1.0],
+              "base": {"kind": "monomial", "beta": 4.0}}})]
+IDS = [c["operation"] for _, c in CASES[:-1]] + ["validate-monotone-flatten"]
 
 
 def _scaled(value, factor):
@@ -69,7 +76,9 @@ def _values(value):
 
 
 def _set(spec, key, new):
-    spec = dict(spec)
+    """``spec`` (an object, or a list by index) with ``key`` set to
+    ``new``, or removed."""
+    spec = dict(spec) if isinstance(spec, dict) else list(spec)
     if new is _REMOVED:
         del spec[key]
     else:
@@ -77,21 +86,22 @@ def _set(spec, key, new):
     return spec
 
 
-def draws(check):
-    """(label, perturbed check) of every one-key perturbation of
-    ``check``: each top-level key, and each number of its curve spec."""
-    for key, value in check.items():
-        if key == "operation":
+def draws(spec, where=""):
+    """(label, perturbed spec) of every one-value perturbation of the
+    object or list ``spec``: each of its values, and within each nested
+    object or list each of its values in turn (a spec's 'kind' or 'type'
+    and a check's 'operation' stay)."""
+    items = spec.items() if isinstance(spec, dict) else enumerate(spec)
+    for key, value in items:
+        if key in ("operation", "kind", "type"):
             continue
-        for label, new in _values(value):
-            yield f"{key}={label}", _set(check, key, new)
-    curve = check.get("curve")
-    if isinstance(curve, dict):
-        for key, value in curve.items():
-            if isinstance(value, (int, float)):
-                for label, new in _values(value):
-                    yield (f"curve.{key}={label}",
-                           {**check, "curve": _set(curve, key, new)})
+        label = (f"{where}.{key}" if isinstance(spec, dict)
+                 else f"{where}[{key}]")
+        for name, new in _values(value):
+            yield f"{label.lstrip('.')}={name}", _set(spec, key, new)
+        if isinstance(value, (dict, list)):
+            for name, new in draws(value, label):
+                yield name, _set(spec, key, new)
 
 
 def outcome(check, seed) -> str:
@@ -110,8 +120,7 @@ def outcome(check, seed) -> str:
     return "report"
 
 
-@pytest.mark.parametrize("seed,check", SHIPPED,
-                         ids=[c["operation"] for _, c in SHIPPED])
+@pytest.mark.parametrize("seed,check", CASES, ids=IDS)
 def test_every_one_key_perturbation_ends_typed(seed, check):
     bad = []
     with np.errstate(all="ignore"):

@@ -16,7 +16,7 @@ import pytest
 from restriction_lab.cli import main
 from restriction_lab.registry import (KEYS, REGISTRY, OpEntry,
                                       check_descriptor, get_operation)
-from restriction_lab.report import Choice, Int, Many, Real, Spec
+from restriction_lab.report import Choice, Int, Kind, Many, Real, Spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -176,7 +176,8 @@ def test_shipped_checks_read_only_declared_keys(seed, check):
     assert seed_param.name == "seed"
     for p in params:
         assert p.kind is p.POSITIONAL_OR_KEYWORD, p
-        assert isinstance(p.annotation, (Int, Real, Many, Spec, Choice)), p
+        assert isinstance(p.annotation,
+                          (Int, Real, Many, Spec, Kind, Choice)), p
     _, values = check_descriptor(check)
     assert set(values) == set(check) - {"operation"}
     assert set(values) <= {p.name for p in params}

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
-                                    SimpleCurve, affine_weight,
-                                    check_curve_keys, curve_from_spec,
+from restriction_lab.curves import (CURVE, DerivativeOracle,
+                                    HomogeneousCurve, SimpleCurve,
+                                    affine_weight, curve_from_spec,
                                     expflat_oracle,
                                     expflat_phi_derivative,
                                     finite_difference, monomial_oracle,
@@ -283,4 +283,4 @@ _M3 = {"kind": "monomial", "beta": 4.0, "d": 3}
 ])
 def test_curve_spec_numbers_are_checked_before_any_curve(spec, message):
     with pytest.raises(ConfigError, match=message):
-        check_curve_keys(spec)
+        CURVE.parse(spec)

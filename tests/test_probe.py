@@ -13,7 +13,7 @@ from restriction_lab.conditions import build_flattened, exponent_calculator
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight, poly_oracle)
 from restriction_lab.geometry import Parallelepiped, cube
-from restriction_lab.probe import (SampledFunction, TestFunction,
+from restriction_lab.probe import (TEST, SampledFunction, TestFunction,
                                    _trapezoid_weights,
                                    check_dilation_invariance,
                                    converse_scaling_check, empirical_ratio,
@@ -80,11 +80,38 @@ def test_lp_norm_closed_forms():
 
 
 def test_from_spec_round_trip_and_validation():
-    g = TestFunction.from_spec({"kind": "Gaussian", "center": [0, 0],
+    g = TEST.build({"kind": "Gaussian", "center": [0, 0],
                                 "sigma": 1.0, "amp": 2.0})
     assert g(np.zeros(2)) == pytest.approx(2.0)
     with pytest.raises(ConfigError):
-        TestFunction.from_spec({"kind": "Triangle", "center": [0]})
+        TEST.build({"kind": "Triangle", "center": [0]})
+
+
+_G2 = {"kind": "Gaussian", "center": [0.0, 0.0], "sigma": 1.0}
+
+
+@pytest.mark.parametrize("spec, message", [
+    # sigma NaN or 0 once wrote a NaN estimate, "x" leaked a ValueError,
+    # -1 PASSed, and a list of the wrong length leaked numpy's broadcast
+    # ValueError
+    ({**_G2, "sigma": math.nan}, "'sigma' must be a finite number"),
+    ({**_G2, "sigma": 0}, "'sigma' must exceed 0"),
+    ({**_G2, "sigma": "x"}, "'sigma' must be a finite number"),
+    ({**_G2, "sigma": -1}, "'sigma' must exceed 0"),
+    ({**_G2, "sigma": [1.0, 1.0, 1.0]},
+     "'sigma' needs one entry per axis of the center, 2, got 3"),
+    ({"kind": "BoxBump", "center": [0.0, 0.0], "sides": [1.0]},
+     "'sides' needs one entry per axis of the center, 2, got 1"),
+    ({**_G2, "kind": "ModulatedGaussian", "freq": [1.0, math.inf]},
+     r"'freq\[1\]' must be a finite number"),
+    ({**_G2, "center": [0.0, None]}, r"'center\[1\]' must be a finite"),
+    ({**_G2, "amp": True}, "'amp' must be a finite number"),
+    ({"kind": "Gaussian", "center": [0.0]},
+     "test function 'Gaussian': missing required key 'sigma'"),
+])
+def test_test_function_numbers_are_parsed(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        TEST.build(spec)
 
 
 def test_sampled_function_validation():
@@ -325,7 +352,7 @@ def test_converse_scaling_witness_reproduces_residual():
     assert witness["residual"] == rep.estimate
     again = converse_scaling_check(
         Parallelepiped.of(witness["base"], witness["edges"]),
-        TestFunction.from_spec(params["f"]), rep.parameters["P"],
+        TEST.build(params["f"]), rep.parameters["P"],
         params["Q"], params["alpha"])
     assert again.estimate == witness["residual"]
 

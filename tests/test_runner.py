@@ -16,7 +16,7 @@ from restriction_lab.curves import DerivativeOracle
 from restriction_lab.registry import REGISTRY, get_operation
 from restriction_lab.report import (CheckReport, ConfigError,
                                    ExperimentConfig, at_most, dump_json,
-                                   worst_index)
+                                   parse_keys, worst_index)
 from restriction_lab.runner import (emit_plot_data, load_config, run,
                                     report_payload, write_report)
 
@@ -42,6 +42,21 @@ def test_registry_lookup():
 
 def test_run_empty_config():
     assert run(_config([])) == []
+
+
+def test_run_parses_each_descriptor_once(monkeypatch):
+    # every descriptor parse, up front or inside run_check, reads the
+    # operation's key table through registry.parse_keys
+    parsed = []
+
+    def counted(where, *args):
+        parsed.append(where)
+        return parse_keys(where, *args)
+
+    monkeypatch.setattr(registry, "parse_keys", counted)
+    reports = run(_config([PSI_CHECK, {**PSI_CHECK, "d": 3}]))
+    assert parsed == ["psi-lower-bound", "psi-lower-bound"]
+    assert [r.parameters["d"] for r in reports] == [2, 3]
 
 
 def test_run_unknown_operation_fails_fast():
@@ -303,6 +318,15 @@ def test_load_config_validation(tmp_path):
     for seed in (math.nan, "x", 3.7):
         with pytest.raises(ConfigError, match="'seed' must be"):
             ExperimentConfig.from_dict({"seed": seed, "checks": []})
+    # the config's fields are its key table
+    for raw, message in [
+            ({"seed": 1}, "config: missing required key 'checks'"),
+            ({"checks": {}}, "config.checks: required list"),
+            ({"checks": [{"d": 2}]}, r"config.checks\[0\]: missing"),
+            ({"checks": [], "output": 5}, "'output' must be a string"),
+            ([], "config must be an object")]:
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
@@ -600,6 +624,25 @@ GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
     # P = 1 / (1 - alpha / Q) once divided by zero at alpha = Q
     {"operation": "converse-scaling", "d": 2, "Q": 0.2, "alpha": 0.2,
      "f": {**GAUSSIAN_3, "center": [0.0, 0.0]}},
+    # no box meets the curve on the coarse scan: the check once PASSed
+    # with estimate 0.0 and every lambda 0
+    {"operation": "estimate-alpha-B", "alpha": 1 / 6, "center_t": 0.50001,
+     "side0": 1e-9, "curve": {**MONOMIAL_3, "domain": [0.0, 1.0]}},
+    # a weighted curve without affine arclength (phi^(3) = 0), and a
+    # reversed t grid: the spread of the ratios once divided by zero
+    {"operation": "empirical-ratio", "P": 1.125,
+     "curves": [{**MONOMIAL_3, "beta": 2.0}], "tests": [GAUSSIAN_3]},
+    {"operation": "empirical-ratio", "P": 1.125, "curves": [MONOMIAL_3],
+     "tests": [GAUSSIAN_3], "t_grid": {"a": 1e-4, "b": 0.0}},
+    # a one-point domain once leaked a ValueError from unpacking it
+    {"operation": "validate-monotone",
+     "curve": {**MONOMIAL_3, "domain": [0.0]}},
+    # three interval ends, and a factor's axis beyond the intervals
+    {"operation": "lin-lemma",
+     "instance": {"intervals": [[0.0, 1.0, 2.0]], "lambdas": [0.5]}},
+    {"operation": "lin-lemma",
+     "instance": {"intervals": [[0.0, 1.0]], "lambdas": [0.5],
+                  "factors": [{"type": "upper", "j": 1, "d": 2.0}]}},
 ])
 def test_out_of_range_parameters_raise_config_errors(check):
     with pytest.raises(ConfigError):

@@ -25,6 +25,9 @@ REFERENCE_ROUTES = {
         "pointwise Psi quadrature, the second route to the tail ratio",
     "probe.extension":
         "the extension operator, for a measure-decay check (ROADMAP item 9)",
+    "registry.run_check":
+        "one descriptor parsed and run, the route of the tests and the fuzz "
+        "(runner.run parses every descriptor once, up front)",
 }
 
 

@@ -261,6 +261,18 @@ def test_lin_lemma_ratio_positive():
                     {"type": "upper", "j": 0, "d": 4.0},
                     {"type": "lower", "j": 1, "c": 1.0}],
     }
-    rep = check_lin_lemma(instance)
+    rep = check_lin_lemma(**instance)
     assert rep.passed
     assert 0 < rep.estimate <= 1.0
+
+
+def test_lin_lemma_empty_factor_list_is_the_constant_integrand():
+    # "factors": [] is an instance with no factors, integrand 1: the
+    # ratio is the product of the lambdas
+    instance = {"intervals": [[0.0, 1.0], [1.0, 2.0]],
+                "lambdas": [0.5, 0.5]}
+    reps = [registry.run_check({"operation": "lin-lemma",
+                                "instance": inst}, 0)
+            for inst in (instance, {**instance, "factors": []})]
+    assert reps[0].to_dict() == reps[1].to_dict()
+    assert reps[1].passed and reps[1].estimate == pytest.approx(0.25)
