@@ -5,12 +5,10 @@ conditions, parallelepiped geometry, and oscillatory-integral probes.
 
 __version__ = "0.1.0"
 
-from .report import (CapabilityError, CheckReport, ConfigError, DomainError,
-                     ExperimentConfig)
+from .report import CheckReport, ConfigError, DomainError, ExperimentConfig
 
 __all__ = [
     "__version__",
-    "CapabilityError",
     "CheckReport",
     "ConfigError",
     "DomainError",

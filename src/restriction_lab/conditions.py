@@ -270,7 +270,7 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
             lambda u, s: (s - u) ** m * g(u) if m else g(u),
             a, t, rel_tol=1e-10)
 
-    psi = DerivativeOracle(domain=(a, b), max_order=d, fn=fn)
+    psi = DerivativeOracle(domain=(a, b), fn=fn)
     return SimpleCurve(d=d, phi=psi, label=base.label + f"-flat-{variant}")
 
 

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .report import (CapabilityError, CheckReport, Choice, ConfigError,
-                     DomainError, Int, Kind, Many, Real, Spec, worst_index)
+from .report import (CheckReport, Choice, ConfigError, DomainError, Int, Kind,
+                     Many, Real, Spec, worst_index)
 
 DEFAULT_MAX_D = 5
 # oracles clamp evaluation points this far (relative to the domain
@@ -28,7 +28,7 @@ CLAMP_EPS_REL = 1e-9
 
 @dataclass(frozen=True)
 class DerivativeOracle:
-    """A real function on an open interval answering f^(k)(t), 0 <= k <= max_order.
+    """A real function on an open interval answering f^(k)(t), k >= 0.
 
     ``fn(t, k)`` must accept a numpy array t of any shape and answer the
     array of values.  Evaluation clamps t to [a + eps, b - eps] to keep
@@ -40,13 +40,9 @@ class DerivativeOracle:
     """
 
     domain: tuple[float, float]
-    max_order: int
     fn: Callable
 
     def __call__(self, t, k: int):
-        if k < 0 or k > self.max_order:
-            raise CapabilityError(
-                f"derivative order {k} outside 0..{self.max_order}")
         out = np.asarray(self.fn(_clamped(self.domain, t), k), dtype=float)
         if np.ndim(t) == 0:
             return float(out)
@@ -81,9 +77,6 @@ class SimpleCurve:
     def __post_init__(self):
         if self.d < 2:
             raise ConfigError("simple curve needs d >= 2")
-        if self.phi.max_order < self.d:
-            raise CapabilityError(
-                f"phi oracle supports order {self.phi.max_order} < d={self.d}")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -201,11 +194,8 @@ def validate_monotone(curve: SimpleCurve, grid_size: int = 64) -> CheckReport:
 # curve families
 
 
-def monomial_oracle(beta: float, domain=(0.0, 1.0),
-                    max_order: int | None = None) -> DerivativeOracle:
+def monomial_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
     """phi(t) = t^beta."""
-    if max_order is None:
-        max_order = DEFAULT_MAX_D
 
     def fn(t, k):
         c = 1.0
@@ -215,7 +205,7 @@ def monomial_oracle(beta: float, domain=(0.0, 1.0),
             return np.zeros_like(np.asarray(t, dtype=float))
         return c * np.asarray(t, dtype=float) ** (beta - k)
 
-    return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
+    return DerivativeOracle(domain=tuple(domain), fn=fn)
 
 
 def _horner(c, x):
@@ -239,15 +229,13 @@ def _deriv_coeffs(c, k: int):
     return c
 
 
-def poly_oracle(coeffs: Sequence[float], domain=(0.0, 1.0),
-                max_order: int | None = None) -> DerivativeOracle:
+def poly_oracle(coeffs: Sequence[float],
+                domain=(0.0, 1.0)) -> DerivativeOracle:
     """phi(t) = sum coeffs[k] * t^k, evaluated by Horner's rule with the
     values of numpy.polynomial.Polynomial and its deriv(k)."""
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ConfigError("a polynomial needs at least one coefficient")
-    if max_order is None:
-        max_order = max(DEFAULT_MAX_D, len(coeffs))
     # each derivative's coefficients are built on first use and kept
     deriv = lru_cache(maxsize=None)(lambda k: _deriv_coeffs(coeffs, k))
 
@@ -255,7 +243,7 @@ def poly_oracle(coeffs: Sequence[float], domain=(0.0, 1.0),
         # 0.0 + t: Polynomial maps its argument to 0.0 + 1.0 * t
         return _horner(deriv(k), 0.0 + np.asarray(t, dtype=float))
 
-    return DerivativeOracle(domain=tuple(domain), max_order=max_order, fn=fn)
+    return DerivativeOracle(domain=tuple(domain), fn=fn)
 
 
 def poly_rows(coeffs, domain, k: int):
@@ -319,8 +307,7 @@ def expflat_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
     def fn(t, k):
         return expflat_phi_derivative(beta, k, t)
 
-    return DerivativeOracle(domain=tuple(domain), max_order=DEFAULT_MAX_D,
-                            fn=fn)
+    return DerivativeOracle(domain=tuple(domain), fn=fn)
 
 
 def finite_difference(oracle: DerivativeOracle, t: float, k: int,
@@ -334,30 +321,39 @@ def finite_difference(oracle: DerivativeOracle, t: float, k: int,
 
 # the builders of the curve kinds: each one's keyword parameters are the
 # keys of its spec besides 'kind'
-_D, _DOMAIN = Int(2, DEFAULT_MAX_D), Many(Real(), size=2)
+_D = Int(2, DEFAULT_MAX_D)
+
+
+def _domain(key: str, value):
+    """A curve domain [a, b] with a < b, as written."""
+    a, b = Many(Real(), size=2)(key, value)
+    if not a < b:
+        raise ConfigError(f"'{key}' must be an interval [a, b] with a < b, "
+                          f"got {value!r}")
+    return value
 
 
 def _monomial(beta: Real(keep=True), d: _D = 3,
-              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
+              domain: _domain = (0.0, 1.0)) -> SimpleCurve:
     return SimpleCurve(d=d, phi=monomial_oracle(float(beta), domain),
                        label=f"monomial(beta={beta})")
 
 
 # beta > 0: the derivative coefficients divide by beta
 def _exp_flat(beta: Real(0, keep=True), d: _D = 3,
-              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
+              domain: _domain = (0.0, 1.0)) -> SimpleCurve:
     return SimpleCurve(d=d, phi=expflat_oracle(float(beta), domain),
                        label=f"exp-flat(beta={beta})")
 
 
 def _poly_phi(coeffs: Many(Real()), d: _D = 3,
-              domain: _DOMAIN = (0.0, 1.0)) -> SimpleCurve:
-    return SimpleCurve(d=d, phi=poly_oracle(coeffs, domain, DEFAULT_MAX_D),
+              domain: _domain = (0.0, 1.0)) -> SimpleCurve:
+    return SimpleCurve(d=d, phi=poly_oracle(coeffs, domain),
                        label="poly-phi")
 
 
 def _homogeneous(exponents: Many(Real()),
-                 domain: _DOMAIN = (0.0, 1.0)) -> HomogeneousCurve:
+                 domain: _domain = (0.0, 1.0)) -> HomogeneousCurve:
     return HomogeneousCurve(exponents=tuple(exponents), domain=tuple(domain))
 
 
@@ -366,11 +362,17 @@ CURVE = Kind("curve spec", {"monomial": _monomial, "exp-flat": _exp_flat,
                             "homogeneous": _homogeneous})
 
 
-def _flatten(base: CURVE, d: _D = 3, domain: _DOMAIN = (0.0, 1.0),
+def _flatten(base: CURVE, d: _D = 3, domain: _domain = (0.0, 1.0),
              steps: Int(1) = 1,
              variant: Choice("exp", "log") = "exp") -> SimpleCurve:
-    """``base`` at this spec's d and domain, flattened ``steps`` times."""
+    """``base`` at this spec's d and domain, flattened ``steps`` times; a
+    base may repeat the spec's d or domain, but not differ from it."""
     from .conditions import build_flattened
+    for key, value in (("d", d), ("domain", list(domain))):
+        if base.get(key, value) != value:
+            raise ConfigError(f"curve spec 'flatten': the base's {key} "
+                              f"{base[key]!r} differs from the spec's "
+                              f"{value!r}")
     cur = CURVE.build({**base, "d": d, "domain": list(domain)})
     for _ in range(steps):
         cur = build_flattened(cur, variant=variant)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditions import _validate_alpha
 from .curves import SimpleCurve, validate_monotone
-from .jacobian import jacobian_integrals
+from .jacobian import jacobian_integral
 from .report import (CheckReport, ConfigError, DomainError, at_most,
                      worst_index)
 from .vandermonde import vandermonde
@@ -90,24 +90,18 @@ _COARSE = 4096
 _TOL = 1e-8
 
 
-def lambda_measure(curve, E: Parallelepiped) -> float:
-    """Lebesgue measure of {t in (a,b): gamma(t) in E}.
+def lambda_measure(curve, family) -> list[float]:
+    """The Lebesgue measure of {t in (a,b): gamma(t) in E} of each box E
+    of ``family``.
 
     Membership is scanned on a coarse grid; each transition is then
-    bracketed by bisection to width _TOL / (number of crossings).
-    """
-    return _lambda_measures(curve, [E])[0]
-
-
-def _lambda_measures(curve, family) -> list[float]:
-    """lambda_measure of each box of ``family``.
-
-    The curve is evaluated on the coarse grid once for all boxes, and the
-    crossings of all boxes are bisected together: each step evaluates the
-    curve once at every active midpoint and solves each midpoint against
-    its own box's edges.  Each crossing stops at its own box's width
-    target, so it takes the same steps as a bisection of that crossing
-    alone."""
+    bracketed by bisection to width _TOL / (number of crossings of its
+    box).  The curve is evaluated on the coarse grid once for all boxes,
+    and the crossings of all boxes are bisected together: each step
+    evaluates the curve once at every active midpoint and solves each
+    midpoint against its own box's edges.  Each crossing stops at its own
+    box's width target, so it takes the same steps as a bisection of that
+    crossing alone."""
     a, b = curve.domain
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ConfigError("lambda_measure needs a bounded domain")
@@ -162,7 +156,7 @@ def estimate_alpha_B(curve, family, alpha: float) -> CheckReport:
             # lambda / volume^alpha would read 0 or inf for any lambda
             raise ConfigError(f"a box of the family has volume {md!r}; the "
                               f"ratio needs a positive finite volume")
-    lams = _lambda_measures(curve, family)
+    lams = lambda_measure(curve, family)
     if not any(lams):  # a sup of zeros bounds nothing
         side = min(np.linalg.norm(E.edges, axis=1).min() for E in family)
         raise ConfigError(
@@ -322,7 +316,7 @@ def lemma1_conclusion(curve: SimpleCurve, samples, alpha: float,
                 f"ends at its planar base box; occupation cross-check "
                 f"skipped")
     else:
-        lam = lambda_measure(curve, chain[-1])
+        lam = lambda_measure(curve, [chain[-1]])[0]
         # lambda_measure brackets its crossings to a total width of _TOL
         if lam < h * (1 - 1e-6) - _TOL:
             passed = False
@@ -396,13 +390,6 @@ def _K_cols(cols: np.ndarray, alpha: float, u: np.ndarray,
         # rows of zero spread keep u = 0 = K
         np.multiply(u, spread ** expo, out=u, where=spread > 0)
     return u
-
-
-def _K_many(hs: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized K over sample rows (gap vectors, h_d = 0 appended)."""
-    n = hs.shape[0]
-    return _K_cols(np.ascontiguousarray(hs.T, dtype=float), alpha,
-                   np.empty(n), np.empty(n))
 
 
 def K_u_geometry(h, alpha: float,
@@ -562,7 +549,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
     J evaluated at the nondecreasing rearrangement of {s} union {s+h_j}.
 
     K is taken per sample pair (s, h); the pairs with K != 0 are swept as
-    arrays, with every J from one :func:`jacobian_integrals` call."""
+    arrays, with every J from one :func:`jacobian_integral` call."""
     d = curve.d
     _validate_alpha(d, alpha)
     if sigma_est <= 0:
@@ -575,7 +562,7 @@ def check_J_geq_K(curve: SimpleCurve, sigma_est: float, alpha: float,
     kept = np.flatnonzero(K != 0)
     nodes = np.sort(np.concatenate((s[kept, None], s[kept, None] + h[kept]),
                                    axis=1), axis=1)
-    J = jacobian_integrals(curve.top, nodes[:, 0], np.diff(nodes, axis=1))
+    J = jacobian_integral(curve.top, nodes[:, 0], np.diff(nodes, axis=1))
     consts = J / (sigma_est ** (-1.0 / alpha) * K[kept])
     i = worst_index((-consts).tolist())
     witness = c_est = None

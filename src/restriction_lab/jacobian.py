@@ -21,17 +21,17 @@ import numpy as np
 from .curves import DerivativeOracle, SimpleCurve
 from .quadrature import QuadratureError, _leggauss
 from .report import CheckReport, ConfigError, DomainError
-from .vandermonde import (GapVector, factorial_product, kappa_of,
-                          unit_bspline, vandermonde_arr)
+from .vandermonde import (factorial_product, gaps, kappa_of, unit_bspline,
+                          vandermonde_arr)
 
 
 def offspring_point(curve: SimpleCurve, t: float, h) -> np.ndarray:
     """Gamma(t, h) = sum_j gamma(t + kappa_j(h))."""
-    g = GapVector.of(h)
+    kappa = kappa_of(gaps(h))
     a, b = curve.domain
-    if t < a or t + g.kappa[-1] > b:
+    if t < a or t + kappa[-1] > b:
         raise DomainError("offspring offsets exit the curve domain")
-    return np.sum([curve.jet(t + kj) for kj in g.kappa], axis=0)
+    return np.sum([curve.jet(t + kj) for kj in kappa], axis=0)
 
 
 def _node_matrix(curve: SimpleCurve, nodes: np.ndarray) -> np.ndarray:
@@ -43,8 +43,7 @@ def _node_matrix(curve: SimpleCurve, nodes: np.ndarray) -> np.ndarray:
 def jacobian_direct(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t, h) as the determinant with columns
     (1, s_j, ..., s_j^{d-2}/(d-2)!, phi'(s_j)) at s_j = t + kappa_j(h)."""
-    g = GapVector.of(h)
-    nodes = t + g.kappa
+    nodes = t + kappa_of(gaps(h))
     return float(np.linalg.det(_node_matrix(curve, nodes)))
 
 
@@ -138,24 +137,18 @@ def _bisect_mean(top, row, t, kappa, lo, hi, total, density):
                           f"t={t}, kappa={kappa.tolist()})")
 
 
-def jacobian_integral(curve: SimpleCurve, t: float, h) -> float:
-    """J_phi(t, h) = int phi^(d)(t + u) Psi_d(u; h) du (Hermite-Genocchi):
-    v(h) / prod_{i<d} i! times the B-spline mean, and 0.0 where v(h) = 0."""
-    g = GapVector.of(h)
-    return float(jacobian_integrals(curve.top, np.array([t], dtype=float),
-                                    np.array([g.h]))[0])
-
-
-def jacobian_integrals(top, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`jacobian_integral` of the samples t (shape (n,)) and
-    nonnegative gaps h (shape (n, d - 1)), with one call for all the
-    B-spline means and the arithmetic of one sample in each.
+def jacobian_integral(top, t: np.ndarray, h) -> np.ndarray:
+    """J_phi(t, h) = int phi^(d)(t + u) Psi_d(u; h) du (Hermite-Genocchi)
+    of the samples t (shape (n,)) and gaps h (shape (n, d - 1)): v(h) /
+    prod_{i<d} i! times the B-spline mean, and 0.0 where v(h) = 0.  One
+    call takes all the B-spline means, with the arithmetic of one sample
+    in each.
 
     phi^(d) is ``top(x, rows)`` as in :func:`_spline_means`, its rows
     those of t: ``curve.top`` for one curve, :func:`poly_rows` for one
     polynomial per sample.
     """
-    kappa = kappa_of(h)
+    kappa = kappa_of(gaps(h))
     v = vandermonde_arr(kappa)
     J = np.zeros(len(kappa))
     live = np.flatnonzero(v != 0.0)
@@ -187,9 +180,8 @@ class OffspringFrame:
 def offspring_decomposition(curve: SimpleCurve, h) -> OffspringFrame:
     """Split Gamma(t, h) into a translation, a unimodular upper-triangular
     matrix, and the averaged offspring curve gamma_tilde."""
-    g = GapVector.of(h)
     d = curve.d
-    kappa = g.kappa
+    kappa = kappa_of(gaps(h))
     hbar = float(np.mean(kappa))
     centered = kappa - hbar
 
@@ -217,8 +209,7 @@ def offspring_decomposition(curve: SimpleCurve, h) -> OffspringFrame:
         return acc / d
 
     phi_tilde = DerivativeOracle(
-        domain=(a + hbar, b - float(kappa[-1]) + hbar),
-        max_order=base.max_order, fn=fn)
+        domain=(a + hbar, b - float(kappa[-1]) + hbar), fn=fn)
     return OffspringFrame(d=d, hbar=hbar, shift=shift, matrix=mat,
                           phi_tilde=phi_tilde)
 
@@ -237,12 +228,10 @@ def offspring_curve(curve: SimpleCurve, h) -> SimpleCurve:
 
 
 def sample_admissible(curve: SimpleCurve, unit: np.ndarray):
-    """Map a unit-box sample (u_0, ..., u_{d-1}) to an admissible (t, h):
-    gaps in [h_min, (b-a)/d] with h_min = 1e-3, t spanning
-    [a, b - kappa_d(h)].
-
-    One sample of shape (d,) gives t and its GapVector; samples of shape
-    (n, d) give the arrays t, of shape (n,), and h, of shape (n, d - 1).
+    """Map unit-box samples (u_0, ..., u_{d-1}), the rows of ``unit``
+    (shape (n, d)), to admissible (t, h): gaps in [h_min, (b-a)/d] with
+    h_min = 1e-3, t spanning [a, b - kappa_d(h)].  Gives the arrays t, of
+    shape (n,), and h, of shape (n, d - 1).
     """
     a, b = curve.domain
     unit = np.asarray(unit, dtype=float)
@@ -251,8 +240,6 @@ def sample_admissible(curve: SimpleCurve, unit: np.ndarray):
     h = h_min + unit[..., 1:] * (h_max - h_min)
     kd = np.sum(h, axis=-1)
     t = a + unit[..., 0] * np.maximum(b - a - kd, 0.0)
-    if unit.ndim == 1:
-        return float(t), GapVector.of(h)
     return t, h
 
 
@@ -315,14 +302,14 @@ def _sigma_sweep(curve: SimpleCurve, t: np.ndarray, h: np.ndarray):
 def sigma_ratio(curve: SimpleCurve, t: float, h) -> float:
     """J_phi(t,h) / [v(h) * (prod_i phi^(d)(t + kappa_i))^{1/d}], taken
     from the B-spline mean so that v(h) cancels analytically."""
-    g = GapVector.of(h)
+    h = gaps(h)
     kept, _, _, _, ratio, err = _sigma_sweep(
-        curve, np.array([t], dtype=float), np.array([g.h]))
+        curve, np.array([t], dtype=float), h[None])
     if err is not None:
         raise err
     if not kept.size:
         raise UnderflowError(f"phi^({curve.d}) underflows at a node or in "
-                             f"its product (t={t}, h={list(g.h)}); the "
+                             f"its product (t={t}, h={h.tolist()}); the "
                              f"sigma ratio is undefined")
     return float(ratio[0])
 
@@ -391,7 +378,7 @@ def check_offspring_closure(curve: SimpleCurve, h,
     child = estimate_sigma(child_curve, unit_samples)
     if parent.estimate is None or child.estimate is None:
         rep = CheckReport(check_id="check_offspring_closure",
-                          parameters={"d": curve.d, "h": list(GapVector.of(h).h)},
+                          parameters={"d": curve.d, "h": gaps(h).tolist()},
                           passed=False)
         rep.notes.append("inconclusive: degenerate sample set")
         return rep
@@ -400,7 +387,7 @@ def check_offspring_closure(curve: SimpleCurve, h,
     return CheckReport(
         check_id="check_offspring_closure",
         parameters={"d": curve.d, "curve": curve.label,
-                    "h": list(GapVector.of(h).h)},
+                    "h": gaps(h).tolist()},
         estimate=child.estimate,
         bound=target,
         tolerance=tolerance,
@@ -431,7 +418,7 @@ def weight_product_bound(curve: SimpleCurve, unit_samples) -> CheckReport:
     H = np.prod(np.abs(phid) ** (2.0 / (d * (d + 1))), axis=1)
     rhs = np.array([x ** ((d + 1) / 2.0) for x in H.tolist()])
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
-    # J as jacobian_integrals takes it
+    # J as jacobian_integral takes it
     J = v / factorial_product(d) * mean
     margin = J - sigma_est * v * rhs
     # a running max from 0.0 and min from inf, which a NaN never replaces

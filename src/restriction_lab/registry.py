@@ -23,7 +23,6 @@ from .curves import (CURVE as Curve, SimpleCurve, poly_oracle, poly_rows,
 from .probe import TEST as Test
 from .report import (CheckReport, Choice, ConfigError, Int, Many, Real, Spec,
                      at_most, parse_keys, worst_index)
-from .vandermonde import GapVector
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,11 @@ def _op_vandermonde_integration(seed, n: Int(2)):
     return vandermonde.check_vandermonde_integration(n, s)
 
 
-# n = 2 is left out: its spread factor degenerates
-def _op_tail_inequalities(seed, n: Int(3), t: Many(Real()),
+# n = 2 is left out: its spread factor degenerates.  The cost grows as
+# 24^(n-1) box-rule points and 60^(n-2) nested-integral calls: n = 3 takes
+# 0.012 s, n = 4 0.167 s, n = 5 9.4 s, and n = 6 had not finished after
+# 5 minutes
+def _op_tail_inequalities(seed, n: Int(3, 5), t: Many(Real()),
                           delta: Real() = 0.5):
     return vandermonde.check_tail_inequalities(
         n, np.asarray(t, dtype=float), delta)
@@ -78,7 +80,7 @@ def _op_jacobian_identity(seed, d: Int(2), n_trials: Int(1) = 50):
         direct.append(jacobian.jacobian_direct(curve, t[-1], h[-1]))
     # every trial's integral route in one sweep, row i on trial i's
     # polynomial
-    integral = jacobian.jacobian_integrals(
+    integral = jacobian.jacobian_integral(
         poly_rows(coeffs, _TRIAL_DOMAIN, d), np.array(t),
         np.array(h)).tolist()
     errs = [abs(J1 - J2) / (1 + abs(J1)) for J1, J2 in zip(direct, integral)]
@@ -97,11 +99,11 @@ def _op_monomial_closed_form(seed, d_max: Int(2) = 5):
                             label=f"monomial-{d}")
         for _ in range(5):
             h = rng.uniform(0.1, 1.5, size=d - 1)
-            g = GapVector.of(h)
+            v = vandermonde.vandermonde(vandermonde.kappa_of(h))
             t = float(rng.uniform(0.0, 2.0))
-            J = jacobian.jacobian_direct(curve, t, g)
+            J = jacobian.jacobian_direct(curve, t, h)
             pf = vandermonde.factorial_product(d)
-            errs.append(abs(J * pf - g.v) / g.v)
+            errs.append(abs(J * pf - v) / v)
     return at_most("monomial_closed_form", {"d_max": d_max}, errs, 1e-10)
 
 

@@ -13,10 +13,6 @@ class DomainError(ValueError):
     """Evaluation point outside the curve domain."""
 
 
-class CapabilityError(ValueError):
-    """Requested order/dimension beyond what an oracle supports."""
-
-
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
 

@@ -8,8 +8,6 @@ roundoff.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,39 +42,14 @@ def kappa_of(h: np.ndarray) -> np.ndarray:
                            np.cumsum(h, axis=-1)), axis=-1)
 
 
-@dataclass(frozen=True)
-class GapVector:
-    """Nonnegative gaps h = (h_1, ..., h_{d-1}) between offspring offsets."""
-
-    h: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.h):
-            raise ConfigError("gap entries must be nonnegative")
-
-    @classmethod
-    def of(cls, h) -> "GapVector":
-        if isinstance(h, GapVector):
-            return h
-        return cls(tuple(float(x) for x in np.atleast_1d(h)))
-
-    @property
-    def d(self) -> int:
-        return len(self.h) + 1
-
-    @cached_property
-    def kappa(self) -> np.ndarray:
-        """Prefix-sum offsets kappa_1 = 0, kappa_j = h_1 + ... + h_{j-1},
-        computed on first read and kept read-only, so that no caller can
-        change the kept array."""
-        kappa = kappa_of(self.h)
-        kappa.flags.writeable = False
-        return kappa
-
-    @cached_property
-    def v(self) -> float:
-        """The Vandermonde product v(h) of kappa, computed on first read."""
-        return vandermonde(self.kappa)
+def gaps(h) -> np.ndarray:
+    """The gaps h = (h_1, ..., h_{d-1}) between offspring offsets as a float
+    array (one number is one gap), or rows of them; ConfigError on a
+    negative entry."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if np.any(h < 0):
+        raise ConfigError("gap entries must be nonnegative")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +92,34 @@ def psi(d: int, t, h) -> float | np.ndarray:
     (Curry-Schoenberg), nonnegative, supported in [0, h_1 + ... + h_{d-1}]."""
     if d < 2:
         raise ConfigError(f"psi needs d >= 2, got {d}")
-    g = GapVector.of(h)
-    if g.d != d:
-        raise ConfigError(f"gap vector has {g.d - 1} entries, need {d - 1}")
+    h = gaps(h)
+    if h.size != d - 1:
+        raise ConfigError(f"gap vector has {h.size} entries, need {d - 1}")
+    kappa = kappa_of(h)
+    v = vandermonde(kappa)
     t_arr = np.asarray(t, dtype=float)
-    if g.v == 0.0:
+    if v == 0.0:
         out = np.zeros_like(t_arr)
     else:
-        out = g.v / factorial_product(d) * unit_bspline(g.kappa, t_arr)
+        out = v / factorial_product(d) * unit_bspline(kappa, t_arr)
     if np.ndim(t) == 0:
         return float(out)
     return out
 
 
-def _mean_tail_ratios(d: int, kappa: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
-    """:func:`psi_mean_tail_ratio` of each row of offsets ``kappa`` (shape
-    (n, d)), given v = v(kappa) > 0 per row.
+def psi_mean_tail_ratio(d: int, h) -> np.ndarray:
+    """The ratio int_{g_d}^{t+kappa_d} Psi_d(u - t; h) du / v(h), with
+    g_d = t + mean(kappa), of each row of gaps ``h`` (shape (n, d - 1));
+    it does not depend on t.  ZeroDivisionError on a row with v(h) = 0.
 
     Evaluated in closed form: the tail integral equals the offspring
     determinant for phi(u) = (u - c)_+^d / d! with c at the node mean,
     so it reduces to a d x d determinant.
     """
+    kappa = kappa_of(gaps(h))
+    v = vandermonde_arr(kappa)
+    if np.any(v == 0.0):
+        raise ZeroDivisionError("degenerate gap vector (v(h) = 0)")
     # the determinant is invariant under a common node translation, so
     # center at the node mean; for d = 2 this makes the value exactly 1/2
     s = kappa - np.mean(kappa, axis=1, keepdims=True)
@@ -161,21 +140,12 @@ def _mean_tail_ratios(d: int, kappa: np.ndarray,
     return det / v
 
 
-def psi_mean_tail_ratio(d: int, t: float, h) -> float:
-    """The ratio int_{g_d}^{t+kappa_d} Psi_d(u - t; h) du / v(h), with
-    g_d = t + mean(kappa); it does not depend on t."""
-    g = GapVector.of(h)
-    v = g.v
-    if v == 0.0:
-        raise ZeroDivisionError("degenerate gap vector (v(h) = 0)")
-    return float(_mean_tail_ratios(d, g.kappa[None], np.array([v]))[0])
-
-
 def psi_mean_tail_ratio_quad(d: int, t: float, h) -> float:
-    """Independent route to :func:`psi_mean_tail_ratio`: pointwise Psi_d
-    quadrature, with panels split at the kink offsets kappa_j."""
-    g = GapVector.of(h)
-    kappa = g.kappa
+    """Independent route to :func:`psi_mean_tail_ratio` for one gap
+    vector: pointwise Psi_d quadrature, with panels split at the kink
+    offsets kappa_j."""
+    h = gaps(h)
+    kappa = kappa_of(h)
     lo = t + float(np.mean(kappa))
     hi = t + float(kappa[-1])
     breaks = sorted({lo, hi} | {t + float(k) for k in kappa
@@ -183,8 +153,8 @@ def psi_mean_tail_ratio_quad(d: int, t: float, h) -> float:
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         x, w = gl_nodes(a, b, 12)
-        total += float(np.sum(w * psi(d, x - t, g)))
-    return total / g.v
+        total += float(np.sum(w * psi(d, x - t, h)))
+    return total / vandermonde(kappa)
 
 
 def check_psi_lower_bound(d: int, t, h) -> CheckReport:
@@ -196,18 +166,14 @@ def check_psi_lower_bound(d: int, t, h) -> CheckReport:
     iff the sampled infimum is strictly positive.
     """
     tolerance = 0.0
-    h = np.asarray(h, dtype=float)
+    h = gaps(h)
     if h.ndim != 2 or h.shape[1] != d - 1:
         raise ConfigError(f"need one row of {d - 1} gaps per sample, "
                           f"got shape {h.shape}")
-    if np.any(h < 0):
-        raise ConfigError("gap entries must be nonnegative")
     n = h.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    kappa = kappa_of(h)
-    v = vandermonde_arr(kappa)
-    kept = np.flatnonzero(v > 0.0)
-    ratios = _mean_tail_ratios(d, kappa[kept], v[kept])
+    kept = np.flatnonzero(vandermonde_arr(kappa_of(h)) > 0.0)
+    ratios = psi_mean_tail_ratio(d, h[kept])
     best_sample = None
     if kept.size:
         i = int(np.argmin(ratios))  # the first strict minimum
@@ -265,9 +231,10 @@ def check_vandermonde_integration(n: int, s) -> CheckReport:
     rel_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     # Psi_n is a polynomial of degree n - 2 between its knots, so a rule of
     # this order on each knot interval is exact
-    g = GapVector.of(np.diff(s))
-    x, w = gl_nodes(g.kappa[:-1], g.kappa[1:], max(4, n))
-    mass = float(np.sum(w * psi(n, x, g)))
+    h = np.diff(s)
+    kappa = kappa_of(h)
+    x, w = gl_nodes(kappa[:-1], kappa[1:], max(4, n))
+    mass = float(np.sum(w * psi(n, x, h)))
     mass_ref = lhs / factorial_product(n)
     mass_err = abs(mass - mass_ref) / max(abs(mass_ref), 1e-300)
     return at_most("check_vandermonde_integration",

@@ -20,7 +20,7 @@ from restriction_lab.report import ConfigError, DomainError
 
 def _top_derivative_curve(d, fn, domain=(0.0, 1.0)):
     """Curve whose phi^(d) equals fn; lower orders are unused here."""
-    return SimpleCurve(d=d, phi=DerivativeOracle(domain=domain, max_order=d,
+    return SimpleCurve(d=d, phi=DerivativeOracle(domain=domain,
                                                  fn=lambda t, k: fn(t)),
                        label="custom-top")
 
@@ -190,7 +190,7 @@ def test_estimate_A_makes_one_oracle_call_per_lookahead():
         return quartic.fn(t, k)
 
     curve = SimpleCurve(d=3, phi=DerivativeOracle(
-        domain=quartic.domain, max_order=quartic.max_order, fn=counted),
+        domain=quartic.domain, fn=counted),
         label="m4")
     est = estimate_A(curve, "GM", 10)
     assert calls[0] <= 70

@@ -9,8 +9,8 @@ removed, or set to 0, -1, half or one and a half times itself, NaN,
 +inf, -inf, a string or true.  The draw runs through
 ``registry.run_check`` at the shipped config's seed and must end in a
 ConfigError (from a key table before the check runs, or from a rule that
-ties keys together), a DomainError, CapabilityError, QuadratureError or
-UnderflowError, or a report that dumps as strict JSON.
+ties keys together), a DomainError, QuadratureError or UnderflowError,
+or a report that dumps as strict JSON.
 """
 
 import json
@@ -23,12 +23,10 @@ import pytest
 from restriction_lab import registry
 from restriction_lab.jacobian import UnderflowError
 from restriction_lab.quadrature import QuadratureError
-from restriction_lab.report import (CapabilityError, ConfigError, DomainError,
-                                    _plain)
+from restriction_lab.report import ConfigError, DomainError, _plain
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TYPED = (ConfigError, DomainError, CapabilityError, QuadratureError,
-         UnderflowError)
+TYPED = (ConfigError, DomainError, QuadratureError, UnderflowError)
 _REMOVED = object()
 
 

@@ -13,7 +13,7 @@ from restriction_lab.curves import (CURVE, DerivativeOracle,
                                     finite_difference, monomial_oracle,
                                     poly_oracle, poly_rows,
                                     validate_monotone)
-from restriction_lab.report import CapabilityError, ConfigError, DomainError
+from restriction_lab.report import ConfigError, DomainError
 
 
 def test_simple_curve_jet_structure(moment_curve_3):
@@ -72,14 +72,6 @@ def test_homogeneous_curve_basics():
     assert c.jet(ts, 2).shape == (5, 3)
 
 
-def test_oracle_capability_and_domain_errors():
-    orc = monomial_oracle(4.0, domain=(0.0, 1.0), max_order=4)
-    with pytest.raises(CapabilityError):
-        orc(0.5, 5)
-    with pytest.raises(DomainError):
-        orc(1.5, 1)
-
-
 def test_oracle_contract():
     orc = monomial_oracle(4.5, domain=(0.0, 1.0))
     assert type(orc(0.5, 2)) is float
@@ -96,8 +88,7 @@ def test_oracle_contract():
     assert vals[0, 0] == orc(0.5, 1) and np.isnan(vals[0, 1])
     # points within the 1e-12 tolerance of an end are clamped as np.clip
     # clamps them; fn sees exactly the clamped points
-    ident = DerivativeOracle(domain=(0.0, 2.0), max_order=0,
-                             fn=lambda t, k: t)
+    ident = DerivativeOracle(domain=(0.0, 2.0), fn=lambda t, k: t)
     eps = 2.0 * 1e-9
     t = np.array([-1e-12, 0.0, 1e-12, 1.0, 2.0 - 1e-12, 2.0, 2.0 + 1e-12])
     assert np.array_equal(ident(t, 0), np.clip(t, eps, 2.0 - eps))
@@ -140,7 +131,7 @@ def test_poly_oracle_repeated_calls_match_fresh_derivatives():
     poly = np.polynomial.Polynomial(coeffs)
     t = np.linspace(-0.9, 0.9, 7)
     for _ in range(2):
-        for k in range(orc.max_order + 1):
+        for k in range(max(5, len(coeffs)) + 1):
             assert np.array_equal(orc(t, k), poly.deriv(k)(t))
             assert orc(0.25, k) == float(poly.deriv(k)(0.25))
 
@@ -172,7 +163,7 @@ def test_poly_oracle_horner_equals_numpy_polynomial(coeffs):
     # fn by itself sees every point unclamped; the oracle clamps first
     orc = poly_oracle(coeffs, domain=(-5.0, 5.0))
     poly = np.polynomial.Polynomial(coeffs)
-    for k in range(orc.max_order + 1):
+    for k in range(max(5, len(coeffs)) + 1):
         ref = poly.deriv(k) if k else poly
         for x in HORNER_POINTS:
             with np.errstate(invalid="ignore", over="ignore"):  # inf * 0
@@ -260,6 +251,15 @@ def test_curve_from_spec_validation():
         curve_from_spec({"kind": "monomial", "beta": 3.0, "d": 7})
 
 
+def test_flatten_base_may_repeat_but_not_change_d_and_domain():
+    base = {"kind": "monomial", "beta": 6, "d": 3, "domain": [0, 1]}
+    fl = curve_from_spec({"kind": "flatten", "base": base})
+    assert fl.d == 3 and fl.domain == (0.0, 1.0)
+    for key, value in (("d", 5), ("domain", [0.0, 0.5])):
+        with pytest.raises(ConfigError, match=f"the base's {key} "):
+            curve_from_spec({"kind": "flatten", "base": {**base, key: value}})
+
+
 _M3 = {"kind": "monomial", "beta": 4.0, "d": 3}
 
 
@@ -280,6 +280,11 @@ _M3 = {"kind": "monomial", "beta": 4.0, "d": 3}
      "curve spec 'monomial': missing required key 'beta'"),
     ({"kind": "poly-phi", "coeffs": [0.0, math.nan]},
      r"'coeffs\[1\]' must be a finite number, got nan"),
+    # a one-point domain once PASSed validate-monotone with estimate 0.0
+    ({**_M3, "domain": [0.5, 0.5]},
+     r"'domain' must be an interval \[a, b\] with a < b, got \[0.5, 0.5\]"),
+    ({"kind": "flatten", "base": _M3, "domain": [1.0, 0.0]},
+     r"'domain' must be an interval \[a, b\] with a < b, got \[1.0, 0.0\]"),
 ])
 def test_curve_spec_numbers_are_checked_before_any_curve(spec, message):
     with pytest.raises(ConfigError, match=message):

@@ -18,8 +18,8 @@ from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import SimpleCurve, poly_oracle
 from restriction_lab.geometry import (_COARSE, _SM_BLOCK, K_of,
                                       K_u_geometry, Parallelepiped,
-                                      _K_many, _lambda_measures,
-                                      _shell_counts, check_J_geq_K, cube,
+                                      _K_cols, _shell_counts,
+                                      check_J_geq_K, cube,
                                       estimate_alpha_B, lambda_measure,
                                       lemma1_chain, lemma1_conclusion,
                                       shrink_family, sm_measure, sm_shells,
@@ -64,14 +64,13 @@ def test_volume_under_permutation_and_scaling(scale, jitter_seed):
 
 def test_lambda_measure_examples(parabola):
     # analytic: t <= 1 and t^2/2 <= 1 intersect in t in [0, 1]
-    assert lambda_measure(parabola, Parallelepiped.of(
-        [0, 0], np.eye(2))) == pytest.approx(1.0, abs=1e-7)
-    assert lambda_measure(parabola, cube([1.0, 1.0], 10.0)) == 2.0
-    assert lambda_measure(parabola, cube([50.0, 50.0], 1.0)) == 0.0
+    assert lambda_measure(parabola, [
+        Parallelepiped.of([0, 0], np.eye(2)), cube([1.0, 1.0], 10.0),
+        cube([50.0, 50.0], 1.0)]) == [pytest.approx(1.0, abs=1e-7), 2.0, 0.0]
 
 
 def test_lambda_measure_is_a_python_float(parabola):
-    lam = lambda_measure(parabola, cube([1.0, 0.5], 0.5))
+    lam, = lambda_measure(parabola, [cube([1.0, 0.5], 0.5)])
     assert type(lam) is float and lam > 0
 
 
@@ -79,9 +78,7 @@ def test_lambda_measure_additive_and_monotone(parabola):
     left = Parallelepiped.of([0, -1], [[0.5, 0], [0, 4]])
     right = Parallelepiped.of([0.5, -1], [[0.5, 0], [0, 4]])
     both = Parallelepiped.of([0, -1], [[1.0, 0], [0, 4]])
-    lam_l = lambda_measure(parabola, left)
-    lam_r = lambda_measure(parabola, right)
-    lam_b = lambda_measure(parabola, both)
+    lam_l, lam_r, lam_b = lambda_measure(parabola, [left, right, both])
     assert lam_l + lam_r == pytest.approx(lam_b, abs=1e-6)
     assert lam_l <= lam_b + 1e-12
 
@@ -151,8 +148,8 @@ def test_batched_bisection_equals_one_at_a_time(name, parabola,
         monkeypatch.setattr(geometry, "_TOL", tol)
         ref = [_occupation_one_at_a_time(curve, E, tol, ts, pts)
                for E in family]
-        assert [_lambda_measures(curve, [E])[0] for E in family] == ref
-        assert _lambda_measures(curve, family) == ref
+        assert [lambda_measure(curve, [E])[0] for E in family] == ref
+        assert lambda_measure(curve, family) == ref
 
 
 def _occupation_per_box(curve, E, tol, ts, pts):
@@ -218,7 +215,7 @@ def test_lambda_measures_equal_the_per_box_loop(name, quartic_curve):
     assert {0, 1} <= set(counts) and max(counts) >= 4
     ref = [_occupation_per_box(curve, E, geometry._TOL, ts, pts)
            for E in family]
-    assert [repr(x) for x in _lambda_measures(curve, family)] == [
+    assert [repr(x) for x in lambda_measure(curve, family)] == [
         repr(x) for x in ref]
 
 
@@ -261,7 +258,7 @@ def test_estimate_alpha_B_series_equals_lambda_measure(quartic_curve):
     fam = shrink_family(np.array([0.5, 0.125, 0.0625]), 1.0, 5)
     rep = estimate_alpha_B(quartic_curve, fam, 1 / 6)
     assert [s["lambda"] for s in rep.series] == [
-        lambda_measure(quartic_curve, E) for E in fam]
+        lambda_measure(quartic_curve, [E])[0] for E in fam]
 
 
 def test_lemma1_chain_quartic(quartic_curve):
@@ -367,6 +364,14 @@ def test_u_of_is_the_product_of_gap_differences(rng):
                 for j in range(i + 1, d):
                     ref *= abs(hh[i] - hh[j])
             assert u_of(h) == ref
+
+
+def _K_many(hs, alpha):
+    """K of the gap vectors that are the rows of ``hs``, through
+    ``_K_cols``."""
+    n = hs.shape[0]
+    return _K_cols(np.ascontiguousarray(hs.T, dtype=float), alpha,
+                   np.empty(n), np.empty(n))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

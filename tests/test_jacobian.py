@@ -14,7 +14,6 @@ from restriction_lab.curves import (DerivativeOracle, SimpleCurve,
 from restriction_lab.jacobian import (check_offspring_closure,
                                       estimate_sigma,
                                       jacobian_direct, jacobian_integral,
-                                      jacobian_integrals,
                                       offspring_curve,
                                       offspring_decomposition,
                                       offspring_point, sample_admissible,
@@ -23,9 +22,15 @@ from restriction_lab.jacobian import (check_offspring_closure,
 from restriction_lab.quadrature import QuadratureError, gl_nodes
 from restriction_lab.registry import run_check
 from restriction_lab.report import DomainError, worst_index
-from restriction_lab.vandermonde import GapVector, unit_bspline
+from restriction_lab.vandermonde import kappa_of, unit_bspline, vandermonde
 
 gaps = st.floats(0.02, 0.4)
+
+
+def _J(curve, t, h):
+    """jacobian_integral of the one sample (t, h) on ``curve``."""
+    return float(jacobian_integral(curve.top, np.array([t], dtype=float),
+                                   np.array([h], dtype=float))[0])
 
 
 def _mp_node_determinant(coeffs, d, t, h):
@@ -58,7 +63,7 @@ def test_jacobian_d2_closed_form():
     t, h = 0.3, 0.6
     expect = c.phi(t + h, 1) - c.phi(t, 1)
     assert jacobian_direct(c, t, (h,)) == pytest.approx(expect)
-    assert jacobian_integral(c, t, (h,)) == pytest.approx(expect)
+    assert _J(c, t, (h,)) == pytest.approx(expect)
 
 
 @settings(max_examples=25, deadline=None)
@@ -68,7 +73,7 @@ def test_jacobian_routes_agree_d3(coeffs, t, h):
     c = SimpleCurve(d=3, phi=poly_oracle(coeffs, domain=(-3.0, 3.0)),
                     label="p")
     J1 = jacobian_direct(c, t, h)
-    J2 = jacobian_integral(c, t, h)
+    J2 = _J(c, t, h)
     assert abs(J1 - J2) <= 1e-9 * (1 + abs(J1))
 
 
@@ -76,7 +81,7 @@ def test_jacobian_routes_agree_nonpolynomial():
     c = SimpleCurve(d=3, phi=expflat_oracle(1.0, domain=(0.1, 2.0)),
                     label="ef")
     J1 = jacobian_direct(c, 0.5, (0.2, 0.3))
-    J2 = jacobian_integral(c, 0.5, (0.2, 0.3))
+    J2 = _J(c, 0.5, (0.2, 0.3))
     assert J1 == pytest.approx(J2, rel=1e-8)
 
 
@@ -91,7 +96,7 @@ def test_kernel_route_small_gaps_large_t(d, scale):
                         label="positive-poly")
     t, h = 10.0, scale * np.array([1.0, 1.7, 0.6, 1.3])[: d - 1]
     J_ref, sigma_ref = _mp_node_determinant(coeffs, d, t, h)
-    assert jacobian_integral(curve, t, h) == pytest.approx(J_ref, rel=1e-10)
+    assert _J(curve, t, h) == pytest.approx(J_ref, rel=1e-10)
     assert sigma_ratio(curve, t, h) == pytest.approx(sigma_ref, rel=1e-10)
 
 
@@ -101,7 +106,7 @@ def test_kernel_route_near_singular_domain_end():
     c = SimpleCurve(d=3, phi=monomial_oracle(3.5, domain=(0.0, 1.0)),
                     label="m")
     for t, h in ((0.015, (0.02, 0.32)), (0.002, (0.05, 0.3))):
-        assert jacobian_integral(c, t, h) == pytest.approx(
+        assert _J(c, t, h) == pytest.approx(
             jacobian_direct(c, t, h), rel=1e-10)
 
 
@@ -130,7 +135,7 @@ def test_sigma_ratio_rejects_a_subnormal_node_product():
                     label="ef")
     t, h = 0.11895511426148134, (0.06011341242538311, 0.07059482051032315,
                                  0.07372612430658458, 0.021183634687122366)
-    phid = c.phi(t + GapVector.of(h).kappa, 5)
+    phid = c.phi(t + kappa_of(h), 5)
     assert np.all(phid > 0) and 0.0 < np.prod(phid) < sys.float_info.min
     with pytest.raises(UnderflowError, match="underflows"):
         sigma_ratio(c, t, h)
@@ -141,14 +146,15 @@ def test_monomial_closed_form_spot():
     c = SimpleCurve(d=d, phi=poly_oracle([0] * d + [1 / math.factorial(d)],
                                          domain=(0.0, 10.0)),
                     label="mono")
-    g = GapVector.of((0.4, 0.9, 0.2))
+    h = (0.4, 0.9, 0.2)
     pf = math.prod(math.factorial(j) for j in range(1, d))
-    assert jacobian_direct(c, 0.6, g) * pf == pytest.approx(g.v, rel=1e-12)
+    assert jacobian_direct(c, 0.6, h) * pf == pytest.approx(
+        vandermonde(kappa_of(h)), rel=1e-12)
 
 
 def test_offspring_point_definition(quartic_curve):
     t, h = 0.1, (0.2, 0.3)
-    kappa = GapVector.of(h).kappa
+    kappa = kappa_of(h)
     expect = sum(np.array([s, s ** 2 / 2, s ** 4])
                  for s in (t + kappa))
     assert np.allclose(offspring_point(quartic_curve, t, h), expect)
@@ -188,10 +194,9 @@ def test_estimate_sigma_moment_curve(rng, moment_curve_3):
 
 
 def test_sample_admissible_in_domain(rng, quartic_curve):
-    for _ in range(50):
-        t, g = sample_admissible(quartic_curve, rng.uniform(size=3))
-        a, b = quartic_curve.domain
-        assert a <= t and t + g.kappa[-1] <= b + 1e-12
+    t, h = sample_admissible(quartic_curve, rng.uniform(size=(50, 3)))
+    a, b = quartic_curve.domain
+    assert np.all(a <= t) and np.all(t + kappa_of(h)[:, -1] <= b + 1e-12)
 
 
 def test_offspring_closure(rng, quartic_curve):
@@ -204,7 +209,7 @@ def test_offspring_closure(rng, quartic_curve):
 def test_offspring_curve_domain_shrinks(quartic_curve):
     child = offspring_curve(quartic_curve, (0.1, 0.2))
     a, b = child.phi.domain
-    hbar = np.mean(GapVector.of((0.1, 0.2)).kappa)
+    hbar = np.mean(kappa_of((0.1, 0.2)))
     assert a == pytest.approx(0.0 + hbar)
     assert b == pytest.approx(1.0 - 0.3 + hbar)
     with pytest.raises(DomainError):
@@ -277,24 +282,24 @@ def _ref_estimate_sigma(curve, unit_samples, floor=1e-12):
         h_max = (b - a) / d
         h = 1e-3 + u[1:] * (h_max - 1e-3)
         t = a + float(u[0]) * max(b - a - float(np.sum(h)), 0.0)
-        g = GapVector.of(h)
-        if g.v < floor:
+        kappa = kappa_of(h)
+        if vandermonde(kappa) < floor:
             excluded += 1
             continue
-        phid = curve.phi(t + g.kappa, d)
+        phid = curve.phi(t + kappa, d)
         if np.any(phid < 0):
             raise DomainError(f"sigma_ratio needs phi^({d}) >= 0, got "
                               f"{float(phid.min())!r} at t={t}, "
-                              f"h={list(g.h)}")
+                              f"h={h.tolist()}")
         prod = float(np.prod(phid))
         if np.any(phid == 0) or prod < sys.float_info.min:
             excluded += 1
             continue
-        r = _ref_spline_mean(curve, t, g.kappa) / (
+        r = _ref_spline_mean(curve, t, kappa) / (
             math.prod(math.factorial(i) for i in range(1, d))
             * prod ** (1.0 / d))
         if r < best:
-            best, best_sample = r, {"t": t, "h": list(g.h), "ratio": r}
+            best, best_sample = r, {"t": t, "h": h.tolist(), "ratio": r}
     return (best if best_sample else None), best_sample, excluded
 
 
@@ -349,7 +354,7 @@ def test_estimate_sigma_sweep_skips_a_nan_ratio():
     # phi'' is NaN at the clamped left end only: the first sample's ratio
     # is NaN, and a NaN never wins the minimum
     curve = SimpleCurve(d=2, phi=DerivativeOracle(
-        domain=(0.0, 1.0), max_order=5,
+        domain=(0.0, 1.0),
         fn=lambda t, k: np.where(t < 1e-6, np.nan, 1.0 + t)), label="x")
     units = np.array([[0.0, 0.5], [0.3, 0.5], [0.6, 0.2]])
     est, witness, excluded = _sweep_result(estimate_sigma(curve, units))
@@ -407,7 +412,7 @@ def _nan_then_negative(t, k):
 @pytest.mark.parametrize("rows", [(0, 1), (1, 0), (2, 1), (1, 2)])
 def test_estimate_sigma_sweep_raises_at_the_first_failing_sample(rows):
     curve = SimpleCurve(d=3, phi=DerivativeOracle(
-        domain=(0.0, 1.0), max_order=5, fn=_nan_then_negative), label="x")
+        domain=(0.0, 1.0), fn=_nan_then_negative), label="x")
     # t = 0.1: its first panel spans the NaNs (QuadratureError); t = 0.3:
     # its last node is beyond 0.9 (DomainError); t beyond the domain
     # (the oracle's DomainError)
@@ -474,11 +479,12 @@ def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
 
 def _ref_jacobian_integral(curve, t, h):
     """J of one sample, as the per-sample loops took it."""
-    g = GapVector.of(h)
-    if g.v == 0.0:
+    kappa = kappa_of(h)
+    v = vandermonde(kappa)
+    if v == 0.0:
         return 0.0
-    return g.v / math.prod(math.factorial(i) for i in range(1, curve.d)) * (
-        _ref_spline_mean(curve, t, g.kappa))
+    return v / math.prod(math.factorial(i) for i in range(1, curve.d)) * (
+        _ref_spline_mean(curve, t, kappa))
 
 
 def _ref_weight_product_bound(curve, unit_samples):
@@ -492,11 +498,13 @@ def _ref_weight_product_bound(curve, unit_samples):
         return None, [], ["inconclusive: no admissible sample"], False
     worst_identity, worst_margin, excluded = 0.0, math.inf, 0
     for u in unit_samples:
-        t, g = sample_admissible(curve, np.asarray(u, float))
-        if g.v < 1e-12:
+        t, h = sample_admissible(curve, np.asarray(u, float)[None])
+        t, kappa = float(t[0]), kappa_of(h[0])
+        v = vandermonde(kappa)
+        if v < 1e-12:
             excluded += 1
             continue
-        phid = np.asarray(curve.phi(t + g.kappa, d))
+        phid = np.asarray(curve.phi(t + kappa, d))
         if np.any(phid == 0) or abs(float(np.prod(phid))) < (
                 sys.float_info.min):
             excluded += 1
@@ -506,7 +514,7 @@ def _ref_weight_product_bound(curve, unit_samples):
         rhs = H ** ((d + 1) / 2.0)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         worst_identity = max(worst_identity, rel)
-        margin = _ref_jacobian_integral(curve, t, g) - sigma_est * g.v * rhs
+        margin = _ref_jacobian_integral(curve, t, h[0]) - sigma_est * v * rhs
         worst_margin = min(worst_margin, margin)
     passed = (worst_identity <= 1e-12 and
               worst_margin >= -1e-9 * max(1.0, abs(worst_margin)))
@@ -545,7 +553,7 @@ def test_weight_product_bound_sweep_edge_cases(case):
         # phi'' is NaN at the clamped left end only: the first sample's
         # identity error and margin are NaN, and a NaN is never the worst
         curve = SimpleCurve(d=2, phi=DerivativeOracle(
-            domain=(0.0, 1.0), max_order=5,
+            domain=(0.0, 1.0),
             fn=lambda t, k: np.where(t < 1e-6, np.nan, 1.0 + t)), label="x")
         units = np.array([[0.0, 0.5], [0.3, 0.5], [0.6, 0.2]])
     else:
@@ -590,11 +598,11 @@ def test_jacobian_integrals_equal_one_sample_calls(curve):
     t, h = sample_admissible(
         curve, np.random.default_rng(17).uniform(size=(37, curve.d)))
     h[0] = 0.0  # v = 0: J is exactly 0.0
-    J = jacobian_integrals(curve.top, t, h)
+    J = jacobian_integral(curve.top, t, h)
     assert J[0] == 0.0 and math.copysign(1.0, J[0]) == 1.0
     assert J.tolist() == [_ref_jacobian_integral(curve, ti, hi)
                           for ti, hi in zip(t.tolist(), h)]
-    assert J.tolist() == [jacobian_integral(curve, ti, hi)
+    assert J.tolist() == [_J(curve, ti, hi)
                           for ti, hi in zip(t.tolist(), h)]
 
 
@@ -606,7 +614,7 @@ def _ref_poly_oracle(coeffs, domain):
     """poly_oracle as numpy.polynomial evaluated it."""
     poly = np.polynomial.Polynomial(list(coeffs))
     return DerivativeOracle(
-        domain=tuple(domain), max_order=max(5, len(coeffs)),
+        domain=tuple(domain),
         fn=lambda t, k: (poly.deriv(k) if k else poly)(
             np.asarray(t, dtype=float)))
 
@@ -646,7 +654,7 @@ def test_jacobian_identity_sweep_equals_per_trial_loop(d, n):
             coeffs.append(rng.normal(size=d + 3))
             t.append(rng.uniform(-1, 1))
             h.append(rng.uniform(0.05, 0.8, size=d - 1))
-        assert jacobian_integrals(poly_rows(coeffs, (-5.0, 5.0), d),
+        assert jacobian_integral(poly_rows(coeffs, (-5.0, 5.0), d),
                                   np.array(t), np.array(h)).tolist() == (
             integrals)
 
@@ -662,12 +670,12 @@ def test_poly_rows_sweep_bisects_like_one_curve_calls(monkeypatch):
     bisect = jacobian._bisect_mean
     monkeypatch.setattr(jacobian, "_bisect_mean", lambda *a: bisected.append(
         a[1]) or bisect(*a))
-    J = jacobian_integrals(poly_rows(coeffs, (-5.0, 5.0), 4), t, h)
+    J = jacobian_integral(poly_rows(coeffs, (-5.0, 5.0), 4), t, h)
     assert bisected and all(isinstance(r, (int, np.integer))
                             for r in bisected)
     for i in range(40):
         curve = SimpleCurve(d=4, phi=poly_oracle(coeffs[i], (-5.0, 5.0)))
-        assert J[i] == jacobian_integral(curve, t[i], h[i])
+        assert J[i] == _J(curve, t[i], h[i])
         assert J[i] == _ref_jacobian_integral(SimpleCurve(
             d=4, phi=_ref_poly_oracle(coeffs[i], (-5.0, 5.0))), t[i], h[i])
 
@@ -689,5 +697,5 @@ def test_spline_mean_of_a_subnormal_top_derivative(t, kappa):
     (mean,) = jacobian._spline_means(curve.top, np.array([t]), kappa[None])
     assert 0.0 <= mean < 1e-300
     assert mean == _ref_spline_mean(curve, t, kappa)
-    J = jacobian_integral(curve, t, np.diff(kappa))
+    J = _J(curve, t, np.diff(kappa))
     assert 0.0 <= J < 1e-300

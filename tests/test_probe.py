@@ -240,7 +240,7 @@ def _counting(curve, calls):
         return phi.fn(t, k)
 
     return SimpleCurve(d=curve.d, phi=DerivativeOracle(
-        domain=phi.domain, max_order=phi.max_order, fn=fn), label=curve.label)
+        domain=phi.domain, fn=fn), label=curve.label)
 
 
 @pytest.mark.parametrize("weighted", [True, False])

@@ -637,6 +637,22 @@ GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
     # a one-point domain once leaked a ValueError from unpacking it
     {"operation": "validate-monotone",
      "curve": {**MONOMIAL_3, "domain": [0.0]}},
+    # a domain [a, a] once PASSed with estimate 0.0, and a reversed one
+    # raised a DomainError that printed the whole grid
+    {"operation": "validate-monotone",
+     "curve": {**MONOMIAL_3, "domain": [0.0, 0.0]}},
+    {"operation": "validate-monotone",
+     "curve": {**MONOMIAL_3, "domain": [0.5, 0.5]}},
+    {"operation": "validate-monotone",
+     "curve": {**MONOMIAL_3, "domain": [1.0, 0.0]}},
+    # a flatten base's own d and domain were once replaced by the spec's
+    {"operation": "validate-monotone",
+     "curve": {"kind": "flatten",
+               "base": {"kind": "monomial", "beta": 6, "d": 5,
+                        "domain": [0.0, 0.5]}}},
+    # n = 6 asks for 24^5 box-rule points and 60^4 nested-integral calls
+    {"operation": "tail-inequalities", "n": 6,
+     "t": [0.0, 0.4, 1.1, 2.0, 2.5, 3.1]},
     # three interval ends, and a factor's axis beyond the intervals
     {"operation": "lin-lemma",
      "instance": {"intervals": [[0.0, 1.0, 2.0]], "lambdas": [0.5]}},

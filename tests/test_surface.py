@@ -2,13 +2,22 @@
 
 A public function, class or method of ``src/restriction_lab`` must be
 named somewhere in ``src/``, ``scripts/`` or ``perfbench/`` (a call, an
-attribute access, an import, or a target the benchmark traces), or sit
-in REFERENCE_ROUTES with the reason it is kept.  Names are matched by
-their last component, so two methods of one name count as one.
+attribute access or an import; a target the benchmark traces is not a
+caller), or sit in REFERENCE_ROUTES with the reason it is kept.  Names
+are matched by their last component, so two methods of one name count
+as one.  The checks that the benchmark's per-layer metrics stand for
+call the names it traces.
 """
 
 import ast
+import importlib
+import json
+import sys
 from pathlib import Path
+
+import pytest
+
+from restriction_lab.registry import run_check
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "restriction_lab"
@@ -50,20 +59,8 @@ def _public_names() -> dict[str, str]:
     return out
 
 
-def _traced_names() -> set[str]:
-    """The attribute paths in perfbench/spans.py's TARGETS."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(
-        encoding="utf-8"))
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "TARGETS"):
-            return {part for _, attr in ast.literal_eval(node.value)
-                    for part in attr.split(".")}
-    raise AssertionError("perfbench/spans.py has no TARGETS list")
-
-
 def _referenced_names() -> set[str]:
-    names = _traced_names()
+    names = set()
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -92,3 +89,35 @@ def test_reference_routes_are_current():
         assert reason
         assert qual in public, f"{qual} is gone; drop it from the list"
         assert public[qual] not in used, f"{qual} now has a caller"
+
+
+# a check of configs/default.json for each traced name that a check's
+# route reaches, and the module that defines the name
+TRACED = {"psi-lower-bound": ("vandermonde", "psi_mean_tail_ratio"),
+          "jacobian-identity": ("jacobian", "jacobian_integral"),
+          "estimate-alpha-B": ("geometry", "lambda_measure")}
+
+
+@pytest.mark.parametrize("op", sorted(TRACED))
+def test_shipped_checks_call_the_traced_names(op, monkeypatch):
+    # wrap the name wherever a restriction_lab module holds it, as the
+    # benchmark's tracer does, so that its metric counts the check's work
+    module, name = TRACED[op]
+    original = getattr(importlib.import_module(f"restriction_lab.{module}"),
+                       name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "restriction_lab":
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    config = json.loads((ROOT / "configs" / "default.json").read_text(
+        encoding="utf-8"))
+    check = next(c for c in config["checks"] if c["operation"] == op)
+    assert run_check(check, config["seed"]).passed
+    assert calls

@@ -11,22 +11,24 @@ from scipy.integrate import quad
 from restriction_lab import registry
 from restriction_lab import vandermonde as vandermonde_module
 from restriction_lab.curves import SimpleCurve, poly_oracle
-from restriction_lab.jacobian import jacobian_direct, jacobian_integral
+from restriction_lab.jacobian import jacobian_direct
 from restriction_lab.report import ConfigError
-from restriction_lab.vandermonde import (GapVector, check_lin_lemma,
+from restriction_lab.vandermonde import (check_lin_lemma,
                                          check_psi_lower_bound,
                                          check_tail_inequalities,
                                          check_vandermonde_integration,
-                                         psi, psi_mean_tail_ratio,
+                                         gaps, kappa_of, psi,
+                                         psi_mean_tail_ratio,
                                          psi_mean_tail_ratio_quad,
                                          vandermonde, vandermonde_arr)
+from test_jacobian import _J
 
 # tail-mass ratios frozen from the independent pointwise-psi quadrature
 # route (they cross-check the determinant evaluation below)
 FROZEN_TAIL_D3 = 0.23011363636363633  # t=0.2, h=(0.5, 1.1)
 FROZEN_TAIL_D4 = 0.04203691045796307  # t=0.2, h=(0.5, 1.1, 0.3)
 
-gaps = st.floats(0.05, 2.0)
+gap = st.floats(0.05, 2.0)
 
 
 def test_vandermonde_known_value():
@@ -55,25 +57,20 @@ def test_vandermonde_equals_the_pairwise_product():
 
 
 def test_gap_vector_prefix_sums():
-    g = GapVector.of((0.5, 1.1, 0.3))
-    assert np.allclose(g.kappa, [0.0, 0.5, 1.6, 1.9])
-    assert g.v == pytest.approx(vandermonde(g.kappa))
+    kappa = kappa_of(gaps((0.5, 1.1, 0.3)))
+    assert np.allclose(kappa, [0.0, 0.5, 1.6, 1.9])
+    assert np.array_equal(kappa_of(gaps([[0.5, 1.1], [0.2, 0.0]])),
+                          [[0.0, 0.5, 1.6], [0.0, 0.2, 0.2]])
 
 
-def test_gap_vector_computes_kappa_and_v_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(vandermonde_module, "vandermonde",
-                        lambda x: calls.append(x) or vandermonde(x))
-    h = (0.5, 1.1, 0.3)
-    g = GapVector.of(h)
-    for _ in range(3):
-        assert np.array_equal(g.kappa, np.concatenate(([0.0], np.cumsum(h))))
-        assert g.v == vandermonde(np.concatenate(([0.0], np.cumsum(h))))
-    assert g.kappa is g.kappa and len(calls) == 1
-    # the kept offsets are read-only, so no caller can change them
-    with pytest.raises(ValueError):
-        g.kappa[1] = 0.0
-    assert g == GapVector.of(np.array(h)) and hash(g) == hash(GapVector(h))
+def test_gaps_are_float_arrays_checked_nonnegative():
+    # one number is one gap; lists, tuples and arrays give the same array
+    assert gaps(0.5).tolist() == [0.5]
+    assert gaps((1, 0.0)).dtype == float
+    assert np.array_equal(gaps(np.array([0.5, 1.1])), gaps([0.5, 1.1]))
+    for h in (-0.1, (0.5, -1e-300), [[0.5, 0.2], [0.1, -0.3]]):
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            gaps(h)
 
 
 def test_psi_d2_is_indicator():
@@ -86,19 +83,19 @@ def test_psi_d2_is_indicator():
 def test_psi3_integral_matches_vandermonde():
     # int Psi_3 = v(h) / 1!2! ... the d=3 normalization is v(h)/2
     for h in ((1.0, 1.0), (0.5, 1.3)):
-        g = GapVector.of(h)
-        total, _ = quad(lambda u: psi(3, u, g), 0, g.kappa[-1])
-        assert total == pytest.approx(g.v / 2.0, rel=1e-9)
+        kappa = kappa_of(h)
+        total, _ = quad(lambda u: psi(3, u, h), 0, kappa[-1])
+        assert total == pytest.approx(vandermonde(kappa) / 2.0, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(3, 4), t=st.floats(-0.5, 3.0),
-       h=st.lists(gaps, min_size=3, max_size=3))
+       h=st.lists(gap, min_size=3, max_size=3))
 def test_psi_nonnegative_and_supported(d, t, h):
-    g = GapVector.of(h[: d - 1])
-    val = psi(d, t, g)
+    h = h[: d - 1]
+    val = psi(d, t, h)
     assert val >= 0.0
-    if t < 0 or t > g.kappa[-1]:
+    if t < 0 or t > kappa_of(h)[-1]:
         assert val == 0.0
 
 
@@ -132,37 +129,44 @@ def test_psi_matches_divided_difference_definition(d):
 
 def test_psi_d6_mass_and_jacobian_routes():
     d = 6
-    g = GapVector.of((0.4, 0.25, 0.6, 0.35, 0.5))
-    total, _ = quad(lambda u: psi(d, u, g), 0.0, g.kappa[-1],
-                    points=g.kappa[1:-1], epsabs=0.0, epsrel=1e-13)
-    assert total == pytest.approx(
-        g.v / math.prod(math.factorial(i) for i in range(1, d)), rel=1e-10)
+    h = (0.4, 0.25, 0.6, 0.35, 0.5)
+    kappa = kappa_of(h)
+    total, _ = quad(lambda u: psi(d, u, h), 0.0, kappa[-1],
+                    points=kappa[1:-1], epsabs=0.0, epsrel=1e-13)
+    assert total == pytest.approx(vandermonde(kappa) / math.prod(
+        math.factorial(i) for i in range(1, d)), rel=1e-10)
     coeffs = [0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.7, -0.3, 0.05]
     curve = SimpleCurve(d=d, phi=poly_oracle(coeffs, domain=(-3.0, 3.0)),
                         label="p6")
-    J1 = jacobian_direct(curve, -0.8, g)
-    J2 = jacobian_integral(curve, -0.8, g)
+    J1 = jacobian_direct(curve, -0.8, h)
+    J2 = _J(curve, -0.8, h)
     assert J2 == pytest.approx(J1, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
-@given(t=st.floats(0.0, 1.0), h1=gaps)
-def test_tail_ratio_d2_is_half(t, h1):
-    assert psi_mean_tail_ratio(2, t, (h1,)) == pytest.approx(0.5, abs=1e-12)
+@given(h1=gap)
+def test_tail_ratio_d2_is_half(h1):
+    assert psi_mean_tail_ratio(2, [[h1]]).tolist() == [
+        pytest.approx(0.5, abs=1e-12)]
 
 
 def test_tail_ratio_frozen_values():
-    assert psi_mean_tail_ratio(3, 0.2, (0.5, 1.1)) == pytest.approx(
+    assert psi_mean_tail_ratio(3, [(0.5, 1.1)])[0] == pytest.approx(
         FROZEN_TAIL_D3, rel=1e-10)
-    assert psi_mean_tail_ratio(4, 0.2, (0.5, 1.1, 0.3)) == pytest.approx(
+    assert psi_mean_tail_ratio(4, [(0.5, 1.1, 0.3)])[0] == pytest.approx(
         FROZEN_TAIL_D4, rel=1e-10)
 
 
+def test_tail_ratio_rejects_a_degenerate_row():
+    with pytest.raises(ZeroDivisionError, match="v\\(h\\) = 0"):
+        psi_mean_tail_ratio(3, [(0.5, 1.1), (0.0, 0.3)])
+
+
 @settings(max_examples=25, deadline=None)
-@given(d=st.integers(3, 4), h=st.lists(gaps, min_size=3, max_size=3))
+@given(d=st.integers(3, 4), h=st.lists(gap, min_size=3, max_size=3))
 def test_tail_ratio_routes_agree(d, h):
     h = tuple(h[: d - 1])
-    det_route = psi_mean_tail_ratio(d, 0.3, h)
+    det_route = psi_mean_tail_ratio(d, [h])[0]
     quad_route = psi_mean_tail_ratio_quad(d, 0.3, h)
     assert det_route == pytest.approx(quad_route, rel=1e-8, abs=1e-10)
 
@@ -181,8 +185,8 @@ def test_psi_lower_bound_check(rng):
 def _tail_ratio_per_sample(d, h):
     """The mean-tail ratio of one gap vector, matrix entries by numpy
     scalar power: the reference the array route must match bit for bit."""
-    g = GapVector.of(h)
-    s = g.kappa - float(np.mean(g.kappa))
+    kappa = kappa_of(h)
+    s = kappa - float(np.mean(kappa))
     cols = []
     for sj in s:
         col = [sj ** i / math.factorial(i) for i in range(d - 1)]
@@ -193,7 +197,7 @@ def _tail_ratio_per_sample(d, h):
         det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
     else:
         det = float(np.linalg.det(mat))
-    return det / g.v
+    return det / vandermonde(kappa)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -201,7 +205,8 @@ def test_psi_lower_bound_array_route_equals_per_sample_formula(rng, d):
     h = rng.uniform(0.05, 1.0, size=(300, d - 1))
     h[:20] *= 10.0 ** rng.uniform(-2.0, 0.0, size=(20, 1))  # small gaps
     ref = [_tail_ratio_per_sample(d, row) for row in h]
-    assert [psi_mean_tail_ratio(d, 0.3, row) for row in h] == ref
+    assert [psi_mean_tail_ratio(d, [row])[0] for row in h] == ref
+    assert psi_mean_tail_ratio(d, h).tolist() == ref
     rep = check_psi_lower_bound(d, 0.3, h)
     k = int(np.argmin(ref))
     assert rep.estimate == ref[k]
