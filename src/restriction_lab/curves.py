@@ -357,12 +357,15 @@ def _homogeneous(exponents: Many(Real()),
     return HomogeneousCurve(exponents=tuple(exponents), domain=tuple(domain))
 
 
-CURVE = Kind("curve spec", {"monomial": _monomial, "exp-flat": _exp_flat,
-                            "poly-phi": _poly_phi,
-                            "homogeneous": _homogeneous})
+_SIMPLE_KINDS = {"monomial": _monomial, "exp-flat": _exp_flat,
+                 "poly-phi": _poly_phi}
+# the kinds of a curve with a phi: the spec of a check that reads phi
+SIMPLE_CURVE = Kind("curve spec", _SIMPLE_KINDS)
+# every kind: the spec of a check that traces gamma alone
+CURVE = Kind("curve spec", {**_SIMPLE_KINDS, "homogeneous": _homogeneous})
 
 
-def _flatten(base: CURVE, d: _D = 3, domain: _domain = (0.0, 1.0),
+def _flatten(base: SIMPLE_CURVE, d: _D = 3, domain: _domain = (0.0, 1.0),
              steps: Int(1) = 1,
              variant: Choice("exp", "log") = "exp") -> SimpleCurve:
     """``base`` at this spec's d and domain, flattened ``steps`` times; a
@@ -373,13 +376,15 @@ def _flatten(base: CURVE, d: _D = 3, domain: _domain = (0.0, 1.0),
             raise ConfigError(f"curve spec 'flatten': the base's {key} "
                               f"{base[key]!r} differs from the spec's "
                               f"{value!r}")
-    cur = CURVE.build({**base, "d": d, "domain": list(domain)})
+    cur = SIMPLE_CURVE.build({**base, "d": d, "domain": list(domain)})
     for _ in range(steps):
         cur = build_flattened(cur, variant=variant)
     return cur
 
 
-# flatten joins the kinds last, since its base is a curve spec of any kind
-CURVE.builders["flatten"] = Spec(_flatten, "curve spec 'flatten'")
+# flatten joins both tables last, since its base is a curve spec of a
+# simple kind, flatten included
+SIMPLE_CURVE.builders["flatten"] = CURVE.builders["flatten"] = Spec(
+    _flatten, "curve spec 'flatten'")
 # the curve of a JSON spec
 curve_from_spec = CURVE.build

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from itertools import combinations
@@ -404,15 +405,21 @@ def K_u_geometry(h, alpha: float,
         # K = u * spread^(...) = 0 at every scale, whatever K's degree
         raise ConfigError(f"u(h) = 0 at h = {h.tolist()} (two equal gaps or "
                           f"a zero gap), so K's homogeneity cannot be tested")
-    K = K_of(h, alpha)
     deg = 1.0 / alpha - d
-    errs = []
-    for lam in scales:
-        if K == 0:
-            errs.append(abs(K_of(lam * h, alpha)))
-        else:
-            errs.append(abs(K_of(lam * h, alpha) - lam ** deg * K) / (
-                lam ** deg * K))
+    try:
+        K = K_of(h, alpha)
+        # (K(lam h), lam^deg K(h)) for each scale
+        pairs = [(K_of(lam * h, alpha), lam ** deg * K) for lam in scales]
+    except OverflowError:  # a float power beyond the largest double
+        K, pairs = math.inf, []
+    if not all(math.isfinite(x) and x >= sys.float_info.min
+               for x in (K, *(x for pair in pairs for x in pair))):
+        # a ratio of an underflowed or overflowed K measures nothing
+        raise ConfigError(f"K at h = {h.tolist()} or at its rescalings by "
+                          f"{list(scales)} is 0, subnormal or not finite in "
+                          f"doubles at alpha = {alpha} (degree {deg:g}), so "
+                          f"K's homogeneity cannot be tested")
+    errs = [abs(K_lam - target) / target for K_lam, target in pairs]
     rep = at_most("K_u_geometry", {"d": d, "alpha": alpha, "h": h.tolist(),
                                    "scales": list(scales)},
                   errs, 1e-12, witnesses=[{"u": u, "K": K, "degree": deg}])

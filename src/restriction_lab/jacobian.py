@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import DerivativeOracle, SimpleCurve
 from .quadrature import QuadratureError, _leggauss
-from .report import CheckReport, ConfigError, DomainError
+from .report import CheckReport, DomainError
 from .vandermonde import (factorial_product, gaps, kappa_of, unit_bspline,
                           vandermonde_arr)
 
@@ -319,26 +319,21 @@ def _sigma_samples(curve: SimpleCurve, unit_samples):
     its geometric mean and the B-spline mean of each sample kept.
 
     The samples are swept as arrays (:func:`_sigma_sweep`), after those
-    with gaps of Vandermonde volume below 1e-12 are excluded.  A sample
-    that raises does so once the samples before it are done, as in a loop
-    of :func:`sigma_ratio` over them.
+    with gaps of Vandermonde volume below 1e-12 are excluded.  A negative
+    gap (from a unit sample outside [0, 1]) raises before the sweep; a
+    sample that raises in the sweep does so once the samples before it
+    are done, as in a loop of :func:`sigma_ratio` over them.
     """
     d = curve.d
     units = np.asarray(unit_samples, dtype=float)
     units = units.reshape(len(units), d)  # an empty set has no row width
     n = len(units)
     t, h = sample_admissible(curve, units)
-    # samples from the first with a negative gap on drop out of the sweep
-    stop, err = n, None
-    neg = np.flatnonzero(np.any(h < 0, axis=1))
-    if neg.size:
-        stop, err = neg[0], ConfigError("gap entries must be nonnegative")
-    v = vandermonde_arr(kappa_of(h))
-    live = np.flatnonzero(~(v[:stop] < 1e-12))  # NaN is kept
-    kept, phid, geo, mean, ratio, sweep_err = _sigma_sweep(
-        curve, t[live], h[live])
-    if sweep_err is not None or err is not None:
-        raise sweep_err or err
+    v = vandermonde_arr(kappa_of(gaps(h)))
+    live = np.flatnonzero(~(v < 1e-12))  # NaN is kept
+    kept, phid, geo, mean, ratio, err = _sigma_sweep(curve, t[live], h[live])
+    if err is not None:
+        raise err
     kept = live[kept]
     rep = CheckReport(
         check_id="estimate_sigma",

@@ -8,7 +8,7 @@ a comparison between two successive rules.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -102,19 +102,15 @@ def integrate_refine(f, a: float, b, rel_tol: float = 1e-9):
 def box_rule(lo, hi, order: int):
     """Tensor Gauss-Legendre rule on the box prod_i [lo_i, hi_i].
 
-    Returns (points, weights) with points of shape (order**k, k).
+    Returns (points, weights) with points of shape (order**k, k).  The
+    points are one stack of broadcast meshgrid views, and the weights the
+    outer product of the axis weights, multiplied axis by axis in order.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    k = lo.shape[-1]
-    axes = []
-    waxes = []
-    for i in range(k):
-        n, w = gl_nodes(lo[..., i], hi[..., i], order)
-        axes.append(n)
-        waxes.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*waxes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wts = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
+    axes, waxes = zip(*(gl_nodes(lo[..., i], hi[..., i], order)
+                        for i in range(lo.shape[-1])))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False),
+                   axis=-1).reshape(-1, len(axes))
+    wts = reduce(np.multiply.outer, waxes).reshape(-1)
     return pts, wts

@@ -8,6 +8,10 @@ missing key; a key without a default is required.  Adapters are thin:
 they build curves/test functions from their JSON specs, draw any random
 samples from a generator seeded with the run seed, and delegate to the
 library.
+
+A check that reads phi parses its curve spec with PhiCurve, the curve
+kinds with a phi; one that traces gamma alone (estimate-alpha-B,
+empirical-ratio) with Curve, every kind.
 """
 
 import inspect
@@ -18,8 +22,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import conditions, geometry, jacobian, probe, vandermonde
-from .curves import (CURVE as Curve, SimpleCurve, poly_oracle, poly_rows,
-                     validate_monotone)
+from .curves import (CURVE as Curve, SIMPLE_CURVE as PhiCurve, SimpleCurve,
+                     poly_oracle, poly_rows, validate_monotone)
 from .probe import TEST as Test
 from .report import (CheckReport, Choice, ConfigError, Int, Many, Real, Spec,
                      at_most, parse_keys, worst_index)
@@ -32,11 +36,16 @@ class OpEntry:
     fn: Callable[..., CheckReport]
 
 
-def _op_validate_monotone(seed, curve: Curve, grid_size: Int(2) = 64):
-    return validate_monotone(Curve.build(curve), grid_size=grid_size)
+def _op_validate_monotone(seed, curve: PhiCurve, grid_size: Int(2) = 64):
+    return validate_monotone(PhiCurve.build(curve), grid_size=grid_size)
 
 
-def _op_psi_lower_bound(seed, d: Int(2), n_samples: Int(1) = 1000):
+# each sample count is bounded near where its check takes about 10 s
+# (registry.run_check on a 2-core box, at the costliest d measured), and
+# so is its memory: psi-lower-bound at d = 5 takes 1.3 s and 340 MB of RSS
+# at 200,000 samples; 1,000,000 would take 10 s and 1.5 GB
+def _op_psi_lower_bound(seed, d: Int(2),
+                        n_samples: Int(1, 200_000) = 1000):
     rng = np.random.default_rng(seed)
     # the same numbers as n draws of d - 1 gaps each
     return vandermonde.check_psi_lower_bound(
@@ -68,7 +77,8 @@ def _op_lin_lemma(seed, instance: Spec(vandermonde.check_lin_lemma,
 _TRIAL_DOMAIN = (-5.0, 5.0)
 
 
-def _op_jacobian_identity(seed, d: Int(2), n_trials: Int(1) = 50):
+# 50,000 trials take 9.2 s at d = 5
+def _op_jacobian_identity(seed, d: Int(2), n_trials: Int(1, 50_000) = 50):
     rng = np.random.default_rng(seed)
     coeffs, t, h, direct = [], [], [], []
     for _ in range(n_trials):
@@ -114,38 +124,43 @@ def _unit_samples(seed, n_samples, curve):
     return rng.uniform(size=(n_samples, curve.d))
 
 
-def _op_estimate_sigma(seed, curve: Curve, n_samples: Int(1) = 200):
-    curve = Curve.build(curve)
+# the sigma checks at their bounds: estimate-sigma 9.3 s (exp-flat,
+# d = 2), offspring-closure 10.5 s (monomial, d = 3) and
+# weight-product-bound 11.0 s (monomial, d = 5)
+def _op_estimate_sigma(seed, curve: PhiCurve,
+                       n_samples: Int(1, 200_000) = 200):
+    curve = PhiCurve.build(curve)
     return jacobian.estimate_sigma(curve,
                                    _unit_samples(seed, n_samples, curve))
 
 
-def _op_offspring_closure(seed, curve: Curve, h: Many(Real()),
-                          n_samples: Int(1) = 200):
-    curve = Curve.build(curve)
+def _op_offspring_closure(seed, curve: PhiCurve, h: Many(Real()),
+                          n_samples: Int(1, 500_000) = 200):
+    curve = PhiCurve.build(curve)
     return jacobian.check_offspring_closure(
         curve, h, _unit_samples(seed, n_samples, curve))
 
 
-def _op_weight_product_bound(seed, curve: Curve, n_samples: Int(1) = 100):
-    curve = Curve.build(curve)
+def _op_weight_product_bound(seed, curve: PhiCurve,
+                             n_samples: Int(1, 500_000) = 100):
+    curve = PhiCurve.build(curve)
     return jacobian.weight_product_bound(
         curve, _unit_samples(seed, n_samples, curve))
 
 
-def _op_estimate_A(seed, curve: Curve, variant: Choice("AM", "GM") = "GM",
+def _op_estimate_A(seed, curve: PhiCurve, variant: Choice("AM", "GM") = "GM",
                    grid_size: Int(2) = 12, bound: Real(keep=True) = None,
                    tolerance: Real(keep=True) = None):
-    rep = conditions.estimate_A(Curve.build(curve), variant, grid_size)
+    rep = conditions.estimate_A(PhiCurve.build(curve), variant, grid_size)
     rep.bound, rep.tolerance = bound, tolerance
     if rep.bound is not None:
         rep.passed = rep.estimate <= rep.bound + (rep.tolerance or 0.0)
     return rep
 
 
-def _op_check_phicond(seed, curve: Curve, alpha: Real(0),
+def _op_check_phicond(seed, curve: PhiCurve, alpha: Real(0),
                       grid_size: Int(2) = 64):
-    return conditions.check_phicond(Curve.build(curve), alpha, grid_size)
+    return conditions.check_phicond(PhiCurve.build(curve), alpha, grid_size)
 
 
 def _op_exponent_identities(seed, d: Int(2)):
@@ -170,8 +185,8 @@ def _op_exponent_identities(seed, d: Int(2)):
     return rep
 
 
-def _op_lemma1_chain(seed, curve: Curve, t: Real(), h: Real(0)):
-    _, rep = geometry.lemma1_chain(Curve.build(curve), t, h)
+def _op_lemma1_chain(seed, curve: PhiCurve, t: Real(), h: Real(0)):
+    _, rep = geometry.lemma1_chain(PhiCurve.build(curve), t, h)
     return rep
 
 
@@ -190,10 +205,12 @@ def _op_estimate_alpha_B(seed, curve: Curve, alpha: Real(0),
         curve, _boxes(curve, center_t, side0, count), alpha)
 
 
-def _op_lemma1_conclusion(seed, curve: Curve, alpha: Real(0),
-                          n_samples: Int(1) = 20, center_t: Real() = None,
-                          side0: Real(0) = 1.0, count: Int(1) = 6):
-    curve = Curve.build(curve)
+# 200,000 pairs took 6.2 s (monomial, d = 3)
+def _op_lemma1_conclusion(seed, curve: PhiCurve, alpha: Real(0),
+                          n_samples: Int(1, 300_000) = 20,
+                          center_t: Real() = None, side0: Real(0) = 1.0,
+                          count: Int(1) = 6):
+    curve = PhiCurve.build(curve)
     rng = np.random.default_rng(seed)
     a, b = curve.domain
     # a pair is kept only if it is more than 1e-3 apart: from a draw
@@ -218,14 +235,19 @@ def _op_K_u_geometry(seed, h: Many(Real()), alpha: Real(0)):
     return rep
 
 
+# the K-shell draws stream in blocks: 200,000,000 samples took 4.1 s at
+# d = 5, for sm-measure and for sm-scaling's five shells alike
+_MAX_MC_SAMPLES = 500_000_000
+
+
 def _op_sm_measure(seed, d: Int(2), alpha: Real(0), m: Int(0),
-                   mc_samples: Int(1) = 4_000_000):
+                   mc_samples: Int(1, _MAX_MC_SAMPLES) = 4_000_000):
     return geometry.sm_measure(d, alpha, m, mc_samples=mc_samples, seed=seed)
 
 
 def _op_sm_scaling(seed, d: Int(2), alpha: Real(0),
                    m_max: Int(1) = 4,  # two shells give the first ratio
-                   mc_samples: Int(1) = 4_000_000):
+                   mc_samples: Int(1, _MAX_MC_SAMPLES) = 4_000_000):
     ests, _ = geometry.sm_shells(d, alpha, m_max, mc_samples=mc_samples,
                                  seed=seed)
     target = 2.0 ** (-(d - 1) * alpha / (1 - d * alpha))
@@ -237,9 +259,10 @@ def _op_sm_scaling(seed, d: Int(2), alpha: Real(0),
                    devs, 0.2, series=series)
 
 
-def _op_check_J_geq_K(seed, curve: Curve, alpha: Real(0),
-                      n_samples: Int(1) = 200):
-    curve = Curve.build(curve)
+# 200,000 samples take 9.6 s (monomial, d = 5)
+def _op_check_J_geq_K(seed, curve: PhiCurve, alpha: Real(0),
+                      n_samples: Int(1, 200_000) = 200):
+    curve = PhiCurve.build(curve)
     a, b = curve.domain
     if (b - a) / curve.d < 1e-3:
         raise ConfigError(f"the gaps are drawn from [1e-3, (b - a) / d], "
@@ -293,8 +316,9 @@ def _op_homogeneous_rescale(seed, exponents: Many(Real()), g: Test,
     return worst
 
 
+# 200 parallelepipeds took 12.6 s at d = 3
 def _op_converse_scaling(seed, d: Int(1), Q: Real(0), alpha: Real(0),
-                         f: Test, n_random: Int(1) = 20):
+                         f: Test, n_random: Int(1, 150) = 20):
     if not alpha < Q:
         raise ConfigError(f"P = 1 / (1 - alpha / Q) needs alpha < Q, got "
                           f"alpha = {alpha}, Q = {Q}")

@@ -121,7 +121,8 @@ class Kind(Spec):
     def parse(self, spec) -> tuple[Spec, dict]:
         name = spec.get(self.tag) if isinstance(spec, dict) else None
         if not isinstance(name, str) or name not in self.builders:
-            raise ConfigError(f"unknown {self.what} {self.tag} {name!r}")
+            raise ConfigError(f"unknown {self.what} {self.tag} {name!r}; "
+                              f"it accepts {', '.join(self.builders)}")
         return self.builders[name].parse(
             {k: v for k, v in spec.items() if k != self.tag})
 

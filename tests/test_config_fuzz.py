@@ -6,7 +6,8 @@ top-level key, or a key of a nested spec: a curve, a flatten base, a test
 function, a t_grid, a lin-lemma instance or factor), or an entry of a
 list (a test function's center, an interval's ends, ...).  The value is
 removed, or set to 0, -1, half or one and a half times itself, NaN,
-+inf, -inf, a string or true.  The draw runs through
++inf, -inf, a string or true; a curve spec is also swapped for a
+homogeneous one of its dimension.  The draw runs through
 ``registry.run_check`` at the shipped config's seed and must end in a
 ConfigError (from a key table before the check runs, or from a rule that
 ties keys together), a DomainError, QuadratureError or UnderflowError,
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from restriction_lab import registry
+from restriction_lab.curves import CURVE
 from restriction_lab.jacobian import UnderflowError
 from restriction_lab.quadrature import QuadratureError
 from restriction_lab.report import ConfigError, DomainError, _plain
@@ -70,7 +72,17 @@ def _values(value):
             out.append((f"x{factor}", scaled))
     out += [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
             ("string", "x"), ("true", True)]
+    if isinstance(value, dict) and value.get("kind") in CURVE.builders:
+        out.append(("homogeneous", _homogeneous_like(value)))
     return out
+
+
+def _homogeneous_like(spec):
+    """A homogeneous curve spec with the dimension and domain of the curve
+    spec ``spec``: (t, t^2, ..., t^d)."""
+    return {"kind": "homogeneous",
+            "exponents": [float(a) for a in range(1, spec.get("d", 3) + 1)],
+            **({"domain": spec["domain"]} if "domain" in spec else {})}
 
 
 def _set(spec, key, new):

@@ -15,8 +15,10 @@ import pytest
 
 from restriction_lab.cli import main
 from restriction_lab.registry import (KEYS, REGISTRY, OpEntry,
-                                      check_descriptor, get_operation)
-from restriction_lab.report import Choice, Int, Kind, Many, Real, Spec
+                                      check_descriptor, get_operation,
+                                      run_check)
+from restriction_lab.report import (Choice, ConfigError, Int, Kind, Many, Real,
+                                    Spec)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,9 +94,10 @@ NESTED = {
     "curve-flatten-base": (_with_curve({"kind": "flatten", "steps": 1,
                                         "base": {**_MONOMIAL, "beat": 5.0}}),
                            "curve spec 'monomial'", "beat"),
-    "curve-homogeneous": (_with_curve({"kind": "homogeneous",
-                                       "exponents": [1.0, 2.0, 3.0],
-                                       "d": 3}),
+    # through an operation that takes a homogeneous curve
+    "curve-homogeneous": ({**_first_shipped("estimate-alpha-B"),
+                           "curve": {"kind": "homogeneous",
+                                     "exponents": [1.0, 2.0, 3.0], "d": 3}},
                           "curve spec 'homogeneous'", "d"),
     "test-Gaussian": (_with_test({"kind": "Gaussian", "center": _CENTER,
                                   "sigam": 1.0, "sigma": 1.0}),
@@ -133,6 +136,69 @@ def test_nested_misspelled_key_exits_2_without_report(tmp_path, capsys,
     assert code == 2
     assert not Path(str(out) + ".json").exists()
     assert f"{where}: unknown key(s) '{key}'" in capsys.readouterr().err
+
+
+_HOMOGENEOUS = {"kind": "homogeneous", "exponents": [1.0, 2.0, 3.0]}
+# the operations that read phi, which a homogeneous curve does not have
+PHI_OPS = ["validate-monotone", "estimate-sigma", "offspring-closure",
+           "weight-product-bound", "estimate-A", "check-phicond",
+           "lemma1-chain", "lemma1-conclusion", "check-J-geq-K"]
+
+
+@pytest.mark.parametrize("op", PHI_OPS)
+def test_homogeneous_curve_of_a_phi_check_exits_2(tmp_path, capsys, op):
+    # each once FAILed with exit 1 on an untyped AttributeError: a
+    # 'HomogeneousCurve' object has no attribute 'phi'
+    check = {**_first_shipped(op), "curve": _HOMOGENEOUS}
+    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [check]})
+    assert code == 2
+    assert not Path(str(out) + ".json").exists()
+    assert ("config error: unknown curve spec kind 'homogeneous'; it "
+            "accepts monomial, exp-flat, poly-phi, flatten"
+            in capsys.readouterr().err)
+
+
+def test_homogeneous_flatten_base_exits_2(tmp_path, capsys):
+    # once refused with the misleading "unknown key(s) 'd'"
+    check = {**_first_shipped("validate-monotone"),
+             "curve": {"kind": "flatten", "base": _HOMOGENEOUS}}
+    code, _ = _run_cli(tmp_path, {"seed": 1, "checks": [check]})
+    assert code == 2
+    assert ("unknown curve spec kind 'homogeneous'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("op, key", [("estimate-alpha-B", "curve"),
+                                     ("empirical-ratio", "curves")])
+def test_gamma_checks_take_a_homogeneous_curve(op, key):
+    spec = [_HOMOGENEOUS] if key == "curves" else _HOMOGENEOUS
+    assert run_check({**_first_shipped(op), key: spec}, 1).passed
+
+
+# each sample count and its upper bound: a typo such as psi-lower-bound
+# at n_samples = 1e13 once parsed and then raised a MemoryError
+COUNT_BOUNDS = [
+    ("psi-lower-bound", "n_samples", 200_000),
+    ("jacobian-identity", "n_trials", 50_000),
+    ("estimate-sigma", "n_samples", 200_000),
+    ("offspring-closure", "n_samples", 500_000),
+    ("weight-product-bound", "n_samples", 500_000),
+    ("lemma1-conclusion", "n_samples", 300_000),
+    ("sm-measure", "mc_samples", 500_000_000),
+    ("sm-scaling", "mc_samples", 500_000_000),
+    ("check-J-geq-K", "n_samples", 200_000),
+    ("converse-scaling", "n_random", 150),
+]
+
+
+@pytest.mark.parametrize("op, key, most", COUNT_BOUNDS,
+                         ids=[op for op, _, _ in COUNT_BOUNDS])
+def test_sample_count_above_its_bound_is_a_config_error(op, key, most):
+    check = _first_shipped(op)
+    assert check_descriptor({**check, key: most})[1][key] == most
+    with pytest.raises(ConfigError, match=f"'{key}' must be at most "
+                                          f"{most}, got {most + 1}"):
+        check_descriptor({**check, key: most + 1})
 
 
 def test_nested_key_error_stops_before_any_check(tmp_path, capsys,

@@ -21,7 +21,7 @@ from restriction_lab.jacobian import (check_offspring_closure,
                                       weight_product_bound)
 from restriction_lab.quadrature import QuadratureError, gl_nodes
 from restriction_lab.registry import run_check
-from restriction_lab.report import DomainError, worst_index
+from restriction_lab.report import ConfigError, DomainError, worst_index
 from restriction_lab.vandermonde import kappa_of, unit_bspline, vandermonde
 
 gaps = st.floats(0.02, 0.4)
@@ -191,6 +191,16 @@ def test_estimate_sigma_moment_curve(rng, moment_curve_3):
     rep = estimate_sigma(moment_curve_3, us)
     assert rep.passed
     assert rep.estimate == pytest.approx(0.5, rel=1e-9)
+
+
+def test_estimate_sigma_rejects_a_negative_gap(moment_curve_3):
+    # a unit sample outside [0, 1] maps to a negative gap, here the second
+    # sample's h_1 = 1e-3 - (2/3 - 1e-3); the first sample, from inside
+    # the box, does not save the set
+    units = np.array([[0.2, 0.5, 0.5], [0.2, -1.0, 0.5]])
+    with pytest.raises(ConfigError, match="gap entries must be "
+                                          "nonnegative"):
+        estimate_sigma(moment_curve_3, units)
 
 
 def test_sample_admissible_in_domain(rng, quartic_curve):

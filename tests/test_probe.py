@@ -13,12 +13,11 @@ from restriction_lab.conditions import build_flattened, exponent_calculator
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight, poly_oracle)
 from restriction_lab.geometry import Parallelepiped, cube
-from restriction_lab.probe import (TEST, SampledFunction, TestFunction,
-                                   _trapezoid_weights,
+from restriction_lab.probe import (TEST, TestFunction, _trapezoid_weights,
                                    check_dilation_invariance,
                                    converse_scaling_check, empirical_ratio,
                                    extension, homogeneous_rescale_check,
-                                   restrict)
+                                   lq_norm, restrict)
 from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import run_check
 from restriction_lab.report import ConfigError
@@ -114,32 +113,27 @@ def test_test_function_numbers_are_parsed(spec, message):
         TEST.build(spec)
 
 
-def test_sampled_function_validation():
-    with pytest.raises(ConfigError):
-        SampledFunction(grid=np.array([0.0, 1.0]),
-                        weights=np.array([0.5, 0.0]),
-                        values=np.array([1.0, 1.0]))
-    with pytest.raises(ConfigError):
-        SampledFunction(grid=np.array([1.0, 0.0]),
-                        weights=np.array([0.5, 0.5]),
-                        values=np.array([1.0, 1.0]))
-
-
 def test_restrict_evaluates_fourier_on_curve():
     cubic = SimpleCurve(d=2, phi=poly_oracle([0, 0, 0, 1.0],
                                              domain=(0.1, 1.0)),
                         label="cubic")
     g = TestFunction.gaussian([0.0, 0.0], [1.0, 1.0])
     ts = np.linspace(0.1, 1.0, 33)
-    (rs,) = restrict([g], cubic, ts)
+    w, (vals,) = restrict([g], cubic, ts)
     pts = np.stack([ts, ts ** 3], axis=-1)
-    assert np.allclose(rs.values, g.fourier(pts))
+    assert np.allclose(vals, g.fourier(pts))
+    assert np.array_equal(w, _trapezoid_weights(ts))
     # weighted measure carries w(t) = (6t)^{1/3}
-    (rw,) = restrict([g], cubic, ts, weighted=True)
-    mid = len(rs.grid) // 2
-    t_mid = rs.grid[mid]
-    assert rw.weights[mid] == pytest.approx(
-        rs.weights[mid] * (6 * t_mid) ** (1 / 3))
+    ww, _ = restrict([g], cubic, ts, weighted=True)
+    mid = len(w) // 2
+    assert ww[mid] == pytest.approx(w[mid] * (6 * ts[mid]) ** (1 / 3))
+
+
+def test_lq_norm_is_the_weighted_power_sum():
+    w = np.array([0.5, 0.25, 0.25])
+    v = np.array([1.0, -2.0j, 2.0])
+    assert lq_norm(w, v, 2.0) == pytest.approx(math.sqrt(2.5))
+    assert lq_norm(w, v, 1.0) == pytest.approx(1.5)
 
 
 def test_extension_constant_zero_frequency(parabola):
@@ -220,14 +214,15 @@ SWEEP_TESTS = [
 
 
 def _restrict_alone(g, curve, ts, weighted):
-    """One test function's samples, the curve swept for it alone."""
+    """One test function's weights and g_hat values, the curve swept for
+    it alone."""
     pts = curve.jet(ts)
     vals = g.fourier(pts)
     w = _trapezoid_weights(ts)
     if weighted:
         w = w * affine_weight(curve, ts)
     keep = w > 0
-    return SampledFunction(grid=ts[keep], weights=w[keep], values=vals[keep])
+    return w[keep], vals[keep]
 
 
 def _counting(curve, calls):
@@ -250,8 +245,8 @@ def test_empirical_ratio_equals_per_test_restriction(quartic_curve,
     ts = np.linspace(1e-4, 1.0, 301)
     P, Q = 9 / 8, 1.5
     rep = empirical_ratio(family, P, Q, weighted, SWEEP_TESTS, ts)
-    ratios = [_restrict_alone(g, curve, ts, weighted).lp(Q) / g.lp_norm(P)
-              for curve in family for g in SWEEP_TESTS]
+    ratios = [lq_norm(*_restrict_alone(g, curve, ts, weighted), Q)
+              / g.lp_norm(P) for curve in family for g in SWEEP_TESTS]
     assert [row["ratio"] for row in rep.series] == ratios
     assert rep.witnesses[0]["per_curve_max"] == [
         max(ratios[i:i + 3]) for i in (0, 3, 6)]

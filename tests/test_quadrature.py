@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from restriction_lab.quadrature import (NODES_PER_CALL, QuadratureError,
-                                        integrate_refine)
+                                        box_rule, integrate_refine)
 
 
 def _cauchy_integrand(u, t):
@@ -37,3 +39,27 @@ def test_one_unconverged_limit_raises_and_nodes_stay_bounded():
     with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\]"):
         integrate_refine(step, 0.0, np.append(below, 1.0), rel_tol=1e-12)
     assert max(sizes) <= NODES_PER_CALL
+
+
+def test_box_rule_integrates_a_tensor_polynomial():
+    pts, wts = box_rule([0.0, -1.0, 0.5], [1.0, 2.0, 0.75], 3)
+    assert pts.shape == (27, 3) and wts.shape == (27,)
+    # the last axis runs fastest
+    assert np.array_equal(pts[:3, :2], np.repeat(pts[:1, :2], 3, axis=0))
+    # int x dx * int y^2 dy * int z dz over [0, 1] x [-1, 2] x [0.5, 0.75]
+    integral = np.sum(wts * pts[:, 0] * pts[:, 1] ** 2 * pts[:, 2])
+    assert integral == pytest.approx(0.5 * 3.0 * 0.15625, rel=1e-13)
+
+
+def test_box_rule_memory_of_the_largest_integration_rule():
+    # the 7-axis order-8 rule of vandermonde-integration at n = 8: its
+    # points and weights take 134 MB, and two meshgrids with their
+    # stacked copies once peaked at 487 MB
+    tracemalloc.start()
+    try:
+        pts, wts = box_rule(np.zeros(7), np.ones(7), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (8 ** 7, 7) and wts.shape == (8 ** 7,)
+    assert peak < 200e6

@@ -603,6 +603,10 @@ GAUSSIAN_3 = {"kind": "Gaussian", "center": [0.0, 0.0, 0.0], "sigma": 1.0}
     # check once PASSed with estimate 0.0
     {"operation": "K-u-geometry", "h": [1.0, 1.0], "alpha": 1 / 6},
     {"operation": "K-u-geometry", "h": [0.5, 0.0], "alpha": 1 / 6},
+    # K of degree 1/alpha - d = 997: lam^deg once leaked an OverflowError,
+    # and a K(h) underflowed to 0 once FAILed with estimate 3.3e299
+    {"operation": "K-u-geometry", "h": [0.5, 0.25], "alpha": 1e-3},
+    {"operation": "K-u-geometry", "h": [0.1, 0.2], "alpha": 1e-3},
     # beta <= 0: the derivative coefficients divide by beta (a
     # ZeroDivisionError at 0), and beta < 0 once PASSed
     {"operation": "estimate-sigma",
