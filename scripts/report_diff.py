@@ -1,17 +1,21 @@
 """Compare the reports of a git ref with those of the working tree.
 
-    python scripts/report_diff.py REF FIRST LAST
+    python scripts/report_diff.py REF FIRST LAST [CONFIG ...]
 
 Runs ``configs/default.json`` and ``configs/all_ops.json``, each at its
 own seed and at seeds FIRST..LAST, once in an export of REF (its tracked
 files, by ``git archive``, in a temporary directory) and once in the
-working tree, each tree with its own sources and configs.  The reports
-are compared without the config's ``output`` path.  Every differing
-field is printed, one a line with its config, seed and JSON path; the
-exit status is 1 if there is any and 0 if there is none.
+working tree, each tree with its own sources and configs.  Each extra
+CONFIG is read from the working tree and run in both trees the same
+way, so a config that REF does not have can be compared too.  The
+reports are compared without the config's ``output`` path.  Every
+differing field is printed, one a line with its config, seed and JSON
+path; the exit status is 1 if there is any and 0 if there is none.
 
-CI compares a pull request with its base branch at seeds 0-20: a change
-that claims byte-identical reports shows it here.
+CI compares a pull request with its base branch at seeds 0-20, on the
+shipped configs and on ``configs/high_d.json`` (the sigma, Psi and
+Jacobian checks at d = 4, 5): a change that claims byte-identical
+reports shows it here.
 """
 
 import argparse
@@ -24,11 +28,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ("default.json", "all_ops.json")
+CONFIGS = ("configs/default.json", "configs/all_ops.json")
 
 # run in a fresh interpreter from the root of one tree: argv[1] is a
-# directory for the reports, argv[2:] the seeds ("own" for the config's);
-# prints {config: {seed: report}} as JSON
+# directory for the reports, argv[2] a JSON list of config paths (relative
+# to the tree, or absolute), argv[3:] the seeds ("own" for the config's);
+# prints [{seed: report}], one entry per config, as JSON
 _RUNNER = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -38,31 +43,32 @@ from restriction_lab import cli
 if Path(restriction_lab.__file__).resolve().parent != Path(
         "src/restriction_lab").resolve():
     sys.exit(f"imported restriction_lab from {restriction_lab.__file__}")
-out = {}
-for name in %r:
-    out[name] = {}
-    for seed in sys.argv[2:]:
-        prefix = f"{sys.argv[1]}/{name}-{seed}"
-        argv = ["run", f"configs/{name}", "--output", prefix]
+out = []
+for i, path in enumerate(json.loads(sys.argv[2])):
+    out.append({})
+    for seed in sys.argv[3:]:
+        prefix = f"{sys.argv[1]}/{i}-{seed}"
+        argv = ["run", path, "--output", prefix]
         if seed != "own":
             argv += ["--seed", seed]
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli.main(argv)
         if status not in (0, 1):
-            sys.exit(f"{name} at seed {seed}: exit status {status}")
+            sys.exit(f"{path} at seed {seed}: exit status {status}")
         with open(prefix + ".json", encoding="utf-8") as fh:
             report = json.load(fh)
         report["config"].pop("output")
-        out[name][seed] = report
+        out[i][seed] = report
 print(json.dumps(out))
-""" % (CONFIGS,)
+"""
 
 
-def reports(tree: Path, seeds: list[str]) -> dict:
-    """{config: {seed: report}} of the configs of ``tree``, run with its
-    own sources."""
+def reports(tree: Path, configs: list[str], seeds: list[str]) -> list:
+    """[{seed: report}] of ``configs`` (paths relative to ``tree``, or
+    absolute), run with the sources of ``tree``."""
     with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run([sys.executable, "-c", _RUNNER, out, *seeds],
+        proc = subprocess.run([sys.executable, "-c", _RUNNER, out,
+                               json.dumps(configs), *seeds],
                               cwd=tree, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"report_diff.py: the run in {tree} failed:\n"
@@ -98,8 +104,15 @@ def main(argv=None) -> int:
     ap.add_argument("ref")
     ap.add_argument("first", type=int)
     ap.add_argument("last", type=int)
+    ap.add_argument("configs", nargs="*", metavar="config",
+                    help="a config of the working tree, run in both trees")
     args = ap.parse_args(argv)
     seeds = ["own"] + [str(s) for s in range(args.first, args.last + 1)]
+    extra = [str(Path(c).resolve()) for c in args.configs]
+    for path in extra:
+        if not Path(path).is_file():
+            sys.exit(f"report_diff.py: no config {path}")
+    names = list(CONFIGS) + args.configs
     archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
                              capture_output=True)
     if archive.returncode:
@@ -108,16 +121,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as ref_tree:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(ref_tree, filter="data")
-        before = reports(Path(ref_tree), seeds)
-    after = reports(ROOT, seeds)
+        before = reports(Path(ref_tree), list(CONFIGS) + extra, seeds)
+    after = reports(ROOT, list(CONFIGS) + extra, seeds)
     lines = []
-    for name in CONFIGS:
+    for name, a, b in zip(names, before, after):
         for seed in seeds:
             lines += [f"{name} seed {seed}: {line}" for line in
-                      differences(before[name][seed], after[name][seed])]
+                      differences(a[seed], b[seed])]
     for line in lines:
         print(line)
-    print(f"{len(lines)} differing fields in {len(CONFIGS) * len(seeds)} "
+    print(f"{len(lines)} differing fields in {len(names) * len(seeds)} "
           f"reports of {args.ref} and the working tree")
     return 1 if lines else 0
 

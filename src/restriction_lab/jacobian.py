@@ -47,9 +47,16 @@ def jacobian_direct(curve: SimpleCurve, t: float, h) -> float:
     return float(np.linalg.det(_node_matrix(curve, nodes)))
 
 
-# rows per oracle call of the batched B-spline mean; 64-row blocks
-# raised the settled RSS of a process by about 1 MB
-_MEAN_BLOCK = 16
+# the kernel elements of one block of the batched B-spline mean, a row of
+# d knots having (d - 1)^2 x 24: 64 rows at d = 5, 113 at d = 4.  Of the
+# budgets 6,144 to 49,152 and one block for all rows, this one swept 100
+# and 200 rows fastest at d = 3, 4, 5 (best of 60 interleaved timings,
+# 2-core box): each of its arrays, 192 KB, stays in cache.  Its sweep
+# holds about 1 MB at its peak (tracemalloc), against 0.2 MB for 16-row
+# blocks of the kernel before its u - kappa table.  A 25 s high-d
+# benchmark run read 56.6 MB of peak RSS against their 53.0 MB, of which
+# about 2.7 MB are the records of the 128 more passes it ran
+_MEAN_BUDGET = 24_576
 # a B-spline mean panel is kept once its 8- and 16-point rules agree to
 # this relative tolerance, or to the smallest normal double where that
 # is less (phi^(d) subnormal over the panel: its mean is 0 to double
@@ -74,10 +81,10 @@ def _panel_rules(top, rows, t, kappa, lo, hi):
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * nodes
     w = half[..., None] * weights
-    f = unit_bspline(kappa, x) * top(t + x, rows)
-    coarse = (w[..., :8] * f[..., :8]).sum(axis=-1)
-    terms = w[..., 8:] * f[..., 8:]
-    return coarse, terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+    terms = w * (unit_bspline(kappa, x) * top(t + x, rows))
+    fine = terms[..., 8:]
+    return (terms[..., :8].sum(axis=-1), fine.sum(axis=-1),
+            np.abs(fine).sum(axis=-1))
 
 
 def _panels_done(coarse, fine, mass, density, width):
@@ -86,6 +93,12 @@ def _panels_done(coarse, fine, mass, density, width):
     never to less than _MEAN_ABS_FLOOR."""
     return np.abs(fine - coarse) <= np.maximum(
         _MEAN_REL_TOL * np.maximum(mass, density * width), _MEAN_ABS_FLOOR)
+
+
+def _block_rows(d: int) -> int:
+    """Rows per block of :func:`_spline_means` on knot rows of d knots:
+    as many as fit _MEAN_BUDGET kernel elements, and at least one."""
+    return max(1, _MEAN_BUDGET // ((d - 1) ** 2 * 24))
 
 
 def _spline_means(top, t: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -100,8 +113,9 @@ def _spline_means(top, t: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     by itself, which only happens near a singularity of phi.
     """
     out = np.empty(t.size)
-    for i in range(0, t.size, _MEAN_BLOCK):
-        rows = slice(i, i + _MEAN_BLOCK)
+    block = _block_rows(kappa.shape[-1])
+    for i in range(0, t.size, block):
+        rows = slice(i, i + block)
         tb, kb = t[rows], kappa[rows]
         lo, hi = kb[:, :-1], kb[:, 1:]
         coarse, fine, mass = _panel_rules(top, rows, tb[:, None, None], kb,
@@ -111,6 +125,8 @@ def _spline_means(top, t: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         # 0.0 + ...: each running total starts at 0.0, which turns -0.0
         # into 0.0
         out[rows] = 0.0 + fine.sum(axis=-1)
+        if done.all():
+            continue
         for r in np.flatnonzero(~done.all(axis=-1)):
             out[i + r] = _bisect_mean(
                 top, i + r, tb[r], kb[r], lo[r][~done[r]], hi[r][~done[r]],
@@ -283,14 +299,14 @@ def _sigma_sweep(curve: SimpleCurve, t: np.ndarray, h: np.ndarray):
                 err = exc
                 break
         phid = np.reshape(phid, (len(phid), d))
-    bad = np.flatnonzero(np.any(phid < 0, axis=1))
-    if bad.size:
-        i = bad[0]
+    bad = (phid < 0).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
         err = _negative_top(d, phid[i], float(t[i]), h[i].tolist())
         phid = phid[:i]
-    prod = np.prod(phid, axis=1)
-    kept = np.flatnonzero(~np.any(phid == 0, axis=1)
-                          & ~(prod < sys.float_info.min))  # NaN is kept
+    prod = phid.prod(axis=1)
+    kept = (~((phid == 0).any(axis=1)
+              | (prod < sys.float_info.min))).nonzero()[0]  # NaN is kept
     phid = phid[kept]
     # the geometric mean by Python's scalar power: numpy's array power
     # differs from it in the last bit on some inputs

@@ -42,9 +42,10 @@ def _op_validate_monotone(seed, curve: PhiCurve, grid_size: Int(2) = 64):
 
 # each sample count is bounded near where its check takes about 10 s
 # (registry.run_check on a 2-core box, at the costliest d measured), and
-# so is its memory: psi-lower-bound at d = 5 takes 1.3 s and 340 MB of RSS
-# at 200,000 samples; 1,000,000 would take 10 s and 1.5 GB
-def _op_psi_lower_bound(seed, d: Int(2),
+# psi-lower-bound's d too: at 200,000 samples it takes 1.0 s and 77 MB of
+# RSS at d = 5 (its determinants are built in blocks of rows), and 8.0 s
+# and 168 MB at d = 14
+def _op_psi_lower_bound(seed, d: Int(2, 14),
                         n_samples: Int(1, 200_000) = 1000):
     rng = np.random.default_rng(seed)
     # the same numbers as n draws of d - 1 gaps each
@@ -77,8 +78,9 @@ def _op_lin_lemma(seed, instance: Spec(vandermonde.check_lin_lemma,
 _TRIAL_DOMAIN = (-5.0, 5.0)
 
 
-# 50,000 trials take 9.2 s at d = 5
-def _op_jacobian_identity(seed, d: Int(2), n_trials: Int(1, 50_000) = 50):
+# 50,000 trials take 9.2 s at d = 5.  A trial's nodes reach t + kappa_d <
+# 1 + 0.8 (d - 1), which stays in _TRIAL_DOMAIN up to d = 6
+def _op_jacobian_identity(seed, d: Int(2, 6), n_trials: Int(1, 50_000) = 50):
     rng = np.random.default_rng(seed)
     coeffs, t, h, direct = [], [], [], []
     for _ in range(n_trials):

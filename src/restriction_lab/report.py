@@ -3,7 +3,7 @@
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -203,9 +203,10 @@ class CheckReport:
     timing: Optional[float] = None
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d.pop("timing", None)  # wall-clock would break bit-reproducibility
-        return d
+        """The fields as they are, not copied, but ``timing``: wall-clock
+        would break bit-reproducibility."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "timing"}
 
 
 def at_most(check_id: str, parameters: dict[str, Any], values, tol: float,
@@ -258,7 +259,8 @@ class ExperimentConfig:
         return Spec(cls, "config").build(raw)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields as they are, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _plain(obj: Any) -> Any:
@@ -270,6 +272,8 @@ def _plain(obj: Any) -> Any:
 
 
 def dump_json(obj: Any, path: str) -> None:
+    """Write ``obj`` as indented JSON with sorted keys: encoded whole, then
+    written at once (nothing is written if it does not encode)."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_plain)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
-        fh.write("\n")
+        fh.write(text + "\n")

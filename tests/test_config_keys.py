@@ -201,13 +201,8 @@ def test_sample_count_above_its_bound_is_a_config_error(op, key, most):
         check_descriptor({**check, key: most + 1})
 
 
-def test_nested_key_error_stops_before_any_check(tmp_path, capsys,
-                                                 monkeypatch):
-    with open(CONFIGS / "default.json", encoding="utf-8") as fh:
-        config = json.load(fh)
-    config["checks"].append(
-        {"operation": "estimate-A",
-         "curve": {**_MONOMIAL, "domian": [0.0, 0.5]}})
+def _counted_calls(monkeypatch):
+    """The names of the registry operations run from here on, in order."""
     calls = []
     for name, op in list(REGISTRY.items()):
         def counted(seed, fn=op.fn, name=name, **values):
@@ -215,6 +210,47 @@ def test_nested_key_error_stops_before_any_check(tmp_path, capsys,
             return fn(seed, **values)
         monkeypatch.setitem(REGISTRY, name,
                             OpEntry(op.name, op.summary, counted))
+    return calls
+
+
+# each dimension bound: jacobian-identity's trial nodes leave its
+# polynomials' domain above d = 6 (a DomainError at d = 8, seed 12), and
+# psi-lower-bound takes about 8 s at d = 14 and 200,000 samples
+DIMENSION_BOUNDS = [("jacobian-identity", 6), ("psi-lower-bound", 14)]
+
+
+@pytest.mark.parametrize("op, most", DIMENSION_BOUNDS,
+                         ids=[op for op, _ in DIMENSION_BOUNDS])
+def test_dimension_above_its_bound_stops_before_any_check(
+        op, most, tmp_path, capsys, monkeypatch):
+    check = {**_first_shipped(op), "d": most}
+    assert check_descriptor(check)[1]["d"] == most
+    calls = _counted_calls(monkeypatch)
+    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [
+        _first_shipped("validate-monotone"), {**check, "d": most + 1}]})
+    assert code == 2
+    assert calls == []
+    assert not Path(str(out) + ".json").exists()
+    assert f"'d' must be at most {most}, got {most + 1}" in (
+        capsys.readouterr().err)
+
+
+def test_jacobian_identity_at_its_largest_d_stays_in_its_domain():
+    # seed 12 raised DomainError at d = 8, and t + kappa_d < 1 + 0.8 * 5
+    # keeps every trial inside (-5, 5) at d = 6
+    check = {**_first_shipped("jacobian-identity"), "d": 6}
+    for seed in range(20):
+        assert run_check(check, seed).passed
+
+
+def test_nested_key_error_stops_before_any_check(tmp_path, capsys,
+                                                 monkeypatch):
+    with open(CONFIGS / "default.json", encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["checks"].append(
+        {"operation": "estimate-A",
+         "curve": {**_MONOMIAL, "domian": [0.0, 0.5]}})
+    calls = _counted_calls(monkeypatch)
     code, out = _run_cli(tmp_path, config)
     assert code == 2
     assert calls == []

@@ -451,6 +451,75 @@ def test_unit_bspline_knot_rows_equal_one_row_calls():
                                   equal_nan=True)
 
 
+def _cox_de_boor_rows(kappa, u):
+    """unit_bspline as written before its u - kappa table: both signs of
+    each difference formed, and each level's spans divided on their
+    own."""
+    kappa = np.asarray(kappa, dtype=float)
+    u = np.asarray(u, dtype=float)
+    d = kappa.shape[-1]
+    kappa = kappa.T.reshape(
+        (d,) + kappa.shape[:-1] + (1,) * (u.ndim - kappa.ndim + 1))
+    b = ((u >= kappa[:-1]) & (u < kappa[1:])).astype(float)
+    b[-1] += u == kappa[-1]
+    for k in range(1, d - 1):
+        span = kappa[k:] - kappa[:-k]
+        inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        b = ((u - kappa[:-k - 1]) * inv[:-1] * b[:-1]
+             + (kappa[k + 1:] - u) * inv[1:] * b[1:])
+    return b[0] * (d - 1) / (kappa[-1] - kappa[0])
+
+
+def _bits(x):
+    """The IEEE bits of each entry, so that 0.0 and -0.0 differ; every NaN
+    reads as one value."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize("knots", ["random", "repeated", "zero-width",
+                                   "tiny", "shifted"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_unit_bspline_equals_cox_de_boor_bit_for_bit(d, knots):
+    rng = np.random.default_rng(1000 * d + len(knots))
+    g = rng.uniform(0.0, 1.0, size=(40, d - 1))
+    if knots == "repeated":
+        g[rng.uniform(size=g.shape) < 0.4] = 0.0
+    elif knots == "zero-width":
+        g[:] = 0.0
+    elif knots == "tiny":  # spans down to subnormal, reciprocals to inf
+        g = 10.0 ** rng.uniform(-320.0, 0.0, size=g.shape)
+    kappa = np.concatenate((np.zeros((40, 1)), np.cumsum(g, axis=1)), axis=1)
+    if knots == "shifted":  # knots across 0
+        kappa -= rng.uniform(0.0, 1.0, size=(40, 1))
+    lo, hi = kappa[:, :1, None], kappa[:, -1:, None]
+    u = lo + rng.uniform(-0.2, 1.2, size=(40, 3, 11)) * (hi - lo)
+    u[:, 0, :d] = kappa  # nodes on every knot
+    u[:, 1, :5] = [-0.0, 0.0, np.nan, np.inf, -np.inf]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(unit_bspline(kappa, u)),
+                              _bits(_cox_de_boor_rows(kappa, u)))
+        for i in range(0, 40, 7):
+            assert np.array_equal(_bits(unit_bspline(kappa[i], u[i])),
+                                  _bits(_cox_de_boor_rows(kappa[i], u[i])))
+
+
+@pytest.mark.parametrize("curve", SWEEP_CURVES,
+                         ids=[f"{c.label}-{c.d}" for c in SWEEP_CURVES])
+def test_spline_means_do_not_depend_on_the_block(curve, monkeypatch):
+    t, h = sample_admissible(
+        curve, np.random.default_rng(23).uniform(size=(150, curve.d)))
+    kappa = kappa_of(h)
+    per_row = (curve.d - 1) ** 2 * 24
+    means = []
+    for rows in (1, 16, 150):
+        monkeypatch.setattr(jacobian, "_MEAN_BUDGET", rows * per_row)
+        assert jacobian._block_rows(curve.d) == rows
+        means.append(_bits(jacobian._spline_means(curve.top, t, kappa)))
+    assert np.array_equal(means[0], means[1])
+    assert np.array_equal(means[0], means[2])
+
+
 def _counting_oracle(monkeypatch):
     seen = {"calls": 0, "points": 0}
     call = DerivativeOracle.__call__
@@ -478,7 +547,7 @@ def test_estimate_sigma_oracle_calls_and_points(monkeypatch):
         counts.append(dict(seen))
     assert counts[0] == counts[1]
     # one call for the nodes, one per block; no row bisects here
-    assert counts[0]["calls"] <= math.ceil(200 / jacobian._MEAN_BLOCK) + 1
+    assert counts[0]["calls"] <= math.ceil(200 / jacobian._block_rows(5)) + 1
     assert counts[0]["points"] == loop["points"] == 200 * 5 + 200 * 4 * 24
     assert loop["calls"] == 400
 
@@ -595,7 +664,7 @@ def test_weight_product_bound_oracle_calls_and_points(monkeypatch):
     assert counts[0] == counts[1]
     # one sweep for sigma, the identity and J: one call for the nodes and
     # one per block; no row bisects here
-    assert counts[0]["calls"] <= math.ceil(100 / jacobian._MEAN_BLOCK) + 1
+    assert counts[0]["calls"] <= math.ceil(100 / jacobian._block_rows(5)) + 1
     assert counts[0]["points"] == 100 * 5 + 100 * 4 * 24
     # the loop asks for every sample twice: for sigma, then for its margin
     assert loop["points"] == 2 * counts[0]["points"]

@@ -207,6 +207,24 @@ def test_report_diff_lists_each_differing_field():
         "reports[1].notes: only in the working tree"]
 
 
+def test_report_diff_runs_a_config_given_by_path(tmp_path):
+    # an extra config is read from the working tree, wherever the tree it
+    # runs in is: by its absolute path
+    reports = runpy.run_path(
+        str(CONFIGS.parent / "scripts" / "report_diff.py"))["reports"]
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({"seed": 7, "output": "x", "checks": [
+        {"operation": "psi-lower-bound", "d": 3, "n_samples": 5}]}))
+    (by_seed,) = reports(CONFIGS.parent, [str(path)], ["own", "8"])
+    assert sorted(by_seed) == ["8", "own"]
+    assert [by_seed[s]["config"] for s in ("own", "8")] == [
+        {"seed": 7, "checks": [{"operation": "psi-lower-bound", "d": 3,
+                                "n_samples": 5}]},
+        {"seed": 8, "checks": [{"operation": "psi-lower-bound", "d": 3,
+                                "n_samples": 5}]}]
+    assert by_seed["own"]["reports"] != by_seed["8"]["reports"]
+
+
 @pytest.mark.parametrize("grid_size", [0, 1])
 def test_check_phicond_needs_two_grid_points(grid_size):
     # one point compares no pair (once a PASS with estimate 0.0); none

@@ -201,18 +201,37 @@ def _tail_ratio_per_sample(d, h):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_psi_lower_bound_array_route_equals_per_sample_formula(rng, d):
+def test_psi_lower_bound_array_route_equals_per_sample_formula(
+        rng, d, monkeypatch):
     h = rng.uniform(0.05, 1.0, size=(300, d - 1))
     h[:20] *= 10.0 ** rng.uniform(-2.0, 0.0, size=(20, 1))  # small gaps
     ref = [_tail_ratio_per_sample(d, row) for row in h]
     assert [psi_mean_tail_ratio(d, [row])[0] for row in h] == ref
     assert psi_mean_tail_ratio(d, h).tolist() == ref
+    with monkeypatch.context() as m:
+        m.setattr(vandermonde_module, "_TAIL_BLOCK", 7)
+        assert psi_mean_tail_ratio(d, h).tolist() == ref
     rep = check_psi_lower_bound(d, 0.3, h)
     k = int(np.argmin(ref))
     assert rep.estimate == ref[k]
     assert rep.witnesses == [{"t": 0.3, "h": h[k].tolist(), "ratio": ref[k]}]
     if d == 2:
         assert set(ref) == {0.5}
+
+
+def test_psi_lower_bound_memory_does_not_grow_with_its_entries():
+    # the determinants' Python-float entries are built one block of rows
+    # at a time: at 30,000 samples and d = 5 the traced peak was 37.7 MB
+    # when every row's entries were held at once, and is 8.5 MB in blocks
+    h = np.random.default_rng(3).uniform(0.05, 1.0, size=(30_000, 4))
+    tracemalloc.start()
+    try:
+        rep = check_psi_lower_bound(5, 0.3, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16 * 2 ** 20
 
 
 def test_vandermonde_integration_identity(rng):
