@@ -1,21 +1,20 @@
 """Compare the reports of a git ref with those of the working tree.
 
-    python scripts/report_diff.py REF FIRST LAST [CONFIG ...]
+    python scripts/report_diff.py REF FIRST LAST
 
 Runs ``configs/default.json`` and ``configs/all_ops.json``, each at its
 own seed and at seeds FIRST..LAST, once in an export of REF (its tracked
 files, by ``git archive``, in a temporary directory) and once in the
-working tree, each tree with its own sources and configs.  Each extra
-CONFIG is read from the working tree and run in both trees the same
-way, so a config that REF does not have can be compared too.  The
-reports are compared without the config's ``output`` path.  Every
-differing field is printed, one a line with its config, seed and JSON
-path; the exit status is 1 if there is any and 0 if there is none.
+working tree, each tree with its own sources and configs.
+``configs/high_d.json`` (the sigma, Psi and Jacobian checks at d = 4, 5)
+is run the same way, but read from the working tree in both trees, so
+that it is compared against a REF that does not have it.  The reports
+are compared without the config's ``output`` path.  Every differing
+field is printed, one a line with its config, seed and JSON path; the
+exit status is 1 if there is any and 0 if there is none.
 
-CI compares a pull request with its base branch at seeds 0-20, on the
-shipped configs and on ``configs/high_d.json`` (the sigma, Psi and
-Jacobian checks at d = 4, 5): a change that claims byte-identical
-reports shows it here.
+CI compares a pull request with its base branch at seeds 0-20: a change
+that claims byte-identical reports shows it here.
 """
 
 import argparse
@@ -29,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("configs/default.json", "configs/all_ops.json")
+# configs read from the working tree and run in both trees
+EXTRA = ("configs/high_d.json",)
 
 # run in a fresh interpreter from the root of one tree: argv[1] is a
 # directory for the reports, argv[2] a JSON list of config paths (relative
@@ -104,15 +105,10 @@ def main(argv=None) -> int:
     ap.add_argument("ref")
     ap.add_argument("first", type=int)
     ap.add_argument("last", type=int)
-    ap.add_argument("configs", nargs="*", metavar="config",
-                    help="a config of the working tree, run in both trees")
     args = ap.parse_args(argv)
     seeds = ["own"] + [str(s) for s in range(args.first, args.last + 1)]
-    extra = [str(Path(c).resolve()) for c in args.configs]
-    for path in extra:
-        if not Path(path).is_file():
-            sys.exit(f"report_diff.py: no config {path}")
-    names = list(CONFIGS) + args.configs
+    names = CONFIGS + EXTRA
+    configs = list(CONFIGS) + [str(ROOT / c) for c in EXTRA]
     archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
                              capture_output=True)
     if archive.returncode:
@@ -121,8 +117,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as ref_tree:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(ref_tree, filter="data")
-        before = reports(Path(ref_tree), list(CONFIGS) + extra, seeds)
-    after = reports(ROOT, list(CONFIGS) + extra, seeds)
+        before = reports(Path(ref_tree), configs, seeds)
+    after = reports(ROOT, configs, seeds)
     lines = []
     for name, a, b in zip(names, before, after):
         for seed in seeds:

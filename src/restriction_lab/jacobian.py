@@ -125,8 +125,6 @@ def _spline_means(top, t: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         # 0.0 + ...: each running total starts at 0.0, which turns -0.0
         # into 0.0
         out[rows] = 0.0 + fine.sum(axis=-1)
-        if done.all():
-            continue
         for r in np.flatnonzero(~done.all(axis=-1)):
             out[i + r] = _bisect_mean(
                 top, i + r, tb[r], kb[r], lo[r][~done[r]], hi[r][~done[r]],

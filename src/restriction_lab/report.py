@@ -272,8 +272,9 @@ def _plain(obj: Any) -> Any:
 
 
 def dump_json(obj: Any, path: str) -> None:
-    """Write ``obj`` as indented JSON with sorted keys: encoded whole, then
-    written at once (nothing is written if it does not encode)."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_plain)
+    """Write ``obj`` as indented JSON with sorted keys, encoded whole and
+    written at once.  The file is truncated first, so one that does not
+    encode leaves it empty, never an earlier run's report."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, default=_plain)
+                 + "\n")

@@ -422,6 +422,8 @@ def test_dump_json_writes_numpy_scalars_as_python_values(tmp_path):
         "passed": True, "n": 3, "x": 0.5, "y": 0.1}
     with pytest.raises(TypeError):
         dump_json({"s": {1, 2}}, str(path))
+    # a report that does not encode leaves no earlier report behind
+    assert path.read_text(encoding="utf-8") == ""
 
 
 def test_cli_dilation_invariance_writes_complete_report(tmp_path, capsys):
