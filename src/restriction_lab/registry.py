@@ -102,7 +102,10 @@ def _op_jacobian_identity(seed, d: Int(2, 6), n_trials: Int(1, 50_000) = 50):
                                             "integral": integral[i]})
 
 
-def _op_monomial_closed_form(seed, d_max: Int(2) = 5):
+# the determinant route holds its 1e-10 tolerance up to d = 6: above it
+# the check FAILs at some seeds, and at d_max 34 the factorial product
+# leaves the doubles
+def _op_monomial_closed_form(seed, d_max: Int(2, 6) = 5):
     rng = np.random.default_rng(seed)
     errs = []
     for d in range(2, d_max + 1):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations_with_replacement
 
 import mpmath
@@ -267,6 +268,23 @@ def test_check_phicond_alpha_validation(moment_curve_3):
         check_phicond(moment_curve_3, 0.5, 16)
 
 
+def test_check_phicond_refuses_powers_outside_the_doubles(quartic_curve):
+    # at alpha = 1e-3, rho = 995: the grid's smallest gap 0.016 to that
+    # power is 0, and the pair ratios once divided by 0 and still PASSed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match="alpha = 0.001"):
+            run_check({"operation": "check-phicond", "alpha": 1e-3,
+                       "curve": {"kind": "monomial", "beta": 4.0, "d": 3,
+                                 "domain": [0.0, 1.0]}}, 1)
+        # on (0, 100) at rho = 195 the gaps are above 1, and the largest
+        # to that power overflows
+        wide = SimpleCurve(d=3, phi=monomial_oracle(4.0, domain=(0.0, 100.0)))
+        with pytest.raises(ConfigError, match="rho = 195"):
+            check_phicond(wide, 1 / 200)
+        assert check_phicond(quartic_curve, 1 / 6).passed
+
+
 def test_flattened_top_derivative_formula(quartic_curve):
     flat = build_flattened(quartic_curve, "exp")
     for t in (0.2, 0.7):
@@ -314,6 +332,79 @@ def test_flattened_oracle_array_call_matches_points_and_mpmath(quartic_curve):
             assert np.array_equal(vals, [flat.phi(t, k) for t in ts])
             ref = [_flattened_mp(steps, k, t) for t in ts]
             assert vals == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+# psi^(k) at t = 0.3, 0.6, 0.9351475 and 1 of t^4.1 on (0, 1) flattened
+# by exp, and of 20 t + 10 t^3 by log, once and twice, as float.hex,
+# recorded when np.linspace and gl_nodes built integrate_refine's panels
+# and np.where the exp integrand.  The 1-step exp psi' at 0.9351475 keeps
+# its known 2.0e-7 error: this table pins the values, not their accuracy
+_FLAT_BASES = {"exp": monomial_oracle(4.1, domain=(0.0, 1.0)),
+               "log": poly_oracle([0, 20.0, 0, 10.0], domain=(0.0, 1.0))}
+_FLAT_GOLDEN = {
+    ("exp", 1): (
+        ("0x1.e3a44f1c285f4p-9", "0x1.5a6acd410a4d7p-5",
+         "0x1.7dd125053dd64p-3", "0x1.dbddcf4d2a51bp-3"),
+        ("0x1.7073a41ee0db4p-5", "0x1.eae1c11cc3789p-3",
+         "0x1.4feca8be877b4p-1", "0x1.85de7587c4554p-1"),
+        ("0x1.845220055120fp-2", "0x1.d9c47615f38fep-1",
+         "0x1.8ff0c4a4d0c33p+0", "0x1.afe1149af1f5ap+0"),
+        ("0x1.bcba0c7818a44p+0", "0x1.df6f70a63e44ap+0",
+         "0x1.ebc296bc1833ap+0", "0x1.ed2c22884b445p+0")),
+    ("exp", 2): (
+        ("0x1.4696fcfd50a56p-9", "0x1.cefd9374a52a6p-6",
+         "0x1.f6166a380679ap-4", "0x1.3814989ddbb00p-3"),
+        ("0x1.f3b43e3cb85e6p-6", "0x1.44d781be13f16p-3",
+         "0x1.b49c0de9d9d56p-2", "0x1.f967d26a9ea38p-2"),
+        ("0x1.0522476437ccap-2", "0x1.33e43e120015fp-1",
+         "0x1.fea9f432634dcp-1", "0x1.13138a0a86406p+0"),
+        ("0x1.1fec1489858d7p+0", "0x1.2c2c9b4ff8ff7p+0",
+         "0x1.3037e3c934d52p+0", "0x1.30ac13df96277p+0")),
+    ("log", 1): (
+        ("0x1.2dde2a7e11f9ap-5", "0x1.2dde2a7e11f9ap-2",
+         "0x1.1db8cb0685713p+0", "0x1.5d62524c2e6ebp+0"),
+        ("0x1.7955b51d96780p-2", "0x1.7955b51d96780p+0",
+         "0x1.ca4e144334e6ep+1", "0x1.0609bdbd8844ep+2"),
+        ("0x1.3a7216edfd640p+1", "0x1.3a7216edfd640p+2",
+         "0x1.ea16a53638d22p+2", "0x1.0609bdc1edb6dp+3"),
+        ("0x1.0609bdc65328bp+3",) * 4),
+    ("log", 2): (
+        ("0x1.36104c9107defp-6", "0x1.36104c9107defp-3",
+         "0x1.257ab414d4b90p-1", "0x1.66deb75ce8835p-1"),
+        ("0x1.83945fb549d6cp-3", "0x1.83945fb549d6cp-1",
+         "0x1.d6bf877377002p+0", "0x1.0d27098a3262cp+1"),
+        ("0x1.42fba51712ddap+0", "0x1.42fba51712ddap+1",
+         "0x1.f765019f726d4p+1", "0x1.0d27098eb6632p+2"),
+        ("0x1.0d2709933a636p+2",) * 4),
+}
+
+
+@pytest.mark.parametrize("variant", ["exp", "log"])
+def test_flattened_oracles_keep_their_values_bit_for_bit(variant):
+    ts = np.array([0.3, 0.6, 0.9351475, 1.0])
+    flat = SimpleCurve(d=3, phi=_FLAT_BASES[variant])
+    for steps in (1, 2):
+        flat = build_flattened(flat, variant)
+        for k, want in enumerate(_FLAT_GOLDEN[variant, steps]):
+            assert [float(v).hex() for v in flat.phi(ts, k)] == list(want)
+            # one limit at a time gives the same bits
+            assert float(flat.phi(0.9351475, k)).hex() == want[2]
+
+
+def test_exp_integrand_maps_nonpositive_nan_and_tiny_tops_to_zero():
+    # the base's top derivative is t itself, so psi^(3) = 2 exp(-1/t);
+    # fn is the oracle's formula without the domain clamp
+    base = SimpleCurve(d=3, phi=DerivativeOracle(
+        domain=(0.0, 1.0),
+        fn=lambda t, k: np.asarray(t, dtype=float) ** (4 - k)
+        / math.factorial(4 - k)))
+    flat = build_flattened(base, "exp")
+    tops = np.array([0.0, -1.0, np.nan, 1e-320, -0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = flat.phi.fn(tops, 3)
+    assert np.array_equal(got[:5], np.zeros(5))
+    assert got[5] == 2.0 * math.exp(-2.0)
 
 
 def test_flattened_log_variant_validation(quartic_curve):

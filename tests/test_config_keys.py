@@ -214,25 +214,30 @@ def _counted_calls(monkeypatch):
 
 
 # each dimension bound: jacobian-identity's trial nodes leave its
-# polynomials' domain above d = 6 (a DomainError at d = 8, seed 12), and
-# psi-lower-bound takes about 8 s at d = 14 and 200,000 samples
-DIMENSION_BOUNDS = [("jacobian-identity", 6), ("psi-lower-bound", 14)]
+# polynomials' domain above d = 6 (a DomainError at d = 8, seed 12),
+# psi-lower-bound takes about 8 s at d = 14 and 200,000 samples, and
+# monomial-closed-form's determinant route FAILs its 1e-10 tolerance at
+# some seeds from d_max = 7 and leaks an OverflowError at 34
+DIMENSION_BOUNDS = [("jacobian-identity", "d", 6),
+                    ("psi-lower-bound", "d", 14),
+                    ("monomial-closed-form", "d_max", 6)]
 
 
-@pytest.mark.parametrize("op, most", DIMENSION_BOUNDS,
-                         ids=[op for op, _ in DIMENSION_BOUNDS])
+@pytest.mark.parametrize("op, key, most", DIMENSION_BOUNDS,
+                         ids=[op for op, _, _ in DIMENSION_BOUNDS])
 def test_dimension_above_its_bound_stops_before_any_check(
-        op, most, tmp_path, capsys, monkeypatch):
-    check = {**_first_shipped(op), "d": most}
-    assert check_descriptor(check)[1]["d"] == most
+        op, key, most, tmp_path, capsys, monkeypatch):
+    check = {**_first_shipped(op), key: most}
+    assert check_descriptor(check)[1][key] == most
     calls = _counted_calls(monkeypatch)
-    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [
-        _first_shipped("validate-monotone"), {**check, "d": most + 1}]})
-    assert code == 2
-    assert calls == []
-    assert not Path(str(out) + ".json").exists()
-    assert f"'d' must be at most {most}, got {most + 1}" in (
-        capsys.readouterr().err)
+    for too_many in (most + 1, 34):
+        code, out = _run_cli(tmp_path, {"seed": 1, "checks": [
+            _first_shipped("validate-monotone"), {**check, key: too_many}]})
+        assert code == 2
+        assert calls == []
+        assert not Path(str(out) + ".json").exists()
+        assert f"'{key}' must be at most {most}, got {too_many}" in (
+            capsys.readouterr().err)
 
 
 def test_jacobian_identity_at_its_largest_d_stays_in_its_domain():

@@ -6,6 +6,7 @@ import runpy
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,23 @@ def test_sm_measure_validation():
     with pytest.raises(ConfigError, match="'m_max' must be at least 1"):
         run_check({"operation": "sm-scaling", "d": 3, "alpha": 1 / 6,
                    "m_max": 0, "mc_samples": 1000}, 1)
+
+
+def test_sm_shells_refuses_an_alpha_whose_K_overflows():
+    # at alpha = 1e-3, d = 3, K = u * spread^994 overflowed on the box
+    # [0, 10]^2 and sm-scaling once PASSed on shells of K = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match=r"alpha = 0\.001, d = 3"):
+            run_check({"operation": "sm-scaling", "d": 3, "alpha": 1e-3,
+                       "mc_samples": 1000}, 1)
+        with pytest.raises(ConfigError, match=r"alpha = 0\.001, d = 4"):
+            sm_shells(4, 1e-3, 2, mc_samples=1000)
+        # 10 ** (313 - 6) is finite, but u reaches about 250 on the box:
+        # K at h = (9.96, 4.98) is about 1e308.9.  The bound is 10 ** 310
+        with pytest.raises(ConfigError, match=r"d = 3: 10\.0 \*\* 310 "):
+            sm_shells(3, 1 / 313, 2, mc_samples=1000)
+        assert sum(sm_shells(3, 1 / 6, 2, mc_samples=1000)[1]) > 0
 
 
 def test_u_of_is_the_product_of_gap_differences(rng):

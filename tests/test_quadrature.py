@@ -3,26 +3,59 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from restriction_lab import quadrature
 from restriction_lab.quadrature import (NODES_PER_CALL, QuadratureError,
-                                        box_rule, integrate_refine)
+                                        _panel_sums, box_rule, gl_nodes,
+                                        integrate_refine)
 
 
 def _cauchy_integrand(u, t):
     # the shape of the flattening integrands: (t - u)^2 times a function
-    # flat to all orders at 0
-    return (t - u) ** 2 * np.exp(-1.0 / u)
+    # flat to all orders at 0, which is 0 at the zero and subnormal nodes
+    # of a subnormal limit
+    with np.errstate(divide="ignore", over="ignore"):
+        return (t - u) ** 2 * np.exp(-1.0 / u)
 
 
-def test_array_limits_equal_scalar_calls():
+def test_array_limits_equal_scalar_calls(monkeypatch):
     limits = np.linspace(-0.2, 3.0, 301).reshape(7, 43)
-    got = integrate_refine(_cauchy_integrand, 0.0, limits, rel_tol=1e-10)
-    assert got.shape == limits.shape
+    # 5e-324 is the smallest subnormal: its 2-panel step (t - 0) / 2
+    # underflows to 0, where np.linspace forms its edges as
+    # j / P * (t - a) for the whole chunk
+    limits[0, :2] = 0.0, 5e-324
+    assert 5e-324 / 2 == 0.0
     want = np.array([integrate_refine(_cauchy_integrand, 0.0, float(t),
                                       rel_tol=1e-10)
                      for t in limits.ravel()]).reshape(limits.shape)
-    assert np.array_equal(got, want)
+    # nor does the chunk size change any value
+    for nodes in (16, 4096, 16384):
+        monkeypatch.setattr(quadrature, "NODES_PER_CALL", nodes)
+        got = integrate_refine(_cauchy_integrand, 0.0, limits, rel_tol=1e-10)
+        assert got.shape == limits.shape
+        assert np.array_equal(got, want)
     assert np.all(got[limits <= 0.0] == 0.0)
     assert isinstance(integrate_refine(_cauchy_integrand, 0.0, 1.5), float)
+
+
+def test_panel_rule_is_gl_nodes_on_linspace_edges():
+    # the nodes f sees and the sums are those of gl_nodes on the edges of
+    # np.linspace(a, t, P + 1), bit for bit; at P = 4 the subnormal limits'
+    # steps underflow to 0, where linspace forms j / P * (t - a) instead
+    # of j * ((t - a) / P): edge j = 3 of [0, 5e-324] is 5e-324, not 0
+    upper = np.array([5e-324, 1e-323, 0.3, 0.7, 1.0])
+    for a, panels in ((0.0, 1), (0.0, 2), (0.0, 4), (0.0, 8), (-0.25, 4)):
+        seen = []
+
+        def f(u, t):
+            seen.append(u.copy())
+            return (t - u) ** 2 * np.cos(u)
+
+        sums = _panel_sums(f, a, upper, panels, 16)
+        edges = np.linspace(a, upper, panels + 1, axis=-1)
+        x, w = gl_nodes(edges[:, :-1], edges[:, 1:], 16)
+        x, w = x.reshape(upper.size, -1), w.reshape(upper.size, -1)
+        assert np.array_equal(np.concatenate(seen), x)
+        assert np.array_equal(sums, np.sum(w * f(x, upper[:, None]), axis=-1))
 
 
 def test_one_unconverged_limit_raises_and_nodes_stay_bounded():

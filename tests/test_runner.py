@@ -426,6 +426,16 @@ def test_dump_json_writes_numpy_scalars_as_python_values(tmp_path):
     assert path.read_text(encoding="utf-8") == ""
 
 
+def test_dump_json_refuses_nan_and_leaves_an_empty_file(tmp_path):
+    path = tmp_path / "r.json"
+    for bad in (math.nan, np.float64(math.inf), -math.inf):
+        dump_json({"estimate": 1.0}, str(path))
+        with pytest.raises(ValueError):
+            dump_json({"estimate": bad, "passed": False}, str(path))
+        # no report holding NaN, nor the earlier report
+        assert path.read_text(encoding="utf-8") == ""
+
+
 def test_cli_dilation_invariance_writes_complete_report(tmp_path, capsys):
     cfg = _write_config(tmp_path, [{
         "operation": "dilation-invariance", "d": 3, "P": 1.125, "Q": 1.5,
