@@ -2,18 +2,15 @@
 
     python scripts/report_diff.py REF FIRST LAST
 
-Runs ``configs/default.json`` and ``configs/all_ops.json``, each at its
-own seed and at seeds FIRST..LAST, once in an export of REF (its tracked
-files, by ``git archive``, in a temporary directory) and once in the
-working tree, each tree with its own sources and configs.
-``configs/high_d.json`` (the sigma, Psi and Jacobian checks at d = 4, 5)
-and ``configs/flat.json`` (the restriction ratio and measure checks on
-exp-flattened curves) are run the same way, but read from the working
-tree in both trees, so that each is compared against a REF that does
-not have it.  The reports
-are compared without the config's ``output`` path.  Every differing
-field is printed, one a line with its config, seed and JSON path; the
-exit status is 1 if there is any and 0 if there is none.
+Runs each shipped config (``configs/default.json``,
+``configs/all_ops.json``, ``configs/high_d.json`` and
+``configs/flat.json``) at its own seed and at seeds FIRST..LAST, once in
+an export of REF (its tracked files, by ``git archive``, in a temporary
+directory) and once in the working tree, each tree with its own sources
+and configs.  The reports are compared without the config's ``output``
+path.  Every differing field is printed, one a line with its config,
+seed and JSON path; the exit status is 1 if there is any and 0 if there
+is none.
 
 CI compares a pull request with its base branch at seeds 0-20: a change
 that claims byte-identical reports shows it here.
@@ -29,9 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ("configs/default.json", "configs/all_ops.json")
-# configs read from the working tree and run in both trees
-EXTRA = ("configs/high_d.json", "configs/flat.json")
+CONFIGS = ["configs/default.json", "configs/all_ops.json",
+           "configs/high_d.json", "configs/flat.json"]
 
 # run in a fresh interpreter from the root of one tree: argv[1] is a
 # directory for the reports, argv[2] a JSON list of config paths (relative
@@ -109,8 +105,6 @@ def main(argv=None) -> int:
     ap.add_argument("last", type=int)
     args = ap.parse_args(argv)
     seeds = ["own"] + [str(s) for s in range(args.first, args.last + 1)]
-    names = CONFIGS + EXTRA
-    configs = list(CONFIGS) + [str(ROOT / c) for c in EXTRA]
     archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
                              capture_output=True)
     if archive.returncode:
@@ -119,16 +113,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as ref_tree:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(ref_tree, filter="data")
-        before = reports(Path(ref_tree), configs, seeds)
-    after = reports(ROOT, configs, seeds)
+        before = reports(Path(ref_tree), CONFIGS, seeds)
+    after = reports(ROOT, CONFIGS, seeds)
     lines = []
-    for name, a, b in zip(names, before, after):
+    for name, a, b in zip(CONFIGS, before, after):
         for seed in seeds:
             lines += [f"{name} seed {seed}: {line}" for line in
                       differences(a[seed], b[seed])]
     for line in lines:
         print(line)
-    print(f"{len(lines)} differing fields in {len(names) * len(seeds)} "
+    print(f"{len(lines)} differing fields in {len(CONFIGS) * len(seeds)} "
           f"reports of {args.ref} and the working tree")
     return 1 if lines else 0
 

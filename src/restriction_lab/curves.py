@@ -49,10 +49,9 @@ class DerivativeOracle:
         return out
 
 
-def _clamped(domain: tuple[float, float], t) -> np.ndarray:
-    """t as a float array clamped CLAMP_EPS_REL inside ``domain``; a t
-    beyond the domain by more than a relative 1e-12 raises DomainError,
-    and NaN entries pass through unchecked."""
+def _in_domain(domain: tuple[float, float], t) -> np.ndarray:
+    """t as a float array; a t beyond ``domain`` by more than a relative
+    1e-12 raises DomainError, and NaN entries pass through unchecked."""
     a, b = domain
     t_arr = np.asarray(t, dtype=float)
     # fmin/fmax skip NaN, so a NaN entry hides no out-of-domain one
@@ -61,6 +60,14 @@ def _clamped(domain: tuple[float, float], t) -> np.ndarray:
         if (np.fmin.reduce(t_arr, axis=None) < a - tol
                 or np.fmax.reduce(t_arr, axis=None) > b + tol):
             raise DomainError(f"t={t} outside domain ({a}, {b})")
+    return t_arr
+
+
+def _clamped(domain: tuple[float, float], t) -> np.ndarray:
+    """t checked by :func:`_in_domain` and clamped CLAMP_EPS_REL inside
+    ``domain``."""
+    a, b = domain
+    t_arr = _in_domain(domain, t)
     eps = CLAMP_EPS_REL * (b - a)
     # the values of np.clip, NaN kept, at a fraction of its cost
     return np.minimum(np.maximum(t_arr, a + eps), b - eps)
@@ -103,7 +110,8 @@ class SimpleCurve:
 
 @dataclass(frozen=True)
 class HomogeneousCurve:
-    """gamma(t) = (t^{a_1}, ..., t^{a_d}) on t > 0, a_1 < ... < a_d nonzero."""
+    """gamma(t) = (t^{a_1}, ..., t^{a_d}) on t >= 0, a_1 < ... < a_d
+    nonzero, on a domain inside [0, inf)."""
 
     exponents: tuple[float, ...]
     domain: tuple[float, float] = (0.0, 1.0)
@@ -115,6 +123,9 @@ class HomogeneousCurve:
             raise ConfigError("homogeneous exponents must be nonzero")
         if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
             raise ConfigError("homogeneous exponents must be strictly increasing")
+        if not self.domain[0] >= 0:
+            raise ConfigError(f"a homogeneous curve's domain must lie in "
+                              f"[0, inf), got {list(self.domain)}")
 
     @property
     def d(self) -> int:
@@ -123,17 +134,26 @@ class HomogeneousCurve:
     def jet(self, t, k: int = 0):
         """gamma^(k)(t) on the last axis, t taken as a float array: the
         powers t^a broadcast against all exponents for k = 0, and one
-        falling-factorial column c * t^(a-k) per exponent for k >= 1."""
-        t = np.asarray(t, dtype=float)
+        falling-factorial column c * t^(a-k) per exponent for k >= 1, 0
+        where c = 0.
+
+        A t beyond the domain by more than a relative 1e-12 raises
+        DomainError (t is not clamped), as do a t < 0 and t = 0 in a
+        column with c != 0 and a negative power a - k.
+        """
+        t = _in_domain(self.domain, t)
+        # the falling factorials a (a - 1) ... (a - k + 1)
+        coefs = [math.prod(a - i for i in range(k)) for a in self.exponents]
+        low = np.fmin.reduce(t, axis=None) if t.size else 1.0
+        if low < 0 or low == 0 and any(
+                c and a < k for a, c in zip(self.exponents, coefs)):
+            raise DomainError(f"gamma^({k}) of (t^a for a in "
+                              f"{list(self.exponents)}) needs t >= 0, and "
+                              f"t > 0 where a - k < 0; got t = {low}")
         if k == 0:
             return t[..., None] ** np.asarray(self.exponents, dtype=float)
-        cols = []
-        for a in self.exponents:
-            c = 1.0
-            for i in range(k):
-                c *= (a - i)
-            cols.append(c * t ** (a - k))
-        return np.stack(cols, axis=-1)
+        return np.stack([c * t ** (a - k) if c else np.zeros(t.shape)
+                         for a, c in zip(self.exponents, coefs)], axis=-1)
 
 
 def affine_weight(curve, t):

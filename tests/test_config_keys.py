@@ -240,6 +240,23 @@ def test_dimension_above_its_bound_stops_before_any_check(
             capsys.readouterr().err)
 
 
+def test_rescale_depth_above_its_bound_stops_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    # from k = 1022 the nodes of [2^(-k-1), 2^(-k)] are subnormal or 0,
+    # and from k = 1043 the identity FAILs (k = 1074: estimate 1.0)
+    check = {**_first_shipped("homogeneous-rescale"), "k_list": [1021]}
+    assert check_descriptor(check)[1]["k_list"] == [1021]
+    assert run_check(check, 1).passed
+    calls = _counted_calls(monkeypatch)
+    code, out = _run_cli(tmp_path, {"seed": 1, "checks": [
+        _first_shipped("validate-monotone"), {**check, "k_list": [1022]}]})
+    assert code == 2
+    assert calls == []
+    assert not Path(str(out) + ".json").exists()
+    assert "'k_list[0]' must be at most 1021, got 1022" in (
+        capsys.readouterr().err)
+
+
 def test_jacobian_identity_at_its_largest_d_stays_in_its_domain():
     # seed 12 raised DomainError at d = 8, and t + kappa_d < 1 + 0.8 * 5
     # keeps every trial inside (-5, 5) at d = 6

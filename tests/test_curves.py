@@ -72,6 +72,43 @@ def test_homogeneous_curve_basics():
     assert c.jet(ts, 2).shape == (5, 3)
 
 
+def test_homogeneous_jet_columns_with_a_zero_factorial_are_zero_at_0():
+    # (t, t^2, t^3): the column of t from k = 2 and that of t^2 from k = 3
+    # have c = 0, so they take no negative power of t = 0
+    c = HomogeneousCurve(exponents=(1.0, 2.0, 3.0))
+    assert np.array_equal(c.jet(0.0, 2), [0.0, 2.0, 0.0])
+    assert np.array_equal(c.jet(np.zeros(2), 3), [[0.0, 0.0, 6.0]] * 2)
+
+
+@pytest.mark.parametrize("exponents, k", [((-1.0, 1.0), 0),
+                                          ((0.5, 1.0), 1),
+                                          ((1.0, 2.5), 3)])
+def test_homogeneous_jet_refuses_a_negative_power_at_0(exponents, k):
+    c = HomogeneousCurve(exponents=exponents)
+    with pytest.raises(DomainError, match="t > 0 where a - k < 0"):
+        c.jet(np.array([0.0, 0.5]), k)
+    assert np.all(np.isfinite(c.jet(np.array([1e-3, 0.5]), k)))
+
+
+def test_homogeneous_jet_refuses_a_t_beyond_its_domain():
+    c = HomogeneousCurve(exponents=(1.0, 2.0, 3.0), domain=(0.5, 2.0))
+    # within a relative 1e-12 of the ends, and not clamped
+    assert c.jet(2.0 + 1e-12)[0] == 2.0 + 1e-12
+    assert c.jet(0.5 - 1e-12)[0] == 0.5 - 1e-12
+    for t in (3.0, 0.4, np.array([0.5, 2.1])):
+        with pytest.raises(DomainError, match="outside domain"):
+            c.jet(t)
+    # a t < 0 within the tolerance of the end 0
+    with pytest.raises(DomainError, match="needs t >= 0"):
+        HomogeneousCurve(exponents=(0.5, 1.0)).jet(-1e-13)
+
+
+def test_homogeneous_curve_needs_a_domain_in_the_half_line():
+    with pytest.raises(ConfigError, match=r"must lie in \[0, inf\)"):
+        curve_from_spec({"kind": "homogeneous", "exponents": [0.5, 1.0],
+                         "domain": [-1e-3, 1.0]})
+
+
 def test_oracle_contract():
     orc = monomial_oracle(4.5, domain=(0.0, 1.0))
     assert type(orc(0.5, 2)) is float

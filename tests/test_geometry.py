@@ -1,13 +1,9 @@
-import csv
 import json
-import math
 import os
-import runpy
 import sys
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +25,6 @@ from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import run_check
 from restriction_lab.report import ConfigError, DomainError, worst_index
 from test_jacobian import SWEEP_CURVES, _ref_jacobian_integral
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
@@ -260,6 +254,19 @@ def test_estimate_alpha_B_series_equals_lambda_measure(quartic_curve):
     rep = estimate_alpha_B(quartic_curve, fam, 1 / 6)
     assert [s["lambda"] for s in rep.series] == [
         lambda_measure(quartic_curve, [E])[0] for E in fam]
+
+
+def test_shrinking_cubes_measure_scales_as_the_volume_to_the_1_over_d(
+        quartic_curve):
+    # at t = 0.5 the curve is nondegenerate and crosses each cube along
+    # one axis: lambda ~ m_d^(1/d)
+    fam = shrink_family(quartic_curve.jet(np.array([0.5]))[0], 1.0, 8)
+    rep = estimate_alpha_B(quartic_curve, fam, 1 / 6)
+    lam = [s["lambda"] for s in rep.series]
+    assert len(lam) == 8 and all(0 < b < a for a, b in zip(lam, lam[1:]))
+    logs = np.log([[s["m_d"], s["lambda"]] for s in rep.series])
+    slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
+    assert abs(slope - 1 / 3) <= 0.02
 
 
 def test_lemma1_chain_quartic(quartic_curve):
@@ -567,38 +574,6 @@ def test_sm_shells_joins_its_worker_when_the_calling_part_raises(
     # has counted its 40 blocks
     assert workers and not any(w.is_alive() for w in workers)
     assert len(workers) == 40
-
-
-def test_shell_scaling_script_prints_every_shell(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [
-        "shell_scaling.py", "--m-max", "3", "--samples", "20000",
-        "--seed", "2"])
-    runpy.run_path(str(SCRIPTS / "shell_scaling.py"), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("target consecutive ratio")
-    assert len(lines) == 5
-    for m, line in enumerate(lines[1:]):
-        est = sm_measure(3, 1 / 6, m, mc_samples=20000, seed=2).estimate
-        assert line.startswith(f"  m={m}: measure {est:.5f}")
-
-
-def test_shrinking_boxes_script_writes_the_table(tmp_path, monkeypatch,
-                                                 capsys):
-    out = tmp_path / "boxes.csv"
-    monkeypatch.setattr(sys, "argv", ["shrinking_boxes.py",
-                                      "--out", str(out)])
-    runpy.run_path(str(SCRIPTS / "shrinking_boxes.py"), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == f"wrote {out}"
-    with open(out, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["m_d", "lambda"]
-    lam = [float(r[1]) for r in rows[1:]]
-    assert len(lam) == 8
-    assert all(b < a for a, b in zip(lam, lam[1:]))
-    # the curve crosses each cube along one axis: lambda ~ m_d^(1/d)
-    slope_line = next(x for x in lines if x.startswith("log-log slope:"))
-    assert abs(float(slope_line.split()[2]) - 1 / 3) <= 0.02
 
 
 def test_check_J_geq_K(rng, quartic_curve):

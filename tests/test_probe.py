@@ -1,15 +1,12 @@
-import csv
 import json
 import math
-import runpy
-import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from restriction_lab.conditions import build_flattened, exponent_calculator
+from restriction_lab.conditions import build_flattened
 from restriction_lab.curves import (DerivativeOracle, HomogeneousCurve,
                                     SimpleCurve, affine_weight, poly_oracle)
 from restriction_lab.geometry import Parallelepiped, cube
@@ -20,7 +17,7 @@ from restriction_lab.probe import (TEST, TestFunction, _trapezoid_weights,
                                    lq_norm, restrict)
 from restriction_lab.quadrature import QuadratureError
 from restriction_lab.registry import run_check
-from restriction_lab.report import ConfigError
+from restriction_lab.report import ConfigError, DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -205,7 +202,7 @@ def _flat_family(quartic_curve):
     return family
 
 
-# the test functions of scripts/flat_family_sweep.py at d = 3
+# the test functions of configs/flat.json's empirical-ratio
 SWEEP_TESTS = [
     TestFunction.gaussian([0.1, 0.0, -0.2], 1.0),
     TestFunction.gaussian([0.5, 0.0, 0.0], 0.7),
@@ -265,24 +262,42 @@ def test_empirical_ratio_sweeps_each_curve_once(quartic_curve, weighted):
     assert [dict(c) for c in calls] == [want] * 3
 
 
-def test_flat_family_sweep_script_writes_the_maxima(tmp_path, monkeypatch,
-                                                    capsys, quartic_curve):
-    out = tmp_path / "ratios.csv"
-    monkeypatch.setattr(sys, "argv", ["flat_family_sweep.py",
-                                      "--out", str(out)])
-    runpy.run_path(str(ROOT / "scripts" / "flat_family_sweep.py"),
-                   run_name="__main__")
-    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
-    with open(out, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["family_index", "max_ratio"]
-    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
-    P = 9 / 8
-    Q = exponent_calculator(3, p=P)["Q_paired"]
-    rep = empirical_ratio(_flat_family(quartic_curve), P, Q, True,
-                          SWEEP_TESTS, np.linspace(1e-4, 1.0, 1500))
-    assert [float(r[1]) for r in rows[1:]] == (
-        rep.witnesses[0]["per_curve_max"])
+_HOMOGENEOUS = {"kind": "homogeneous", "exponents": [1.0, 2.0, 3.0]}
+
+
+def _ratio_on_homogeneous(a, b):
+    return {"operation": "empirical-ratio", "P": 9 / 8, "weighted": True,
+            "curves": [_HOMOGENEOUS], "t_grid": {"a": a, "b": b, "n": 101},
+            "tests": [{"kind": "Gaussian", "center": [0.1, 0.0, -0.2],
+                       "sigma": 1.0}]}
+
+
+def test_weighted_ratio_on_a_homogeneous_curve_keeps_t_0():
+    # the column of t in gamma'' and those of t and t^2 in gamma''' are 0,
+    # so the weight at t = 0 is finite and that point is kept
+    rep = run_check(_ratio_on_homogeneous(0.0, 1.0), 1)
+    ts = np.linspace(0.0, 1.0, 101)
+    curve = HomogeneousCurve(exponents=(1.0, 2.0, 3.0))
+    w, _ = restrict([], curve, ts, weighted=True)
+    assert len(w) == 101 and w[0] == pytest.approx(
+        ts[1] / 2 * 12.0 ** (1 / 6), rel=1e-12)
+    assert rep.passed and math.isfinite(rep.estimate)
+
+
+def test_ratio_on_a_homogeneous_curve_refuses_a_t_beyond_its_domain():
+    # t = 3 lies outside the curve's default domain [0, 1]
+    with pytest.raises(DomainError, match="outside domain"):
+        run_check(_ratio_on_homogeneous(0.1, 3.0), 1)
+
+
+def test_homogeneous_curve_on_negative_t_is_a_config_error():
+    # t^0.5 has no real value at t < 0
+    with pytest.raises(ConfigError, match=r"must lie in \[0, inf\)"):
+        run_check({"operation": "estimate-alpha-B", "alpha": 1 / 6,
+                   "center_t": 0.5, "count": 3,
+                   "curve": {"kind": "homogeneous",
+                             "exponents": [0.5, 1.0, 2.0],
+                             "domain": [-1.0, 1.0]}}, 1)
 
 
 def test_dilation_invariance_at_pairing_exponents():

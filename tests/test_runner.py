@@ -208,8 +208,8 @@ def test_report_diff_lists_each_differing_field():
 
 
 def test_report_diff_runs_a_config_given_by_path(tmp_path):
-    # an extra config is read from the working tree, wherever the tree it
-    # runs in is: by its absolute path
+    # a config given by its absolute path is read from there, whichever
+    # tree it runs in
     reports = runpy.run_path(
         str(CONFIGS.parent / "scripts" / "report_diff.py"))["reports"]
     path = tmp_path / "extra.json"
