@@ -272,28 +272,42 @@ def build_flattened(base: SimpleCurve, variant: str = "exp") -> SimpleCurve:
         raise ConfigError("exp flattening requires phi^(d) >= 0 on the domain")
 
     def g(u):
-        vals = phi.fn(u, d)
+        # fn returns a new array, written over here; a 0-d u may give a
+        # numpy scalar, which asarray copies into a 0-d array
+        vals = np.asarray(phi.fn(u, d))
         if variant == "exp":
             # exp(-1/0+) -> 0; zeros of the top derivative are the flat
-            # points the constructor exists for.  Evaluated in place on one
-            # buffer, then 0 where the top is <= 0 or NaN: the same values
-            # as masking the divide and exp with where=, which ran the
-            # flat workload's checks 9 % slower
-            out = np.empty(np.shape(vals))
+            # points the constructor exists for.  Evaluated in place, then
+            # 0 where the top was <= 0 or NaN: the same values as masking
+            # the divide and exp with where=, which ran the flat workload's
+            # checks 9 % slower
+            off = ~(vals > 0)
             with np.errstate(divide="ignore", over="ignore"):
-                np.divide(-1.0, vals, out=out)
-                np.exp(out, out=out)
-            out[~(vals > 0)] = 0.0
-            return out
+                np.divide(-1.0, vals, out=vals)
+                np.exp(vals, out=vals)
+            vals[off] = 0.0
+            return vals
         return np.log(vals)
+
+    def integrand(m):
+        """(s - u)^m g(u) on the nodes u, written into u itself: the
+        quadrature hands each node slice to one call only."""
+        def f(u, s):
+            vals = g(u)
+            np.subtract(s, u, out=u)
+            u **= m
+            vals *= u
+            return vals
+        return f if m else lambda u, s: g(u)
 
     def fn(t, k):
         if k == d:
-            return fac * g(t)
+            top = g(t)
+            top *= fac
+            return top
         m = d - 1 - k
         return fac / math.factorial(m) * integrate_refine(
-            lambda u, s: (s - u) ** m * g(u) if m else g(u),
-            a, t, rel_tol=1e-10)
+            integrand(m), a, t, rel_tol=1e-10)
 
     psi = DerivativeOracle(domain=(a, b), fn=fn)
     return SimpleCurve(d=d, phi=psi, label=base.label + f"-flat-{variant}")

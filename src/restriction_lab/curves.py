@@ -31,8 +31,10 @@ class DerivativeOracle:
     """A real function on an open interval answering f^(k)(t), k >= 0.
 
     ``fn(t, k)`` must accept a numpy array t of any shape and answer the
-    array of values.  Evaluation clamps t to [a + eps, b - eps] to keep
-    away from endpoint singularities of t^beta with non-integer beta.
+    array of values as a new array, which shares no memory with t and
+    which a caller may overwrite (a 0-d t may give a scalar instead).
+    Evaluation clamps t to [a + eps, b - eps] to keep away from endpoint
+    singularities of t^beta with non-integer beta.
 
     A float t gives a float, an array gives an array of its shape (an
     empty one included).  A t beyond the domain by more than a relative
@@ -223,7 +225,11 @@ def monomial_oracle(beta: float, domain=(0.0, 1.0)) -> DerivativeOracle:
             c *= (beta - i)
         if c == 0.0:
             return np.zeros_like(np.asarray(t, dtype=float))
-        return c * np.asarray(t, dtype=float) ** (beta - k)
+        # t ** (beta - k) is a new array (a numpy scalar for a 0-d t, where
+        # *= rebinds), scaled by c in place
+        out = np.asarray(t, dtype=float) ** (beta - k)
+        out *= c
+        return out
 
     return DerivativeOracle(domain=tuple(domain), fn=fn)
 

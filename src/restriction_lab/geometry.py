@@ -10,8 +10,6 @@ exponent for the segment.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,6 +18,7 @@ import numpy as np
 from .conditions import _normal_doubles, _validate_alpha
 from .curves import SimpleCurve, validate_monotone
 from .jacobian import jacobian_integral
+from .parts import part_count, run_parts
 from .report import (CheckReport, ConfigError, DomainError, at_most,
                      worst_index)
 from .vandermonde import vandermonde
@@ -438,9 +437,6 @@ BOX_SIDE = 10.0
 # of _SM_BLOCK // parts rows, so all parts' buffers together stay at one
 # block's worth
 _SM_BLOCK = 32_768
-# most parts a K-shell draw is split into, one thread each: the sampler
-# was timed on a 2-core box, and no split above two was measured
-_SM_PARTS = 2
 
 
 def _shell_counts(seed: int, d: int, alpha: float, edges: list[float],
@@ -483,17 +479,13 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
     [0, BOX_SIDE]^{d-1}, all from one seeded draw of ``mc_samples`` gap
     vectors.
 
-    The draw is cut at ``_SM_BLOCK`` boundaries into contiguous parts, one
-    per core up to ``_SM_PARTS`` (one where the process may run on one
-    core or the draw fills one block).  Each part jumps a copy of the
-    seeded PCG64 stream ahead to its own first sample, so the parts draw
-    the very numbers of one draw of all rows.  This thread counts the
-    first part and a ``threading.Thread`` each other part, all through
-    ``_shell_counts``; once every part has ended, the error of the first
-    failing part, if any, is raised here.  The counts are exact integers,
-    so their sums, and so every estimate, are the same for any number of
-    parts.  The worker threads call nothing that ``perfbench/spans.py``
-    traces: its tracer keeps one span stack per process."""
+    The draw is cut at ``_SM_BLOCK`` boundaries into contiguous parts,
+    ``parts.part_count(blocks)`` of them, each counted by
+    ``_shell_counts`` through ``parts.run_parts``.  Each part jumps a copy
+    of the seeded PCG64 stream ahead to its own first sample, so the parts
+    draw the very numbers of one draw of all rows.  The counts are exact
+    integers, so their sums, and so every estimate, are the same for any
+    number of parts."""
     if d < 2:
         raise ConfigError(f"gap vectors need d >= 2, got d={d}")
     if not 0 < alpha < 1.0 / d:
@@ -508,32 +500,13 @@ def sm_shells(d: int, alpha: float, m_max: int, mc_samples: int = 4_000_000,
                           f"at alpha = {alpha}, d = {d}: {BOX_SIDE} ** "
                           f"{deg:g} is not finite")
     edges = [2.0 ** -m for m in range(m_max + 2)]
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     blocks = -(-mc_samples // _SM_BLOCK)
-    parts = min(_SM_PARTS, cores, blocks)
+    parts = part_count(blocks)
     cuts = [min(mc_samples, blocks * p // parts * _SM_BLOCK)
             for p in range(parts + 1)]
-    counts: list = [None] * parts
-
-    def count(p):
-        try:
-            counts[p] = _shell_counts(seed, d, alpha, edges, cuts[p],
-                                      cuts[p + 1], _SM_BLOCK // parts)
-        except Exception as exc:    # raised below, once every part has ended
-            counts[p] = exc
-
-    workers = [threading.Thread(target=count, args=(p,))
-               for p in range(1, parts)]
-    for w in workers:
-        w.start()
-    count(0)
-    for w in workers:
-        w.join()
-    for c in counts:
-        if isinstance(c, Exception):
-            raise c
-    n_le = sum(counts)
+    n_le = sum(run_parts(
+        lambda p: _shell_counts(seed, d, alpha, edges, cuts[p], cuts[p + 1],
+                                _SM_BLOCK // parts), parts))
     hits = (n_le[:-1] - n_le[1:]).tolist()
     vol = BOX_SIDE ** (d - 1)
     return [vol * h / mc_samples for h in hits], hits

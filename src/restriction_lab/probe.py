@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import _normal_doubles
 from .curves import HomogeneousCurve, affine_weight
 from .geometry import Parallelepiped
 from .quadrature import QuadratureError, gl_nodes
-from .report import (CheckReport, ConfigError, Kind, Many, Real, at_most,
-                     worst_index)
+from .report import (CheckReport, ConfigError, DomainError, Kind, Many, Real,
+                     at_most, worst_index)
 
 # a width (and a frequency) is one number, or one per axis of the center
 _CENTER, _WIDTH = Many(Real()), Many(Real(0), single=True)
@@ -263,10 +264,28 @@ def homogeneous_rescale_check(curve: HomogeneousCurve, k: int,
     g_hat(gamma(2^{-k} s)) = g_hat_k(gamma(s)), g_hat_k = g_hat o delta_k;
     hence the L^p norm over I_k = [2^{-k-1}, 2^{-k}] equals
     2^{-k/p} times the norm of g_hat_k o gamma over [1/2, 1], both by a
-    64-point Gauss-Legendre rule."""
+    64-point Gauss-Legendre rule.
+
+    A k that the doubles cannot test raises DomainError: one where a
+    gamma_i^2 on I_k, or on its rescaled side s^a 2^{-k a}, overflows, or
+    where either norm is 0 or subnormal, as g_hat underflows far out
+    along a curve with a negative exponent.  An entry of gamma that
+    underflows to 0 is harmless: g_hat is smooth at 0."""
     order = 64
     if g.dim != curve.d:
         raise ConfigError(f"g has dimension {g.dim}, the curve {curve.d}")
+    # each power is monotone in s, so the largest squares are at the ends
+    # of I_k = [2^{-k-1}, 2^{-k}]; a float power past the largest double
+    # raises OverflowError, and a product past it is inf
+    try:
+        big = max(x * x for a in curve.exponents for s in (0.5, 1.0)
+                  for x in ((s * 2.0 ** -k) ** a, s ** a * 2.0 ** (-k * a)))
+    except OverflowError:
+        big = math.inf
+    if big == math.inf:
+        raise DomainError(f"gamma^2 on I_k overflows at k = {k} for the "
+                          f"exponents {list(curve.exponents)}, so the "
+                          f"rescaling cannot be tested there")
     a_exp = np.asarray(curve.exponents, dtype=float)
     nodes, wts = gl_nodes(2.0 ** (-k - 1), 2.0 ** (-k), order)
     lhs = lq_norm(wts, g.fourier(curve.jet(nodes)), p)
@@ -274,6 +293,10 @@ def homogeneous_rescale_check(curve: HomogeneousCurve, k: int,
     delta_k = 2.0 ** (-k * a_exp)
     rhs = 2.0 ** (-k / p) * lq_norm(
         s_wts, g.fourier(curve.jet(s_nodes) * delta_k), p)
+    if _normal_doubles(lambda: [lhs, rhs]) is None:
+        raise DomainError(f"the L^p norms on I_k are {lhs!r} and {rhs!r} at "
+                          f"k = {k}: 0 or subnormal, so the rescaling "
+                          f"cannot be tested there")
     resid = abs(lhs - rhs) / max(rhs, 1e-300)
     return at_most("homogeneous_rescale_check",
                    {"exponents": a_exp.tolist(), "k": k, "p": p,

@@ -12,11 +12,14 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .parts import part_count, run_parts
 
-# integrand nodes per call of f in integrate_refine; bounds its memory.  Of
-# 2,048-65,536 nodes, 16,384 ran the flat workload's checks fastest on a
-# 2-core box, and 32,768 ran them slower; the size changes no value
-NODES_PER_CALL = 16384
+# integrand nodes per call of f in integrate_refine; bounds its memory, and
+# changes no value.  configs/flat.json ran in a median 183, 186 and 203 ms
+# in one part at 16,384, 32,768 and 65,536 nodes, and in 215, 157 and
+# 157 ms in two (21 alternating runs each, 2-core box); the larger chunk
+# costs each part more memory
+NODES_PER_CALL = 32768
 # integrate_refine's Gauss-Legendre order per panel, and the panel count
 # past which it gives up
 _ORDER = 16
@@ -62,30 +65,50 @@ def _panel_sums(f, a: float, upper: np.ndarray, panels: int,
     is then j * step rounded once, linspace's usual branch, and also its
     j / panels * (t - a) branch, taken when a step underflows to 0.  Only
     a nonzero subnormal step rounds differently, at limits within about
-    1e-305 of a."""
+    1e-305 of a.
+
+    The limits go in chunks of whole rows, and the chunks in turn to the
+    parts of ``parts.run_parts``.  Each part forms its chunks' nodes and
+    weights in two buffers of its own, allocated once: the chunk's panel
+    half-widths repeated over their nodes, times the tiled weights, then
+    times the tiled abscissae plus the midpoints.  f may overwrite the
+    nodes it is handed, and a new array of its values multiplies the
+    weights in place.  A row's sum depends on that row alone, so the sums
+    are the same for any chunk size and any number of parts."""
     n = panels * order
     rows = max(1, NODES_PER_CALL // n)
     cols = min(n, NODES_PER_CALL)
     x, w = _leggauss(order)
+    xs, ws = np.tile(x, panels), np.tile(w, panels)
     frac = np.arange(panels + 1.0) / panels
     sums = np.empty(upper.size)
-    for i in range(0, upper.size, rows):
-        t = upper[i:i + rows]
-        edges = np.multiply.outer(t - a, frac)
-        edges += a
-        edges[:, -1] = t
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        nodes = np.multiply.outer(half, x)
-        nodes += mid[..., None]
-        nodes = nodes.reshape(t.size, n)
-        # the weights, each multiplied by its node's value in place
-        prod = np.multiply.outer(half, w).reshape(t.size, n)
-        for k in range(0, n, cols):
-            part = prod[:, k:k + cols]
-            np.multiply(part, f(nodes[:, k:k + cols], t[:, None]), out=part)
-        sums[i:i + rows] = np.add.reduce(prod, axis=-1)
+    starts = range(0, upper.size, rows)
+    parts = part_count(len(starts))
+
+    def part(p):
+        nodes = np.empty((min(rows, upper.size), panels, order))
+        weights = np.empty((len(nodes), n))
+        for i in starts[p::parts]:
+            t = upper[i:i + rows]
+            edges = np.multiply.outer(t - a, frac)
+            edges += a
+            edges[:, -1] = t
+            lo, hi = edges[:, :-1], edges[:, 1:]
+            half = 0.5 * (hi - lo)
+            mid = 0.5 * (lo + hi)
+            panel_nodes = nodes[:t.size]
+            panel_nodes[...] = half[..., None]
+            u = panel_nodes.reshape(t.size, n)
+            wts = np.multiply(u, ws, out=weights[:t.size])
+            u *= xs
+            panel_nodes += mid[..., None]
+            for k in range(0, n, cols):
+                block = wts[:, k:k + cols]
+                np.multiply(block, f(u[:, k:k + cols], t[:, None]),
+                            out=block)
+            np.add.reduce(wts, axis=-1, out=sums[i:i + rows])
+
+    run_parts(part, parts)
     return sums
 
 

@@ -60,12 +60,18 @@ def write_report(config: ExperimentConfig,
     return path
 
 
-_KIND_KEYS = {
-    "ratio-vs-parameter": "ratio",
-    "measure-vs-scale": "measure",
-}
-# estimate_alpha_B series carry (m_d, lambda) rather than "measure"
-_KIND_ALT = {"measure-vs-scale": "lambda"}
+_KINDS = ("ratio-vs-parameter", "measure-vs-scale")
+# a series with either column is a measure against a scale: sm-scaling's
+# (m, measure), and estimate_alpha_B's (m_d, lambda, ratio), whose ratios
+# are not against a parameter
+_MEASURE_KEYS = {"measure", "lambda"}
+
+
+def _series_kind(keys: set) -> str | None:
+    """The plot kind of a series with the columns ``keys``, if any."""
+    if keys & _MEASURE_KEYS:
+        return "measure-vs-scale"
+    return "ratio-vs-parameter" if "ratio" in keys else None
 
 
 def emit_plot_data(reports: list[dict[str, Any]], kind: str,
@@ -75,20 +81,13 @@ def emit_plot_data(reports: list[dict[str, Any]], kind: str,
     Column order is the sorted key set of the first series row; one row
     per sample; LF line endings, UTF-8, header row.
     """
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}")
-    want = _KIND_KEYS[kind]
-    alt = _KIND_ALT.get(kind)
     written = []
-    matched = False
     for i, rep in enumerate(reports):
         series = rep.get("series") or []
-        if not series:
+        if not series or _series_kind(set(series[0])) != kind:
             continue
-        keys = set(series[0])
-        if want not in keys and (alt is None or alt not in keys):
-            continue
-        matched = True
         cols = sorted(series[0])
         path = f"{prefix}_{rep['check_id']}_{i}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -97,7 +96,7 @@ def emit_plot_data(reports: list[dict[str, Any]], kind: str,
             for row in series:
                 writer.writerow([row.get(c) for c in cols])
         written.append(path)
-    if reports and not matched:
+    if reports and not written:
         raise ConfigError(f"no report carries a series for kind {kind!r}")
     return written
 

@@ -133,6 +133,34 @@ def test_oracle_contract():
         assert ident(x, 0) == float(np.clip(x, eps, 2.0 - eps))
 
 
+_FLAT_SPEC = {"kind": "flatten", "d": 3, "domain": [0.0, 1.0],
+              "base": {"kind": "monomial", "beta": 4.05}}
+
+
+@pytest.mark.parametrize("phi", [
+    monomial_oracle(4.05), monomial_oracle(2.0), poly_oracle([1.0, 2.0]),
+    expflat_oracle(1.5),
+    curve_from_spec(_FLAT_SPEC).phi,
+    curve_from_spec({**_FLAT_SPEC, "steps": 2}).phi,
+    curve_from_spec({**_FLAT_SPEC, "variant": "log", "base": {
+        "kind": "poly-phi", "coeffs": [0.0, 20.0, 0.0, 10.0]}}).phi],
+    ids=["monomial", "monomial-zero-column", "poly-phi", "exp-flat",
+         "flatten-exp", "flatten-exp-twice", "flatten-log"])
+def test_oracle_fn_returns_a_new_array(phi):
+    # a caller may overwrite what fn returns: the flattening integrands
+    # divide, exponentiate and scale it in place
+    for k in range(4):
+        t = np.linspace(0.2, 0.9, 6).reshape(2, 3)
+        before = t.copy()
+        out = phi.fn(t, k)
+        assert isinstance(out, np.ndarray) and out.shape == t.shape
+        assert not np.shares_memory(out, t)
+        assert np.array_equal(t, before)
+        want = out.copy()
+        out *= 2.0
+        assert np.array_equal(phi.fn(t, k), want)
+
+
 def test_validate_monotone(quartic_curve):
     assert validate_monotone(quartic_curve).passed
     wiggly = SimpleCurve(d=3, phi=poly_oracle([0, 1, -1, 0.1],

@@ -323,6 +323,26 @@ def test_homogeneous_rescale_identity():
                          "sigma": [1.0, 0.8, 1.2]}}, 1)
 
 
+# on the curve (t^-2, t) with a Gaussian g, k = 100, 200 and 255 once
+# PASSed with lhs = rhs = 0.0, k = 256 and 300 warned "overflow
+# encountered in square" in TestFunction.fourier, and k = 600 and 1021
+# "overflow encountered in power" in HomogeneousCurve.jet.  At k = 255,
+# gamma_1^2 = t^-4 overflows at the left end of I_k
+@pytest.mark.parametrize("k,why", [
+    (100, "norms"), (200, "norms"), (255, "overflows"),
+    (256, "overflows"), (300, "overflows"), (600, "overflows"),
+    (1021, "overflows")])
+def test_homogeneous_rescale_refuses_a_k_the_doubles_cannot_test(k, why):
+    check = {"operation": "homogeneous-rescale", "exponents": [-2.0, 1.0],
+             "g": {"kind": "Gaussian", "sigma": 1.0, "center": [0.0, 0.0]},
+             "k_list": [k]}
+    with pytest.raises(DomainError, match=rf"({why}).* k = {k}\b"):
+        run_check(check, 1)
+    # the k where both norms are still normal doubles are tested as before
+    rep = run_check({**check, "k_list": [0, 1, 2]}, 1)
+    assert rep.passed and rep.witnesses[0]["lhs"] > 1e-300
+
+
 def test_converse_scaling_unit_cube():
     E = cube([0.5, 0.5], 1.0)
     f = TestFunction.gaussian([0.0, 0.0], [1.0, 1.0])

@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from restriction_lab import quadrature
+from restriction_lab.conditions import build_flattened
+from restriction_lab.curves import SimpleCurve, monomial_oracle
 from restriction_lab.quadrature import (NODES_PER_CALL, QuadratureError,
                                         _panel_sums, box_rule, gl_nodes,
                                         integrate_refine)
@@ -51,6 +56,8 @@ def test_panel_rule_is_gl_nodes_on_linspace_edges():
             return (t - u) ** 2 * np.cos(u)
 
         sums = _panel_sums(f, a, upper, panels, 16)
+        # one chunk, so one call of f and its nodes in order
+        assert len(seen) == 1
         edges = np.linspace(a, upper, panels + 1, axis=-1)
         x, w = gl_nodes(edges[:, :-1], edges[:, 1:], 16)
         x, w = x.reshape(upper.size, -1), w.reshape(upper.size, -1)
@@ -72,6 +79,133 @@ def test_one_unconverged_limit_raises_and_nodes_stay_bounded():
     with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\]"):
         integrate_refine(step, 0.0, np.append(below, 1.0), rel_tol=1e-12)
     assert max(sizes) <= NODES_PER_CALL
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+def _in_place_integrand(threads):
+    """(t - u)^2 exp(-1/u), written over its nodes as the flattening
+    integrands are; records the thread of each call."""
+    def f(u, t):
+        threads.add(threading.current_thread())
+        with np.errstate(divide="ignore"):
+            vals = np.exp(-1.0 / u)
+        np.subtract(t, u, out=u)
+        u **= 2
+        vals *= u
+        return vals
+    return f
+
+
+def test_values_do_not_depend_on_the_core_count(monkeypatch):
+    # 300 limits at 256 nodes a call make many chunks on every level
+    monkeypatch.setattr(quadrature, "NODES_PER_CALL", 256)
+    limits = np.linspace(-0.2, 3.0, 300)
+    got = {}
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        threads = set()
+        got[cores] = integrate_refine(_in_place_integrand(threads), 0.0,
+                                      limits, rel_tol=1e-10)
+        # one part runs on this thread alone
+        assert (threads == {threading.main_thread()}) == (cores == 1)
+    assert np.array_equal(got[1], got[2])
+    # the one-limit calls of the one-part path give the same bits
+    want = [integrate_refine(_cauchy_integrand, 0.0, t, rel_tol=1e-10)
+            for t in limits[::37]]
+    assert got[2][::37].tolist() == want
+    # and so do the flattened oracles, whose integrands work in place
+    flat = SimpleCurve(d=3, phi=monomial_oracle(4.05, domain=(0.0, 1.0)))
+    flat = build_flattened(build_flattened(flat))
+    grid = np.linspace(0.0, 1.0, 97)
+    vals = {}
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        vals[cores] = [flat.phi(grid, k) for k in range(4)]
+    assert all(np.array_equal(a, b) for a, b in zip(vals[1], vals[2]))
+
+
+def test_callers_on_many_threads_get_their_own_sums(monkeypatch):
+    # more callers than cores, each with a second part of its own,
+    # switching as often as the interpreter allows: no part may write into
+    # another call's sums or nodes
+    monkeypatch.setattr(quadrature, "NODES_PER_CALL", 256)
+    _cores(monkeypatch, 2)
+    limits = [np.linspace(0.1, 1.0 + s, 60) for s in range(4)]
+    want = [integrate_refine(_cauchy_integrand, 0.0, b, rel_tol=1e-10)
+            for b in limits]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = integrate_refine(_in_place_integrand(set()), 0.0,
+                                  limits[s], rel_tol=1e-10)
+
+    callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_an_error_in_the_second_part_raises_from_integrate_refine(
+        monkeypatch):
+    monkeypatch.setattr(quadrature, "NODES_PER_CALL", 256)
+    _cores(monkeypatch, 2)
+    workers = []
+
+    def f(u, t):
+        if threading.current_thread() is not threading.main_thread():
+            workers.append(threading.current_thread())
+            raise ZeroDivisionError("planted in the second part")
+        return u * 0.0
+
+    with pytest.raises(ZeroDivisionError, match="second part"):
+        integrate_refine(f, 0.0, np.linspace(0.1, 1.0, 100))
+    assert workers and not any(w.is_alive() for w in workers)
+
+
+def test_the_callers_errstate_holds_in_the_second_part(monkeypatch):
+    monkeypatch.setattr(quadrature, "NODES_PER_CALL", 256)
+    _cores(monkeypatch, 2)
+    seen = {}
+
+    def f(u, t):
+        seen[threading.current_thread()] = np.geterr()
+        return 1.0 / (u - u)
+
+    with np.errstate(divide="raise", under="warn"):
+        want = np.geterr()
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            integrate_refine(f, 0.0, np.linspace(0.1, 1.0, 100))
+    assert len(seen) == 2 and all(e == want for e in seen.values())
+
+
+def test_the_error_names_the_first_unconverged_limit_on_two_cores(
+        monkeypatch):
+    monkeypatch.setattr(quadrature, "NODES_PER_CALL", 256)
+    _cores(monkeypatch, 2)
+
+    def step(u, t):
+        return np.where(u < 0.6, 0.0, 1.0)
+
+    below = np.linspace(0.1, 0.5, 200)
+    # below the jump every rule is exact; 0.7, 0.9 and 1.0 never converge
+    # to 1e-12, in the first chunk or the last one
+    for limits, first in ((np.append(below, [0.9, 1.0]), "0.9"),
+                          (np.append([0.7], below), "0.7"),
+                          (np.concatenate(([1.0], below, [0.7])), "1.0")):
+        with pytest.raises(QuadratureError, match=rf"\[0\.0, {first}\]"):
+            integrate_refine(step, 0.0, limits, rel_tol=1e-12)
 
 
 def test_box_rule_integrates_a_tensor_polynomial():

@@ -311,10 +311,26 @@ def test_write_report_and_emit_plots(tmp_path):
     lines = text.split("\n")
     assert "lambda" in lines[0].split(",")  # header row
     assert "\r" not in text
-    # the same series also carries per-level ratios
-    ratio_files = emit_plot_data(payload["reports"], "ratio-vs-parameter",
+    # its per-level ratios are against the scale, not a parameter: a
+    # series with lambda or measure is measure-vs-scale only
+    with pytest.raises(ConfigError, match="ratio-vs-parameter"):
+        emit_plot_data(payload["reports"], "ratio-vs-parameter",
+                       prefix=str(tmp_path / "plot2"))
+    # beside an empirical-ratio report, only that report's series is a
+    # ratio against a parameter, as in configs/flat.json's report
+    ratio_rep = {"check_id": "empirical_ratio",
+                 "series": [{"curve_index": 0, "test_index": 1,
+                             "ratio": 1.25}]}
+    ratio_files = emit_plot_data(payload["reports"] + [ratio_rep],
+                                 "ratio-vs-parameter",
                                  prefix=str(tmp_path / "plot2"))
-    assert len(ratio_files) == 1
+    assert ratio_files == [str(tmp_path / "plot2_empirical_ratio_1.csv")]
+    assert open(ratio_files[0], encoding="utf-8").read().split("\n")[0] == (
+        "curve_index,ratio,test_index")
+    assert emit_plot_data(payload["reports"] + [ratio_rep],
+                          "measure-vs-scale",
+                          prefix=str(tmp_path / "plot4")) == [
+        str(tmp_path / "plot4_estimate_alpha_B_0.csv")]
     with pytest.raises(ConfigError):
         emit_plot_data(payload["reports"], "histogram")
     no_series = run(_config([PSI_CHECK]))
